@@ -269,9 +269,6 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--digits", type=int, default=6,
                         help="significant digits for probabilities")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; "
-                             "computation is single-threaded")
     p = argparse.ArgumentParser(
         prog="walkrange",
         description="Exact and asymptotic statistics of the k-multiple "

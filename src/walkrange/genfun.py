@@ -117,6 +117,7 @@ class Engine:
         self._pair = {}
         self._chain = {}
         self._oma_pow = [self.cache.one, self.cache.one_minus_A]
+        self._a_pow = [self.cache.one, self.cache.A]
         self._term_pair = {}
         self._moment_state = {}          # k -> resolvent iteration state
         self._double_state = None        # closed-form k=2 iteration state
@@ -129,7 +130,9 @@ class Engine:
         return self._oma_pow[m]
 
     def _A_pow(self, m):
-        return self.cache.A.pow(m)
+        while len(self._a_pow) <= m:
+            self._a_pow.append(self._a_pow[-1] * self.cache.A)
+        return self._a_pow[m]
 
     def pair_block(self, i, j):
         """Symmetric block: two marked slots joined by f-fold winding sums."""

@@ -1,20 +1,22 @@
 """Truncated formal power series in z with exact-rational and float backends.
 
 A series is a dense coefficient vector c[0..K]; every arithmetic result is
-re-projected onto the truncation order of its operands.  The module also
-builds the base series used throughout the package:
+re-projected onto the truncation order of its operands.  Exact series are
+integer numerators over one denominator, canonical (den > 0 and
+gcd(den, *nums) == 1), multiplied by Kronecker substitution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC 2009;
+as in FLINT's fmpz_poly): each vector is packed into one big integer, the
+two are multiplied once (CPython's Karatsuba) and the low K+1 slots are read
+back.  Division is a Newton iteration on that product.  Base series:
 
     A  = sqrt(1 - 4 z^2)            (square-root factor of the walk kernel)
     B  = 2z / (1 + A)               (z times the Catalan generating function)
     h0 = (1 - A) / A                (closed-walk count series, empty walk removed)
 
-together with the geometric tails B^{2f}/(1 - B^{2f}) and weighted sums over
-them.  Coefficients of B-powers come from the ballot-number closed form
-
-    [z^m] B^j = (j/m) C(m, (m-j)/2),
-
-so no series division is ever needed to build the cache.  A cache may be
-built at a scale 0 < s <= 1: stored coefficients are s^m times the true ones,
+with the geometric tails B^{2f}/(1 - B^{2f}) and weighted sums over them.
+B-powers have the ballot-number closed form [z^m] B^j = (j/m) C(m, (m-j)/2),
+so the cache needs no division and its exact series are integer vectors.  A
+cache built at a scale 0 < s <= 1 stores s^m times the true coefficients,
 which keeps float coefficients bounded for large truncation orders.
 """
 
@@ -52,19 +54,55 @@ def _check_finite(arr):
     return arr
 
 
+def _kronecker(a, b, K):
+    """Coefficients 0..K of the product of the integer vectors a and b.
+
+    Slots are w = 8*nb bits, so every product coefficient has |c| < 2^(w-1);
+    adding 2^(w-1) per low slot modulo 2^(w(K+1)) makes it read back as
+    plain bytes, and the mask drops the (possibly negative) slots above K."""
+    # series in z^2 only (all walk series are) multiply as series in y = z^2
+    s = 1 if any(a[1: K + 1: 2]) or any(b[1: K + 1: 2]) else 2
+    a, b = a[: K + 1: s], b[: K + 1: s]
+    n = len(a)
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + n.bit_length() + 2)
+    nb = (bits + 7) // 8
+
+    def pack(v):
+        pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in v)
+        neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in v)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * nb * n)) - 1)
+    buf = low.to_bytes(nb * n, "little")
+    half = 1 << (8 * nb - 1)
+    out = [0] * (K + 1)
+    out[::s] = [int.from_bytes(buf[i: i + nb], "little") - half
+                for i in range(0, nb * n, nb)]
+    return out
+
+
 class TruncatedSeries:
-    """Immutable truncated power series; all ops return new instances."""
+    """Immutable truncated power series; all ops return new instances.
 
-    __slots__ = ("backend", "K", "coeffs")
+    Exact: integer numerators `nums` over `den`; float: a read-only ndarray.
+    `coeffs` and `s[m]` give Fractions or floats."""
 
-    def __init__(self, coeffs, backend, K=None):
+    __slots__ = ("backend", "K", "nums", "den", "_arr")
+
+    def __init__(self, coeffs, backend, K=None, den=None):
+        """Exact coeffs are rationals, or integer numerators over `den`."""
         if backend == EXACT:
-            data = [Fraction(c) for c in coeffs]
-            if K is None:
-                K = len(data) - 1
-            if len(data) < K + 1:
-                data += [Fraction(0)] * (K + 1 - len(data))
-            self.coeffs = data[: K + 1]
+            if den is None:
+                fr = [Fraction(c) for c in coeffs]
+                den = math.lcm(*(c.denominator for c in fr))
+                coeffs = [c.numerator * (den // c.denominator) for c in fr]
+            K = len(coeffs) - 1 if K is None else K
+            nums = list(coeffs[: K + 1]) + [0] * (K + 1 - len(coeffs))
+            g = math.gcd(den, *nums)
+            self.nums = nums if g == 1 else [c // g for c in nums]
+            self.den = den // g
         elif backend == FLOAT:
             data = np.asarray(coeffs, dtype=np.float64)
             if K is None:
@@ -73,19 +111,22 @@ class TruncatedSeries:
                 data = np.concatenate([data, np.zeros(K + 1 - len(data))])
             arr = np.array(data[: K + 1], dtype=np.float64)
             arr.flags.writeable = False
-            self.coeffs = _check_finite(arr)
+            self._arr = _check_finite(arr)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.K = K
 
+    @property
+    def coeffs(self):
+        return self._arr if self.backend == FLOAT else [
+            Fraction(c, self.den) for c in self.nums]
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, K, backend):
-        if backend == EXACT:
-            return cls([Fraction(0)] * (K + 1), EXACT, K)
-        return cls(np.zeros(K + 1), FLOAT, K)
+        return cls.monomial(0, 0, K, backend)
 
     @classmethod
     def one(cls, K, backend):
@@ -94,13 +135,10 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, c, m, K, backend):
         if backend == EXACT:
-            coeffs = [Fraction(0)] * (K + 1)
-            if m <= K:
-                coeffs[m] = Fraction(c)
-        else:
-            coeffs = np.zeros(K + 1)
-            if m <= K:
-                coeffs[m] = float(c)
+            return cls([0] * m + [c], EXACT, K)
+        coeffs = np.zeros(K + 1)
+        if m <= K:
+            coeffs[m] = float(c)
         return cls(coeffs, backend, K)
 
     # -- helpers -----------------------------------------------------------
@@ -114,9 +152,9 @@ class TruncatedSeries:
         return min(self.K, other.K)
 
     def __getitem__(self, m):
-        if m < 0 or m > self.K:
+        if not 0 <= m <= self.K:
             return Fraction(0) if self.backend == EXACT else 0.0
-        return self.coeffs[m]
+        return Fraction(self.nums[m], self.den) if self.backend == EXACT else self._arr[m]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -124,24 +162,21 @@ class TruncatedSeries:
         if self.backend != other.backend or self.K != other.K:
             return False
         if self.backend == EXACT:
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         return bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
         return id(self)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in list(self.coeffs[:6]))
+        head = ", ".join(str(self[m]) for m in range(min(6, self.K + 1)))
         tail = ", ..." if self.K >= 6 else ""
         return f"TruncatedSeries({self.backend}, K={self.K}, [{head}{tail}])"
 
     def is_zero(self):
         if self.backend == EXACT:
-            return all(c == 0 for c in self.coeffs)
+            return not any(self.nums)
         return not np.any(self.coeffs)
-
-    def as_floats(self):
-        return [float(c) for c in self.coeffs]
 
     # -- ring operations ---------------------------------------------------
 
@@ -156,15 +191,16 @@ class TruncatedSeries:
     def __add__(self, other):
         K = self._binop_check(other)
         if self.backend == EXACT:
-            return TruncatedSeries(
-                [self.coeffs[i] + other.coeffs[i] for i in range(K + 1)], EXACT, K)
+            den = math.lcm(self.den, other.den)
+            fa, fb = den // self.den, den // other.den
+            return TruncatedSeries([fa * x + fb * y for x, y in zip(
+                self.nums, other.nums)], EXACT, K, den)
         return TruncatedSeries(self.coeffs[: K + 1] + other.coeffs[: K + 1], FLOAT, K)
 
     def __sub__(self, other):
         K = self._binop_check(other)
         if self.backend == EXACT:
-            return TruncatedSeries(
-                [self.coeffs[i] - other.coeffs[i] for i in range(K + 1)], EXACT, K)
+            return self + other.scaled(-1)
         return TruncatedSeries(self.coeffs[: K + 1] - other.coeffs[: K + 1], FLOAT, K)
 
     def __neg__(self):
@@ -173,23 +209,15 @@ class TruncatedSeries:
     def scaled(self, c):
         if self.backend == EXACT:
             c = Fraction(c)
-            return TruncatedSeries([c * x for x in self.coeffs], EXACT, self.K)
+            return TruncatedSeries([c.numerator * x for x in self.nums], EXACT,
+                                   self.K, c.denominator * self.den)
         return TruncatedSeries(float(c) * self.coeffs, FLOAT, self.K)
 
     def __mul__(self, other):
         K = self._binop_check(other)
         if self.backend == EXACT:
-            a, b = self.coeffs, other.coeffs
-            out = [Fraction(0)] * (K + 1)
-            for i in range(min(len(a) - 1, K) + 1):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(min(len(b) - 1, K - i) + 1):
-                    bj = b[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-            return TruncatedSeries(out, EXACT, K)
+            return TruncatedSeries(_kronecker(self.nums, other.nums, K), EXACT,
+                                   K, self.den * other.den)
         a = self.coeffs[: K + 1]
         b = other.coeffs[: K + 1]
         if K + 1 >= _FFT_THRESHOLD:
@@ -205,19 +233,16 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """Division by a unit (nonzero constant term)."""
         K = self._binop_check(other)
-        b0 = other.coeffs[0]
+        b0 = other[0]
         if b0 == 0:
             raise DivByNonUnit("division by a series with zero constant term")
         if self.backend == EXACT:
-            a, b = self.coeffs, other.coeffs
-            out = [Fraction(0)] * (K + 1)
-            for n in range(K + 1):
-                acc = a[n] if n < len(a) else Fraction(0)
-                for i in range(max(0, n - len(b) + 1), n):
-                    if out[i] != 0:
-                        acc -= out[i] * b[n - i]
-                out[n] = acc / b0
-            return TruncatedSeries(out, EXACT, K)
+            # Newton: x <- 2x - x^2 other doubles the number of exact orders
+            x = TruncatedSeries.monomial(1 / b0, 0, 0, EXACT)
+            while x.K < K:
+                x = TruncatedSeries(x.nums, EXACT, min(2 * x.K + 1, K), x.den)
+                x = x.scaled(2) - x * x * other
+            return self * x
         a = np.asarray(self.coeffs[: K + 1])
         b = np.asarray(other.coeffs[: K + 1])
         out = np.zeros(K + 1)
@@ -233,22 +258,17 @@ class TruncatedSeries:
 
     def log(self):
         """log of a unit series; exact backend additionally needs c0 == 1."""
-        c0 = self.coeffs[0]
+        c0 = self[0]
         if c0 == 0:
             raise DivByNonUnit("log of a series with zero constant term")
         K = self.K
         if self.backend == EXACT:
             if c0 != 1:
                 raise DivByNonUnit("exact-backend log needs constant term 1")
-            a = self.coeffs
-            out = [Fraction(0)] * (K + 1)
-            for n in range(1, K + 1):
-                acc = a[n]
-                for i in range(1, n):
-                    if out[i] != 0:
-                        acc -= Fraction(i, n) * out[i] * a[n - i]
-                out[n] = acc
-            return TruncatedSeries(out, EXACT, K)
+            # z d/dz log(a) = (z d/dz a) / a; undo z d/dz by dividing c_m by m
+            d, L = self.zddz() / self, math.lcm(*range(1, K + 1))
+            return TruncatedSeries([c * (L // m) if m else 0 for m, c in
+                                    enumerate(d.nums)], EXACT, K, d.den * L)
         if c0 < 0:
             raise DivByNonUnit("log of a series with negative constant term")
         a = self.coeffs
@@ -265,8 +285,8 @@ class TruncatedSeries:
     def zddz(self):
         """Apply z d/dz: multiply the m-th coefficient by m."""
         if self.backend == EXACT:
-            return TruncatedSeries(
-                [Fraction(m) * c for m, c in enumerate(self.coeffs)], EXACT, self.K)
+            return TruncatedSeries([m * c for m, c in enumerate(self.nums)],
+                                   EXACT, self.K, self.den)
         return TruncatedSeries(
             np.arange(self.K + 1, dtype=np.float64) * self.coeffs, FLOAT, self.K)
 
@@ -331,21 +351,14 @@ class BaseSeriesCache:
         if not 0 < self.scale <= 1:
             raise ValueError("scale must be in (0, 1]")
         self._even_rows = None          # float backend: matrix of B^{2F} rows
-        self._even_rows_exact = {}      # exact backend: F -> coefficient list
+        self._even_rows_exact = {}      # exact backend: F -> integer row
         self._tail_cache = {}
         half = K // 2
-        sc = self._scale_powers(K)
 
         if backend == EXACT:
-            a = [Fraction(0)] * (K + 1)
-            a[0] = Fraction(1)
-            inv = [Fraction(0)] * (K + 1)
-            inv[0] = Fraction(1)
-            for m in range(1, half + 1):
-                a[2 * m] = Fraction(-2 * _catalan(m - 1)) * sc[2 * m]
-                inv[2 * m] = Fraction(comb(2 * m, m)) * sc[2 * m]
-            self.A = TruncatedSeries(a, EXACT, K)
-            self.inv_A = TruncatedSeries(inv, EXACT, K)
+            self.A, self.inv_A = (self._scaled(v, step=2) for v in (
+                [-2 * _catalan(m - 1) if m else 1 for m in range(half + 1)],
+                [comb(2 * m, m) for m in range(half + 1)]))
         else:
             a = np.zeros(K + 1)
             inv = np.zeros(K + 1)
@@ -369,11 +382,13 @@ class BaseSeriesCache:
 
     # -- scaffolding ---------------------------------------------------------
 
-    def _scale_powers(self, upto):
-        sc = [Fraction(1)] * (upto + 1)
-        for m in range(1, upto + 1):
-            sc[m] = sc[m - 1] * self.scale
-        return sc
+    def _scaled(self, vals, den=1, step=1):
+        """Exact series sum_i (vals[i] / den) (s z)^(step i) at scale s."""
+        p, q, K = self.scale.numerator, self.scale.denominator, self.K
+        nums = [0] * (K + 1)
+        nums[::step] = [v * p ** (step * i) * q ** (K - step * i)
+                        for i, v in enumerate(vals)]
+        return TruncatedSeries(nums, EXACT, K, den * q ** K)
 
     def monomial(self, c, m):
         """c * z^m as a series at this cache's scale."""
@@ -390,12 +405,8 @@ class BaseSeriesCache:
         """B^j via the ballot closed form [z^m] B^j = (j/m) C(m,(m-j)/2)."""
         K = self.K
         if self.backend == EXACT:
-            out = [Fraction(0)] * (K + 1)
-            sp = self._scale_powers(K)
-            for m in range(j, K + 1):
-                if (m - j) % 2 == 0:
-                    out[m] = Fraction(j * comb(m, (m - j) // 2), m) * sp[m]
-            return TruncatedSeries(out, EXACT, K)
+            return self._scaled([j * comb(m, (m - j) // 2) // m if m >= j and
+                                 (m - j) % 2 == 0 else 0 for m in range(K + 1)])
         out = np.zeros(K + 1)
         ls = math.log(float(self.scale))
         for m in range(j, K + 1):
@@ -427,19 +438,21 @@ class BaseSeriesCache:
             return self._even_rows
         return None
 
+    def _even_row(self, F):
+        """Exact backend: ballot integers row[n'] = [z^{2n'}] B^{2F}, unscaled."""
+        if F not in self._even_rows_exact:
+            self._even_rows_exact[F] = [
+                F * comb(2 * n, n - F) // n if n >= F else 0
+                for n in range(self.K // 2 + 1)]
+        return self._even_rows_exact[F]
+
     def b_even_power(self, F):
         """(scaled B)^{2F} as a series."""
         K = self.K
         if 2 * F > K:
             return self.zero()
         if self.backend == EXACT:
-            if F not in self._even_rows_exact:
-                sp = self._scale_powers(K)
-                out = [Fraction(0)] * (K + 1)
-                for n in range(F, K // 2 + 1):
-                    out[2 * n] = Fraction(F * comb(2 * n, n - F), n) * sp[2 * n]
-                self._even_rows_exact[F] = out
-            return TruncatedSeries(self._even_rows_exact[F], EXACT, K)
+            return self._scaled(self._even_row(F), step=2)
         rows = self._ensure_even_rows()
         out = np.zeros(K + 1)
         out[2 * F:: 2] = rows[F, F:]
@@ -452,14 +465,7 @@ class BaseSeriesCache:
         K = self.K
         half = K // 2
         if self.backend == EXACT:
-            acc = [Fraction(0)] * (K + 1)
-            j = 1
-            while f * j <= half:
-                row = self._even_rows_exact_get(f * j)
-                for n in range(f * j, half + 1):
-                    acc[2 * n] += row[2 * n]
-                j += 1
-            ser = TruncatedSeries(acc, EXACT, K)
+            ser = self.lambert_sum(lambda g: int(g == f))
         else:
             rows = self._ensure_even_rows()
             acc = np.zeros(half + 1)
@@ -473,16 +479,12 @@ class BaseSeriesCache:
         self._tail_cache[f] = ser
         return ser
 
-    def _even_rows_exact_get(self, F):
-        if F not in self._even_rows_exact:
-            self.b_even_power(F)
-        return self._even_rows_exact[F]
-
     def lambert_sum(self, weight):
         """sum_f weight(f) * B^{2f}/(1 - B^{2f}) with f cut at K//2.
 
         Computed through the divisor rearrangement
-        sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}.
+        sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}; the exact
+        backend adds integer ballot rows times weights over one denominator.
         """
         half = self.K // 2
         acc_w = [None] * (half + 1)
@@ -493,16 +495,14 @@ class BaseSeriesCache:
             for F in range(f, half + 1, f):
                 acc_w[F] = wf if acc_w[F] is None else acc_w[F] + wf
         if self.backend == EXACT:
-            out = [Fraction(0)] * (self.K + 1)
-            for F in range(1, half + 1):
-                if acc_w[F] is None:
-                    continue
-                w = Fraction(acc_w[F])
-                row = self._even_rows_exact_get(F)
-                for n in range(F, half + 1):
-                    if row[2 * n]:
-                        out[2 * n] += w * row[2 * n]
-            return TruncatedSeries(out, EXACT, self.K)
+            ws = [(F, Fraction(w)) for F, w in enumerate(acc_w) if w]
+            den = math.lcm(*(w.denominator for _, w in ws))
+            acc = [0] * (half + 1)
+            for F, w in ws:
+                iw = w.numerator * (den // w.denominator)
+                acc[F:] = [x + iw * r for x, r in
+                           zip(acc[F:], self._even_row(F)[F:])]
+            return self._scaled(acc, den, step=2)
         rows = self._ensure_even_rows()
         wvec = np.array([0.0 if w is None else float(w) for w in acc_w])
         acc = wvec @ rows

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -214,3 +215,140 @@ def test_ring_laws_on_random_series():
         u = rand_series(unit=True)
         assert (a / u) * u == a
         assert u.inverse() * u == TruncatedSeries.one(K, EXACT)
+
+
+# -- integer-vector representation and the Kronecker product -----------------
+
+def schoolbook(a, b, K):
+    """Reference truncated product of two Fraction lists."""
+    out = [Fraction(0)] * (K + 1)
+    for i, x in enumerate(a[: K + 1]):
+        for j, y in enumerate(b[: K + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def assert_canonical(s):
+    assert s.backend == EXACT and len(s.nums) == s.K + 1
+    assert all(type(c) is int for c in s.nums) and type(s.den) is int
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+
+
+def rand_rationals(rng, n, bits=40, dens=(1, 2, 3, 5, 7, 12)):
+    return [Fraction(rng.randrange(-(1 << bits), 1 << bits), rng.choice(dens))
+            for _ in range(n)]
+
+
+def check_product(ca, cb, Ka, Kb):
+    a, b = frac_series(ca, Ka), frac_series(cb, Kb)
+    p = a * b
+    K = min(Ka, Kb)
+    assert p.K == K
+    assert p.coeffs == schoolbook(a.coeffs, b.coeffs, K)
+    assert_canonical(p)
+    return p
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 17, 200])
+def test_kronecker_product_matches_schoolbook(K):
+    import random
+    rng = random.Random(K)
+    for _ in range(3):
+        check_product(rand_rationals(rng, K + 1), rand_rationals(rng, K + 1), K, K)
+    # series in z^2 only take the y = z^2 route; mixed parity does not
+    even = [c if m % 2 == 0 else 0 for m, c in enumerate(rand_rationals(rng, K + 1))]
+    even2 = [c if m % 2 == 0 else 0 for m, c in enumerate(rand_rationals(rng, K + 1))]
+    p = check_product(even, even2, K, K)
+    assert all(c == 0 for c in p.coeffs[1::2])
+    check_product(even, rand_rationals(rng, K + 1), K, K)
+
+
+@pytest.mark.parametrize("Ka,Kb", [(0, 5), (5, 0), (2, 17), (17, 2), (200, 31)])
+def test_kronecker_product_of_different_orders(Ka, Kb):
+    import random
+    rng = random.Random(Ka * 1000 + Kb)
+    check_product(rand_rationals(rng, Ka + 1), rand_rationals(rng, Kb + 1), Ka, Kb)
+
+
+@pytest.mark.parametrize("K", [0, 1, 17, 200])
+def test_kronecker_product_with_zero_operands(K):
+    import random
+    a = frac_series(rand_rationals(random.Random(K), K + 1), K)
+    z = TruncatedSeries.zero(K, EXACT)
+    for p in (a * z, z * a, z * z):
+        assert p.is_zero() and p.nums == [0] * (K + 1) and p.den == 1
+        assert_canonical(p)
+
+
+def test_kronecker_product_coprime_denominators():
+    import random
+    rng = random.Random(7)
+    ca = [Fraction(rng.randrange(-99, 100), 3 ** rng.randrange(0, 6)) for _ in range(40)]
+    cb = [Fraction(rng.randrange(-99, 100), 7 ** rng.randrange(0, 5)) for _ in range(40)]
+    ca[0], cb[0] = Fraction(1, 3 ** 5), Fraction(1, 7 ** 4)
+    a, b = frac_series(ca), frac_series(cb)
+    assert (a.den, b.den) == (3 ** 5, 7 ** 4)
+    p = check_product(ca, cb, 39, 39)
+    assert p.den % 7 ** 4 == 0 and math.gcd(p.den, 3) == 3
+
+
+@pytest.mark.parametrize("K", [1, 17, 200])
+def test_kronecker_product_of_1000_bit_coefficients(K):
+    import random
+    rng = random.Random(1000 + K)
+    big = lambda: [Fraction(rng.choice((-1, 1)) * rng.getrandbits(1100),
+                            rng.choice((1, 3, 1 << 1001))) for _ in range(K + 1)]
+    ca, cb = big(), big()
+    assert max(abs(c.numerator).bit_length() for c in ca) > 1000
+    check_product(ca, cb, K, K)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 17, 200])
+def test_kronecker_product_negative_top_slot_and_above(K):
+    # positive low slots, a negative one at order K and large negative ones
+    # above it: the untruncated product is negative, which unpacking masks
+    M = (1 << 300) - 1
+    ca, cb = [1] * (K + 1), [1] * K + [-M]
+    p = check_product(ca, cb, K, K)
+    assert p[K] < 0 and all(c > 0 for c in p.coeffs[:K])
+    if K:
+        full = schoolbook([Fraction(c) for c in ca + [0] * K],
+                          [Fraction(c) for c in cb + [0] * K], 2 * K)
+        assert all(c < 0 for c in full[K + 1:])
+
+
+def test_canonical_after_every_exact_op():
+    import random
+    rng = random.Random(99)
+    K = 17
+    a = frac_series(rand_rationals(rng, K + 1, dens=(2, 4, 6, 9)), K)
+    u = frac_series([1] + rand_rationals(rng, K), K)
+    results = [a, u, a + u, a - a, u - a, a.scaled(Fraction(-6, 35)),
+               a.scaled(0), -a, a * u, a / u, u.inverse(), u.log(), a.zddz(),
+               a.pow(3), a.project(5), TruncatedSeries.monomial(Fraction(4, 6), 3, K, EXACT)]
+    c = base_series(40, scale=Fraction(1, 2))
+    results += [c.A, c.inv_A, c.B, c.h0, c.one_minus_A, c.tail(3), c.b_even_power(4),
+                c.lambert_sum(lambda f: Fraction(comb(f, 2), f)), c.point_visits_series(3)]
+    for s in results:
+        assert_canonical(s)
+    assert (a - a).den == 1 and (a - a).is_zero()
+    assert a.scaled(Fraction(-6, 35)).coeffs == [Fraction(-6, 35) * x for x in a.coeffs]
+    assert (a / u).coeffs == (a * u.inverse()).coeffs
+
+
+def test_exact_division_and_log_match_recurrences():
+    # the Newton division and the log against the textbook O(K^2) recurrences
+    import random
+    rng = random.Random(5)
+    K = 23
+    ca = rand_rationals(rng, K + 1)
+    cu = [Fraction(3, 2)] + rand_rationals(rng, K)
+    q = [Fraction(0)] * (K + 1)
+    for n in range(K + 1):
+        q[n] = (ca[n] - sum(q[i] * cu[n - i] for i in range(n))) / cu[0]
+    assert (frac_series(ca) / frac_series(cu)).coeffs == q
+    cl = [Fraction(1)] + rand_rationals(rng, K)
+    lg = [Fraction(0)] * (K + 1)
+    for n in range(1, K + 1):
+        lg[n] = cl[n] - sum(Fraction(i, n) * lg[i] * cl[n - i] for i in range(1, n))
+    assert frac_series(cl).log().coeffs == lg
