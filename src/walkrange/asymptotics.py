@@ -27,6 +27,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from . import walks
 from .errors import DomainError, IllConditioned
 from .pseries import EXACT, TruncatedSeries
 
@@ -372,11 +373,15 @@ def fit_linear_recurrence(values, order):
     return roots, residual
 
 
-def _cluster_roots(roots, tol=0.08):
-    """Merge near-coincident roots (double roots from l * a^l terms)."""
-    roots = sorted(roots, key=lambda r: -abs(r))
+def _merge_close(values, tol):
+    """Greedy merge, largest magnitude first, of values within relative tol.
+
+    Each value joins the first cluster whose mean lies within tol of it;
+    returns the cluster means.  Near-coincident fitted roots come from the
+    double roots of l * a^l terms.
+    """
     merged = []
-    for r in roots:
+    for r in sorted(values, key=lambda v: -abs(v)):
         for i, (s, cnt) in enumerate(merged):
             if abs(r - s / cnt) <= tol * max(abs(r), 1e-12):
                 merged[i] = (s + r, cnt + 1)
@@ -387,15 +392,15 @@ def _cluster_roots(roots, tol=0.08):
 
 
 def _probability_table(k, ns, l_max, engine=None):
-    """Pr_n(N_{2k} = l) for every n in ns.
+    """Pr_n(N_{2k} = l) for every n in ns, as {n: values}.
 
     k <= 2 runs through the closed-form series engine; higher multiplicities
     use the crossing-profile dynamic program from the walks module, whose
     all-positive float arithmetic stays accurate where the series route for
-    k >= 3 loses digits to cancellation at large truncation orders.
+    k >= 3 loses digits to cancellation at large truncation orders.  One DP
+    pass up to max(ns) reads off every n in ns.
     """
     from .genfun import Engine
-    from .walks import local_time_probabilities
 
     nmax = max(ns)
     if k <= 2:
@@ -404,7 +409,7 @@ def _probability_table(k, ns, l_max, engine=None):
         if engine.K < 2 * nmax:
             raise ValueError("engine truncation order too small")
         return engine, {n: engine.probabilities(n, k, l_max) for n in ns}
-    return engine, {n: local_time_probabilities(n, k, l_max) for n in ns}
+    return engine, walks.local_time_probabilities(nmax, k, l_max, lengths=ns)
 
 
 def extrapolate_probability(k, l, n_grid, engine=None):
@@ -449,7 +454,7 @@ def tail_rate_fit(k, n, l_range=None, levels=4, fit_order=None, engine=None,
     # tail rates of a decaying distribution lie strictly inside the unit
     # disk; anything else is a noise direction of the least-squares problem
     roots = [r for r in roots if abs(r) < 0.999]
-    rates = [complex(r) for r in _cluster_roots(roots)]
+    rates = [complex(r) for r in _merge_close(roots, 0.08)]
     reals = []
     for r in rates:
         if abs(r.imag) <= 0.2 * max(abs(r), 1e-12):
@@ -468,7 +473,7 @@ def tail_rate_fit(k, n, l_range=None, levels=4, fit_order=None, engine=None,
 
     # rates whose fitted contribution is negligible over the window are
     # least-squares noise modes, not part of the tail law
-    reals = [s / c for s, c in _dedupe(reals)]
+    reals = _merge_close(reals, 0.05)
     weights = fit_weights(reals)
     contrib = [max(abs((t0 + l * t1) * a ** l) for l in ls)
                for a, (t0, t1) in zip(reals, weights)]
@@ -477,15 +482,3 @@ def tail_rate_fit(k, n, l_range=None, levels=4, fit_order=None, engine=None,
     reals.sort(key=lambda v: -abs(v))
     weights = fit_weights(reals)
     return TailModel(rates=reals, weights=weights, residual=float(residual))
-
-
-def _dedupe(reals, tol=0.05):
-    merged = []
-    for r in sorted(reals, key=lambda v: -abs(v)):
-        for i, (s, cnt) in enumerate(merged):
-            if abs(r - s / cnt) <= tol * max(abs(r), 1e-12):
-                merged[i] = (s + r, cnt + 1)
-                break
-        else:
-            merged.append((r, 1))
-    return merged

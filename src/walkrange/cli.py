@@ -102,11 +102,39 @@ def _cmd_range_dist(args):
 
 
 def _parse_spec(text):
+    """'k:m,k:m,...' with k >= 1, m >= 0 -> {k: summed m}."""
     spec = {}
-    for part in text.split(","):
-        k, m = part.split(":")
-        spec[int(k)] = spec.get(int(k), 0) + int(m)
+    try:
+        for part in text.split(","):
+            k, m = (int(x) for x in part.split(":"))
+            if k < 1 or m < 0:
+                raise ValueError
+            spec[k] = spec.get(k, 0) + m
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed spec {text!r}: want k:m pairs like '1:2,3:2' "
+            "with k >= 1, m >= 0") from None
     return spec
+
+
+def _spec_text(text):
+    """argparse type: a well-formed --spec, kept as typed for the report."""
+    _parse_spec(text)
+    return text
+
+
+def _int_from(lo):
+    """argparse type: an int no smaller than lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
 
 
 def _cmd_moments(args):
@@ -179,9 +207,8 @@ def _cmd_asymp(args):
     if args.table == 2:
         kmax = args.kmax or 5
         entries, rows = [], []
-        eng = Engine(2 * args.n, backend="float", scale=Fraction(1, 2))
         for k in range(2, kmax + 1):
-            model = asy.tail_rate_fit(k, args.n, engine=eng)
+            model = asy.tail_rate_fit(k, args.n)
             rates = [_sig(r, digits) for r in model.rates]
             entries.append({"k": k, "rates": rates,
                             "residual": _sig(model.residual, 3)})
@@ -279,9 +306,9 @@ def build_parser():
         return sub.add_parser(name, parents=[common], **kw)
 
     d = add_parser("dist", help="distribution of N_{2k} at length 2n")
-    d.add_argument("--n", type=int, required=True)
-    d.add_argument("--k", type=int, required=True)
-    d.add_argument("--lmax", type=int, required=True)
+    d.add_argument("--n", type=_int_from(0), required=True)
+    d.add_argument("--k", type=_int_from(1), required=True)
+    d.add_argument("--lmax", type=_int_from(0), required=True)
     d.add_argument("--backend", choices=("exact", "float"), default=None)
     d.set_defaults(fn=_cmd_dist)
 
@@ -291,13 +318,14 @@ def build_parser():
     r.set_defaults(fn=_cmd_range_dist)
 
     m = add_parser("moments", help="mixed binomial moments")
-    m.add_argument("--spec", required=True, help='e.g. "1:2,3:2"')
+    m.add_argument("--spec", type=_spec_text, required=True,
+                   help='e.g. "1:2,3:2"')
     m.add_argument("--n", type=int, required=True)
     m.set_defaults(fn=_cmd_moments)
 
     f = add_parser("first-moment", help="first moments, any dimension")
-    f.add_argument("--d", type=int, required=True)
-    f.add_argument("--k", type=int, required=True)
+    f.add_argument("--d", type=_int_from(1), required=True)
+    f.add_argument("--k", type=_int_from(1), required=True)
     f.add_argument("--n", type=int, required=True)
     f.set_defaults(fn=_cmd_first_moment)
 

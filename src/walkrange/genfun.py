@@ -383,6 +383,10 @@ class Engine:
             raise ValueError("distribution requires the exact backend")
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
+        if n == 0:
+            l0 = _empty_walk_count(k)
+            counts = {l: int(l == l0) for l in range(min(l_max, l0) + 1)}
+            return counts, 1 - sum(counts.values())
         jmax = (2 * n) // k
         ms = self.binomial_moment_series(k, jmax)
         mom = [self.cache.count_at(s, n) for s in ms]
@@ -418,6 +422,9 @@ class Engine:
         """
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
+        if n == 0:
+            one = 1.0 if self.backend != EXACT else Fraction(1)
+            return [one * (l == _empty_walk_count(k)) for l in range(l_max + 1)]
         if jmax is None:
             jmax = min((2 * n) // k, l_max + 48)
         if k == 2:
@@ -515,6 +522,11 @@ class Engine:
                         series = series + ls * vec[p]
             series = series.zddz()
         return _as_int(self.cache.count_at(series, n))
+
+
+def _empty_walk_count(k):
+    """N_{2k} of the empty walk: its one point, the origin, has multiplicity 2."""
+    return 1 if k == 1 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -261,70 +261,70 @@ def local_time_distribution(n, k, l_max=None):
     return dict(results)
 
 
-def local_time_probabilities(n, k, l_max, u_cap=None):
-    """Pr_n(N_{2k} = l) for l = 0..l_max by the crossing-profile DP in floats.
+def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
+    """Pr_m(N_{2k} = l) for l = 0..l_max by the crossing-profile DP in floats.
 
     All DP weights are nonnegative, so double precision keeps ~12 accurate
     digits at any n; crossing numbers are capped at u_cap ~ 8 sqrt(n) (the
     neglected profiles carry e^{-O(u_cap^2/n)} mass) and the transition
     weights carry 4^{-u'} so every partial state stays in float range.
-    Layers are kept in a dict keyed by accumulated crossing total s, at most
-    u_cap of them alive at a time.
+
+    The layer of crossing total s depends only on earlier layers, not on the
+    target length, so one pass up to n reads off Pr_m at s == m for every m
+    in `lengths` (each in 1..n) and returns {m: array}; without `lengths`
+    it returns the array for m = n.  Shorter lengths share n's crossing cap
+    and so drop less mass than a run of their own.
+
+    State (layer s, row u) is written once, from layer s - u, and read
+    once, at layer s.  Row u therefore keeps a ring of u slots in one packed
+    triangle and layer s lives at slot off[u] + s % u: each step gathers its
+    layer with one index, applies the three transitions, and writes them
+    back into the slots it just read.
     """
+    ms = [n] if lengths is None else list(lengths)
+    if not all(1 <= m <= n for m in ms):
+        raise ValueError(f"lengths must lie in 1..{n}")
     if u_cap is None:
         u_cap = int(8 * math.sqrt(n)) + 16
     u_cap = min(u_cap, n)
     L = l_max + 1
     log4 = math.log(4.0)
 
-    lgam = np.vectorize(math.lgamma, otypes=[np.float64])
-    uu, vv = np.meshgrid(np.arange(1.0, u_cap + 1), np.arange(1.0, u_cap + 1),
+    # lgam[j] = lgamma(j) for j >= 1, looked up; index 0 is never used
+    lgam = np.array([0.0] + [math.lgamma(j) for j in range(1, 2 * u_cap + 2)])
+    uu, vv = np.meshgrid(np.arange(1, u_cap + 1), np.arange(1, u_cap + 1),
                          indexing="ij")
     # per-point factors, scaled by 4^{-u'}:
     #   below root C(u+u'-1, u); at root C(u+u', u'); above root C(u+u'-1, u')
-    w_below = np.exp(lgam(uu + vv) - lgam(uu + 1) - lgam(vv) - vv * log4)
-    w_root = np.exp(lgam(uu + vv + 1) - lgam(uu + 1) - lgam(vv + 1) - vv * log4)
-    w_above = np.exp(lgam(uu + vv) - lgam(vv + 1) - lgam(uu) - vv * log4)
+    w_below = np.exp(lgam[uu + vv] - lgam[uu + 1] - lgam[vv] - vv * log4)
+    w_root = np.exp(lgam[uu + vv + 1] - lgam[uu + 1] - lgam[vv + 1] - vv * log4)
+    w_above = np.exp(lgam[uu + vv] - lgam[vv + 1] - lgam[uu] - vv * log4)
 
-    def mark(kq):
-        return 1 if kq == k else 0
+    rows = np.arange(1, u_cap + 1)
+    off = rows * (rows - 1) // 2
+    state = np.zeros((2, u_cap * (u_cap + 1) // 2, L))
+    marks = (rows == k).astype(np.intp)
+    first = marks <= l_max
+    state[:, off[first], marks[first]] = [math.exp(-u * log4)
+                                          for u in rows[first]]
 
-    layers = {}
-
-    def get_layer(s):
-        lay = layers.get(s)
-        if lay is None:
-            lay = np.zeros((2, u_cap, L))
-            layers[s] = lay
-        return lay
-
-    for uval in range(1, u_cap + 1):
-        m = mark(uval)
-        if m <= l_max:
-            w0 = math.exp(-uval * log4)
-            lay = get_layer(uval)
-            lay[0, uval - 1, m] += w0
-            lay[1, uval - 1, m] += w0
-
-    out = np.zeros(L)
+    out = {}
     for s in range(1, n + 1):
-        lay = layers.pop(s, None)
-        if lay is None:
-            continue
+        slots = off + s % rows
+        lay = state[:, slots]
+        if s in ms:
+            top = lay[0] + lay[1]
+            if k <= u_cap:
+                top[k - 1] = np.concatenate(([0.0], top[k - 1, :-1]))
+            # cumsum adds the rows one by one; sum would go pairwise at L == 1
+            cb = float(Fraction(math.comb(2 * s, s), 4 ** s))
+            out[s] = np.cumsum(top, axis=0)[-1] / cb
         if s == n:
-            for uval in range(1, u_cap + 1):
-                mtop = mark(uval)
-                vec = lay[0, uval - 1] + lay[1, uval - 1]
-                if mtop == 0:
-                    out += vec
-                else:
-                    out[mtop:] += vec[: L - mtop]
-            continue
+            break
         up_max = min(u_cap, n - s)
         # dense transitions, marker shift handled as a correction below
-        t_below = w_below[:, :up_max].T @ lay[0]          # (up_max, L)
-        t_above = (w_root[:, :up_max].T @ lay[0]
-                   + w_above[:, :up_max].T @ lay[1])
+        t_below = w_below.T[:up_max] @ lay[0]          # (up_max, L)
+        t_above = w_root.T[:up_max] @ lay[0] + w_above.T[:up_max] @ lay[1]
         for vprime in range(max(1, k - u_cap), min(up_max, k - 1) + 1):
             uval = k - vprime
             c0 = w_below[uval - 1, vprime - 1] * lay[0, uval - 1]
@@ -334,13 +334,11 @@ def local_time_probabilities(n, k, l_max, u_cap=None):
             t_above[vprime - 1] -= c1
             t_below[vprime - 1, 1:] += c0[: L - 1]
             t_above[vprime - 1, 1:] += c1[: L - 1]
-        for vprime in range(1, up_max + 1):
-            dst = get_layer(s + vprime)
-            dst[0, vprime - 1] += t_below[vprime - 1]
-            dst[1, vprime - 1] += t_above[vprime - 1]
+        # rows past up_max keep stale values: their next layer is past n
+        state[0, slots[:up_max]] = t_below
+        state[1, slots[:up_max]] = t_above
+    return out[n] if lengths is None else out
 
-    cb = float(Fraction(math.comb(2 * n, n), 4 ** n))
-    return out / cb
 
 def _axis_count_distribution(n, d):
     """Distribution of per-axis up-step counts for a uniform closed walk.

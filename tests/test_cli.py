@@ -139,3 +139,44 @@ def test_argument_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "4", "--k", "0", "--lmax", "2"],
+    ["first-moment", "--d", "1", "--k", "0", "--n", "10"],
+    ["first-moment", "--d", "0", "--k", "1", "--n", "10"],
+    ["dist", "--n", "4", "--k", "1", "--lmax", "-1"],
+    ["moments", "--spec", "x", "--n", "3"],
+    ["moments", "--spec", "0:1", "--n", "3"],
+], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
+        "moments-spec-malformed", "moments-spec-k0"])
+def test_invalid_values_exit_two_without_traceback(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
+def test_dist_empty_walk_has_one_singlepoint(capsys):
+    # the empty walk visits only the origin, with multiplicity 2: N_2 = 1
+    rc, rep, _ = run_json(capsys, ["dist", "--n", "0", "--k", "1",
+                                   "--lmax", "3"])
+    assert rc == 0
+    got = {r["l"]: r["count"] for r in rep["results"]["distribution"]}
+    assert got == {0: "0", 1: "1"}
+    assert rep["results"]["tail_count"] == "0"
+    rc, rep, _ = run_json(capsys, ["dist", "--n", "0", "--k", "1",
+                                   "--lmax", "3", "--backend", "float"])
+    probs = [r["probability"] for r in rep["results"]["distribution"]]
+    assert probs == [0.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dist_empty_walk_has_no_higher_multiplicity(capsys, k):
+    rc, rep, _ = run_json(capsys, ["dist", "--n", "0", "--k", str(k),
+                                   "--lmax", "3"])
+    assert rc == 0
+    assert rep["results"]["distribution"] == [
+        {"l": 0, "count": "1", "probability": 1.0}]
+    assert rep["results"]["tail_count"] == "0"

@@ -1,8 +1,10 @@
 """Enumeration oracle, profile bookkeeping, local-time DP, sampling."""
 
 import math
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from walkrange.errors import BudgetExceeded
@@ -92,14 +94,16 @@ def test_local_time_distribution_matches_enumeration():
 
 
 def test_local_time_probabilities_match_exact():
-    n = 25
+    # one pass over the grid; n = 25 gives u_cap >= n, and the grid reaches
+    # lengths shorter than k
+    grid = [25, 12, 6, 3]
     for k in (2, 3, 5):
-        pr = local_time_probabilities(n, k, 12)
-        exact = local_time_distribution(n, k)
-        tot = comb(2 * n, n)
-        for l in range(13):
-            assert pr[l] == pytest.approx(exact.get(l, 0) / tot, abs=1e-13)
-    assert pr.sum() == pytest.approx(1.0, abs=1e-11)
+        table = local_time_probabilities(25, k, 12, lengths=grid)
+        for m in grid:
+            exact = local_time_distribution(m, k)
+            want = [exact.get(l, 0) / comb(2 * m, m) for l in range(13)]
+            np.testing.assert_allclose(table[m], want, rtol=0, atol=1e-13)
+    assert table[25].sum() == pytest.approx(1.0, abs=1e-11)
 
 
 def test_local_time_probabilities_crossing_cap():
@@ -116,6 +120,84 @@ def test_local_time_probabilities_marker_clipping():
     assert lo[0] == pytest.approx(hi[0], abs=1e-14)
     assert lo[1] == pytest.approx(hi[1], abs=1e-14)
     assert hi[: 3].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _dict_of_layers_dp(n, k, l_max, u_cap):
+    """The float DP with one dict entry per layer and per-row loops.
+
+    Reference for the packed ring in local_time_probabilities: same weights,
+    same matmuls, same order of additions, so results must agree bit for bit.
+    """
+    u_cap = min(u_cap, n)
+    L = l_max + 1
+    lg = np.vectorize(math.lgamma, otypes=[np.float64])
+    uu, vv = np.meshgrid(np.arange(1.0, u_cap + 1), np.arange(1.0, u_cap + 1),
+                         indexing="ij")
+    log4 = math.log(4.0)
+    wb = np.exp(lg(uu + vv) - lg(uu + 1) - lg(vv) - vv * log4)
+    wr = np.exp(lg(uu + vv + 1) - lg(uu + 1) - lg(vv + 1) - vv * log4)
+    wa = np.exp(lg(uu + vv) - lg(vv + 1) - lg(uu) - vv * log4)
+    layers = {}
+    for u in range(1, u_cap + 1):
+        if int(u == k) <= l_max:
+            lay = layers.setdefault(u, np.zeros((2, u_cap, L)))
+            lay[:, u - 1, int(u == k)] += math.exp(-u * log4)
+    out = np.zeros(L)
+    for s in range(1, n + 1):
+        lay = layers.pop(s, np.zeros((2, u_cap, L)))
+        if s == n:
+            for u in range(1, u_cap + 1):
+                vec = lay[0, u - 1] + lay[1, u - 1]
+                m = int(u == k)
+                out[m:] += vec[: L - m]
+            break
+        up = min(u_cap, n - s)
+        tb = wb[:, :up].T @ lay[0]
+        ta = wr[:, :up].T @ lay[0] + wa[:, :up].T @ lay[1]
+        for v in range(max(1, k - u_cap), min(up, k - 1) + 1):
+            u = k - v
+            c0 = wb[u - 1, v - 1] * lay[0, u - 1]
+            c1 = wr[u - 1, v - 1] * lay[0, u - 1] + wa[u - 1, v - 1] * lay[1, u - 1]
+            tb[v - 1] -= c0
+            ta[v - 1] -= c1
+            tb[v - 1, 1:] += c0[: L - 1]
+            ta[v - 1, 1:] += c1[: L - 1]
+        for v in range(1, up + 1):
+            dst = layers.setdefault(s + v, np.zeros((2, u_cap, L)))
+            dst[0, v - 1] += tb[v - 1]
+            dst[1, v - 1] += ta[v - 1]
+    return out / float(Fraction(comb(2 * n, n), 4 ** n))
+
+
+@pytest.mark.parametrize("n,k,l_max,u_cap", [
+    (1, 1, 2, 10), (7, 3, 0, 10), (25, 5, 12, 56), (200, 1, 0, 150),
+    (260, 3, 20, 145), (300, 4, 9, 7), (300, 9, 6, 7)])
+def test_local_time_probabilities_equal_dict_of_layers(n, k, l_max, u_cap):
+    got = local_time_probabilities(n, k, l_max, u_cap=u_cap)
+    assert got.tobytes() == _dict_of_layers_dp(n, k, l_max, u_cap).tobytes()
+
+
+def test_local_time_probabilities_lengths_match_separate_runs():
+    lengths = [240, 120, 60, 30, 7]
+    for k in (3, 4):
+        one_pass = local_time_probabilities(240, k, 15, u_cap=80,
+                                            lengths=lengths)
+        assert sorted(one_pass) == sorted(lengths)
+        for m in lengths:
+            alone = local_time_probabilities(m, k, 15, u_cap=80)
+            np.testing.assert_allclose(one_pass[m], alone, rtol=1e-14, atol=0)
+
+
+def test_local_time_probabilities_single_length_is_the_default():
+    for n, k in ((40, 3), (300, 4)):
+        (got,) = local_time_probabilities(n, k, 10, lengths=[n]).values()
+        assert got.tobytes() == local_time_probabilities(n, k, 10).tobytes()
+
+
+def test_local_time_probabilities_rejects_lengths_outside_the_pass():
+    for lengths in ([31], [0], [30, -2]):
+        with pytest.raises(ValueError):
+            local_time_probabilities(30, 3, 5, lengths=lengths)
 
 
 def test_sample_moments_degenerate_case():
