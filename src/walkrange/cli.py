@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -137,6 +138,25 @@ def _int_from(lo):
     return parse
 
 
+def _parse_track(text):
+    """'k,k,...' with k >= 1 -> tuple of k; '' -> ()."""
+    try:
+        tracked = tuple(int(t) for t in text.split(",")) if text else ()
+        if any(k < 1 for k in tracked):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed track {text!r}: want k values like '1,3' "
+            "with k >= 1") from None
+    return tracked
+
+
+def _track_text(text):
+    """argparse type: a well-formed --track, kept as typed for the report."""
+    _parse_track(text)
+    return text
+
+
 def _cmd_moments(args):
     spec = _parse_spec(args.spec)
     n = args.n
@@ -233,7 +253,7 @@ def _cmd_asymp(args):
 
 
 def _cmd_oracle(args):
-    tracked = tuple(int(t) for t in args.track.split(",")) if args.track else ()
+    tracked = _parse_track(args.track)
     cnt = walks.oracle_counts(args.n, args.d, tracked,
                               include_range=args.range)
     results = {}
@@ -251,31 +271,38 @@ def _cmd_oracle(args):
     return _emit(rep, args.format, rows, ["profile", "count"])
 
 
+def _marginal(counts, idx):
+    """Counts summed down to the key positions in idx."""
+    out = Counter()
+    for key, c in counts.items():
+        out[tuple(key[i] for i in idx)] += c
+    return out
+
+
 def _cmd_verify(args):
     nmax = args.n_max
     cases = []
     ok_all = True
     for n in range(1, nmax + 1):
         eng = Engine(2 * n, backend=EXACT)
-        for k in (1, 2, 3):
+        # one enumeration per n: key (N2, N4, N6, ran)
+        oc = walks.oracle_counts(n, 1, (1, 2, 3), include_range=True)
+        for i, k in enumerate((1, 2, 3)):
             cnt, tail = eng.distribution(n, k, 2 * n)
-            oc = walks.oracle_counts(n, 1, (k,))
-            want = {l: c for (l,), c in oc.items() if c}
+            want = {l: c for (l,), c in _marginal(oc, (i,)).items()}
             got = {l: c for l, c in cnt.items() if c}
             ok = got == want and tail == 0
             ok_all &= ok
             cases.append({"case": f"n={n} N_{2 * k} distribution",
                           "status": "PASS" if ok else "FAIL"})
         hist = range_distribution(n)
-        oc = walks.oracle_counts(n, 1, (), include_range=True)
-        want = {m: c for (m,), c in oc.items()}
+        want = {m: c for (m,), c in _marginal(oc, (3,)).items()}
         ok = hist == want
         ok_all &= ok
         cases.append({"case": f"n={n} range histogram",
                       "status": "PASS" if ok else "FAIL"})
         jc = joint_counts(eng, n, (1, 2, 3))
-        want = {key: c for key, c in walks.oracle_counts(n, 1, (1, 2, 3)).items()}
-        ok = jc == want
+        ok = jc == _marginal(oc, (0, 1, 2))
         ok_all &= ok
         cases.append({"case": f"n={n} joint (N2,N4,N6)",
                       "status": "PASS" if ok else "FAIL"})
@@ -313,20 +340,20 @@ def build_parser():
     d.set_defaults(fn=_cmd_dist)
 
     r = add_parser("range-dist", help="distribution of the range")
-    r.add_argument("--n", type=int, required=True)
+    r.add_argument("--n", type=_int_from(0), required=True)
     r.add_argument("--mmax", type=int, default=None)
     r.set_defaults(fn=_cmd_range_dist)
 
     m = add_parser("moments", help="mixed binomial moments")
     m.add_argument("--spec", type=_spec_text, required=True,
                    help='e.g. "1:2,3:2"')
-    m.add_argument("--n", type=int, required=True)
+    m.add_argument("--n", type=_int_from(0), required=True)
     m.set_defaults(fn=_cmd_moments)
 
     f = add_parser("first-moment", help="first moments, any dimension")
     f.add_argument("--d", type=_int_from(1), required=True)
     f.add_argument("--k", type=_int_from(1), required=True)
-    f.add_argument("--n", type=int, required=True)
+    f.add_argument("--n", type=_int_from(1), required=True)
     f.set_defaults(fn=_cmd_first_moment)
 
     a = add_parser("asymp", help="asymptotic tables and limits")
@@ -339,9 +366,10 @@ def build_parser():
     a.set_defaults(fn=_cmd_asymp)
 
     o = add_parser("oracle", help="exhaustive enumeration counts")
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--d", type=int, default=1)
-    o.add_argument("--track", default="")
+    o.add_argument("--n", type=_int_from(0), required=True)
+    o.add_argument("--d", type=_int_from(1), default=1)
+    o.add_argument("--track", type=_track_text, default="",
+                   help='multiplicities k >= 1, e.g. "1,3"')
     o.add_argument("--range", action="store_true")
     o.set_defaults(fn=_cmd_oracle)
 

@@ -22,9 +22,10 @@ exact below order K because B^{2f} = O(z^{2f}).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import comb, factorial
 
 from .errors import MarkerOverflow, NonUnit, UnsupportedDepth
@@ -541,23 +542,22 @@ def joint_counts(engine: Engine, n, tracked, bounds=None):
     if bounds is None:
         bounds = tuple((2 * n) // k for k in tracked)
     gf = engine.joint_genfun(tracked, bounds)
-    mom = {}
+    # binomial moments M_j = sum_l prod_i C(l_i, j_i) N_l; the inverse
+    # N_l = sum_j prod_i (-1)^(j_i - l_i) C(j_i, l_i) M_j factors by axis
+    vals = {}
     for e, s in gf.terms.items():
-        v = engine.cache.count_at(s, n)
+        v = _as_int(engine.cache.count_at(s, n))
         if v:
-            mom[e] = v
-    counts = {}
-    for l in product(*[range(b + 1) for b in bounds]):
-        tot = Fraction(0)
-        for j, m in mom.items():
-            if all(jj >= ll for jj, ll in zip(j, l)):
-                w = 1
-                for jj, ll in zip(j, l):
-                    w *= comb(jj, ll) * (-1) ** (jj - ll)
-                tot += w * m
-        if tot:
-            counts[l] = _as_int(tot)
-    return counts
+            vals[e] = v
+    for axis in range(len(tracked)):
+        inv = defaultdict(int)
+        for j, m in vals.items():
+            ja = j[axis]
+            for la in range(ja + 1):
+                inv[j[:axis] + (la,) + j[axis + 1:]] += (
+                    (-1) ** (ja - la) * comb(ja, la) * m)
+        vals = inv
+    return {l: vals[l] for l in sorted(vals) if vals[l]}
 
 
 # ---------------------------------------------------------------------------

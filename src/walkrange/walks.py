@@ -5,7 +5,13 @@ Carlo sampling (larger lengths, d <= 3) of closed walks starting at the
 origin, with bookkeeping of visit multiplicities: a lattice point visited by
 an interior time step counts twice, the start and end points count once each,
 so every multiplicity is even and a point visited "k times" has multiplicity
-2k.
+2k.  The empty walk visits the origin with multiplicity 2.
+
+Enumeration works on blocks of walks: each block is one integer array of
+the visited points of many walks, grown breadth-first in numpy, and the
+profiles of a whole block are tallied with a few array operations.  The
+crossing-profile DP over local times (d = 1) is a second, independent oracle
+that reaches lengths enumeration cannot.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -92,72 +97,76 @@ def profile(w: Walk) -> RangeProfile:
 # exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _profiles_d1(n):
-    """Profiles of all closed 1-d walks of length 2n, by up-step positions."""
+# Closed walks are enumerated a block at a time.  A block is an integer array
+# with one row per walk holding the codes of its points p_1 .. p_2n, so each
+# point q occurs k(q) times in its row: an interior visit adds 2 to the
+# multiplicity, and p_2n = p_0 stands for the origin's two endpoint halves.
+# Step sequences grow breadth-first in numpy, and a prefix farther (in L1)
+# from the origin than the steps it has left is dropped; a prefix that is
+# kept can always close, since its distance and the steps left have the same
+# parity.  Each step keeps only the new point codes and the row each one
+# extends, and a finished block is read back through those links.  The search
+# is split by a step prefix so that no subtree grown at once has more than
+# _BLOCK_LEAVES unpruned leaves: the arrays of a block do not grow with n,
+# and the prefix frontier has fewer than 2d (2d)^(2n) / _BLOCK_LEAVES rows.
+
+_BLOCK_LEAVES = 2 ** 11
+
+
+def _point_blocks(n, d):
+    """Point codes p_1 .. p_2n of every closed walk of length 2n, in blocks."""
+    if n == 0:
+        # the empty walk: its one point, the origin, has multiplicity 2
+        yield np.zeros((1, 1), dtype=np.int64)
+        return
     length = 2 * n
-    for ups in combinations(range(length), n):
-        upset = set(ups)
-        pos = 0
-        mu = Counter()
-        mu[0] += 1
-        for i in range(length):
-            pos += 1 if i in upset else -1
-            if i == length - 1:
-                mu[pos] += 1
-            else:
-                mu[pos] += 2
-        counts = Counter()
-        for m in mu.values():
-            counts[m // 2] += 1
-        yield counts
+    fan = 2 * d
+    steps = np.array([[s * (a == b) for b in range(d)]
+                      for s in (1, -1) for a in range(d)])
+    # coordinates lie in [-n, n], so base 2n + 1 with signed digits is 1-1
+    deltas = np.array([s * (2 * n + 1) ** a for s in (1, -1) for a in range(d)])
+
+    def grow(pos, code, left):
+        """Extensions that can still close in `left` steps, and their rows."""
+        new = (pos[:, None, :] + steps).reshape(-1, d)
+        keep = np.flatnonzero(np.abs(new).sum(axis=1) <= left)
+        return new[keep], (code[:, None] + deltas).ravel()[keep], keep // fan
+
+    depth = 0
+    while fan ** (length - depth) > _BLOCK_LEAVES:
+        depth += 1
+    pos = np.zeros((1, d), dtype=np.int64)
+    code = np.zeros(1, dtype=np.int64)
+    prefix = []
+    for t in range(depth):
+        pos, code, parent = grow(pos, code, length - t - 1)
+        prefix.append((code, parent))
+    group = _BLOCK_LEAVES // fan ** (length - depth)
+    for i in range(0, len(pos), group):
+        bpos, bcode, links = pos[i:i + group], code[i:i + group], []
+        for t in range(depth, length):
+            bpos, bcode, parent = grow(bpos, bcode, length - t - 1)
+            links.append((bcode, parent))
+        block = np.empty((len(bcode), length), dtype=np.int64)
+        row = np.arange(len(bcode))
+        for t, (c, parent) in reversed(list(enumerate(prefix + links))):
+            if t == depth - 1:
+                row += i  # from rows of this group to rows of the prefix
+            block[:, t] = c[row]
+            row = parent[row]
+        yield block
 
 
-def _profiles_dfs(n, d):
-    """Pruned depth-first enumeration over step sequences for d >= 2."""
-    length = 2 * n
-    step_vecs = []
-    for axis in range(d):
-        for sign in (1, -1):
-            v = [0] * d
-            v[axis] = sign
-            step_vecs.append(tuple(v))
-    origin = tuple([0] * d)
-    visits = Counter({origin: 1})
-
-    def rec(pos, remaining):
-        if remaining == 0:
-            if pos == origin:
-                mu = Counter()
-                for p, c in visits.items():
-                    mu[p] = 2 * c
-                mu[origin] -= 2  # start and end each count once, not twice
-                counts = Counter()
-                for m in mu.values():
-                    counts[m // 2] += 1
-                yield counts
-            return
-        if sum(abs(x) for x in pos) > remaining:
-            return
-        for v in step_vecs:
-            np_ = tuple(a + b for a, b in zip(pos, v))
-            visits[np_] += 1
-            yield from rec(np_, remaining - 1)
-            visits[np_] -= 1
-            if visits[np_] == 0:
-                del visits[np_]
-
-    yield from rec(origin, length)
-
-
-def iter_profiles(n, d, budget=DEFAULT_ENUM_BUDGET):
-    """Profiles (Counter k -> N_{2k}) of every closed walk of length 2n."""
-    if (2 * d) ** (2 * n) > budget:
-        raise BudgetExceeded(
-            f"(2d)^(2n) = {(2 * d) ** (2 * n)} exceeds budget {budget}")
-    if d == 1:
-        yield from _profiles_d1(n)
-    else:
-        yield from _profiles_dfs(n, d)
+def _visit_histograms(points, width):
+    """hist[r, k] = number of points that row r holds exactly k times."""
+    rows, m = points.shape
+    srt = np.sort(points, axis=1)
+    first = np.ones(srt.shape, dtype=bool)
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    runs = np.diff(starts, append=srt.size)
+    return np.bincount(starts // m * width + runs,
+                       minlength=rows * width).reshape(rows, width)
 
 
 def oracle_counts(n, d, tracked=(), include_range=False,
@@ -168,26 +177,28 @@ def oracle_counts(n, d, tracked=(), include_range=False,
     extended with ran(w) when include_range is set.
     """
     tracked = tuple(tracked)
+    if n < 0 or d < 1 or any(k < 1 for k in tracked):
+        raise ValueError("need n >= 0, d >= 1 and tracked k >= 1")
+    if (2 * d) ** (2 * n) > budget:
+        raise BudgetExceeded(
+            f"(2d)^(2n) = {(2 * d) ** (2 * n)} exceeds budget {budget}")
+    width = max((2 * n, 1) + tracked) + 1
     out = Counter()
-    for counts in iter_profiles(n, d, budget):
-        key = tuple(counts.get(k, 0) for k in tracked)
+    for points in _point_blocks(n, d):
+        hist = _visit_histograms(points, width)
+        keys = hist[:, list(tracked)]
         if include_range:
-            key = key + (sum(counts.values()),)
-        out[key] += 1
+            keys = np.column_stack((keys, hist.sum(axis=1)))
+        uniq, cnt = np.unique(keys, axis=0, return_counts=True)
+        out.update(dict(zip(map(tuple, uniq.tolist()), cnt.tolist())))
     return out
 
 
 def oracle_mixed_moment(n, d, spec, budget=DEFAULT_ENUM_BUDGET):
     """sum over walks of prod_k C(N_{2k}, m_k) for spec = {k: m_k}."""
-    total = 0
-    for counts in iter_profiles(n, d, budget):
-        v = 1
-        for k, m in spec.items():
-            v *= math.comb(counts.get(k, 0), m)
-            if v == 0:
-                break
-        total += v
-    return total
+    counts = oracle_counts(n, d, tuple(spec), budget=budget)
+    return sum(c * math.prod(map(math.comb, key, spec.values()))
+               for key, c in counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_oracle_output_shape(capsys):
     assert rep["results"]["counts"] == {"N4=1": 4, "N4=2": 2}
 
 
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_oracle_empty_walk_has_one_singlepoint(capsys, d):
+    rc, rep, _ = run_json(capsys, ["oracle", "--n", "0", "--d", d,
+                                   "--track", "1,2", "--range"])
+    assert rc == 0
+    assert rep["results"]["counts"] == {"N2=1,N4=0,ran=1": 1}
+
+
 def test_oracle_with_range(capsys):
     rc, rep, _ = run_json(capsys, ["oracle", "--n", "2", "--range"])
     assert rc == 0
@@ -148,8 +156,19 @@ def test_argument_errors_exit_two(capsys):
     ["dist", "--n", "4", "--k", "1", "--lmax", "-1"],
     ["moments", "--spec", "x", "--n", "3"],
     ["moments", "--spec", "0:1", "--n", "3"],
+    ["range-dist", "--n", "-1"],
+    ["moments", "--spec", "1:1", "--n", "-1"],
+    ["first-moment", "--d", "1", "--k", "1", "--n", "-1"],
+    ["first-moment", "--d", "1", "--k", "1", "--n", "0"],
+    ["oracle", "--n", "-1"],
+    ["oracle", "--n", "2", "--d", "0"],
+    ["oracle", "--n", "2", "--track", "0"],
+    ["oracle", "--n", "2", "--track", "1,x"],
 ], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
-        "moments-spec-malformed", "moments-spec-k0"])
+        "moments-spec-malformed", "moments-spec-k0", "range-dist-n-neg",
+        "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
+        "oracle-n-neg", "oracle-d0", "oracle-track-k0",
+        "oracle-track-malformed"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

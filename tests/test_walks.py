@@ -1,12 +1,15 @@
 """Enumeration oracle, profile bookkeeping, local-time DP, sampling."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
+from walkrange import walks
 from walkrange.errors import BudgetExceeded
 from walkrange.walks import (Walk, local_time_distribution,
                              local_time_probabilities, multiplicity,
@@ -83,6 +86,96 @@ def test_oracle_d2_walk_totals():
     # closed 2-d walk counts are squared central binomials
     for n in (1, 2, 3):
         assert sum(oracle_counts(n, 2, ()).values()) == comb(2 * n, n) ** 2
+
+
+# every closed walk, one profile() each: the reference the block enumerator
+# must reproduce (d=1 up to n=6, d=2 up to n=3, d=3 up to n=2)
+_BRUTE_SIZES = [(n, 1) for n in range(1, 7)] + [(1, 2), (2, 2), (3, 2),
+                                                (1, 3), (2, 3)]
+_TRACKED_SETS = [(), (1,), (2,), (1, 3), (3, 1, 2), (2, 2), (7,)]
+
+
+def _brute_profiles(n, d):
+    steps = [s for a in range(1, d + 1) for s in (a, -a)]
+    for seq in itertools.product(steps, repeat=2 * n):
+        w = Walk(d, seq)
+        if w.is_closed():
+            yield profile(w)
+
+
+@pytest.fixture(scope="module")
+def brute():
+    table = {}
+    for n, d in _BRUTE_SIZES:
+        profs = list(_brute_profiles(n, d))
+        for tracked in _TRACKED_SETS:
+            for rng in (False, True):
+                table[n, d, tracked, rng] = Counter(
+                    tuple(p.count(k) for k in tracked)
+                    + ((p.range_,) if rng else ()) for p in profs)
+    return table
+
+
+def test_oracle_counts_match_brute_force(brute):
+    # under the module's block size, d=1 n=6 and d=2 n=3 take several blocks
+    for (n, d, tracked, rng), want in brute.items():
+        got = oracle_counts(n, d, tracked, include_range=rng)
+        assert got == want, (n, d, tracked, rng)
+        assert all(type(v) is int for key in got for v in key)
+        assert all(type(c) is int for c in got.values())
+
+
+# small block sizes split each enumeration into many blocks, the last of them
+# partial; 1 makes every walk its own block
+@pytest.mark.parametrize("leaves", [1, 6, 40])
+def test_oracle_counts_do_not_depend_on_block_size(brute, monkeypatch,
+                                                   leaves):
+    monkeypatch.setattr(walks, "_BLOCK_LEAVES", leaves)
+    for n, d in _BRUTE_SIZES:
+        for tracked, rng in (((), False), ((3, 1, 2), True)):
+            got = oracle_counts(n, d, tracked, include_range=rng)
+            assert got == brute[n, d, tracked, rng], (n, d, tracked, rng)
+
+
+@pytest.mark.parametrize("n,d,leaves,one_block", [
+    (5, 1, None, True), (6, 1, None, False), (3, 2, None, False),
+    (3, 2, 40, False), (2, 3, 6, False)])
+def test_point_blocks_stay_within_the_block_size(monkeypatch, n, d, leaves,
+                                                 one_block):
+    if leaves is not None:
+        monkeypatch.setattr(walks, "_BLOCK_LEAVES", leaves)
+    sizes = [len(b) for b in walks._point_blocks(n, d)]
+    assert (len(sizes) == 1) == one_block
+    assert max(sizes) <= walks._BLOCK_LEAVES
+    # closed walks with j_i steps each way on axis i: (2n)! / prod (j_i!)^2
+    assert sum(sizes) == sum(
+        math.factorial(2 * n) // math.prod(math.factorial(j) ** 2 for j in js)
+        for js in itertools.product(range(n + 1), repeat=d) if sum(js) == n)
+
+
+def test_oracle_mixed_moment_matches_brute_force():
+    for n, d in [(4, 1), (6, 1), (3, 2), (2, 3)]:
+        profs = list(_brute_profiles(n, d))
+        for spec in ({1: 1}, {2: 1}, {1: 2, 3: 2}, {1: 1, 2: 1}, {4: 0}):
+            want = sum(math.prod(comb(p.count(k), m) for k, m in spec.items())
+                       for p in profs)
+            assert oracle_mixed_moment(n, d, spec) == want, (n, d, spec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_oracle_counts_the_empty_walk(d):
+    # its one point, the origin, has multiplicity 2: N_2 = 1, range 1
+    p = profile(Walk(d, ()))
+    want = Counter({(p.count(1), p.count(2), p.range_): 1})
+    assert want == Counter({(1, 0, 1): 1})
+    assert oracle_counts(0, d, (1, 2), include_range=True) == want
+    assert oracle_mixed_moment(0, d, {1: 1}) == 1
+
+
+def test_oracle_rejects_invalid_arguments():
+    for args in ((-1, 1, ()), (2, 0, ()), (2, 1, (0,)), (2, 1, (1, -3))):
+        with pytest.raises(ValueError):
+            oracle_counts(*args)
 
 
 def test_local_time_distribution_matches_enumeration():
