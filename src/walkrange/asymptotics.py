@@ -296,19 +296,23 @@ def second_moment_limit(k1, k2):
     for k1 = k2 = k, so float summation would lose everything to
     cancellation at k around 100.
     """
+    # the (r1, r2) terms with one s = r1 + r2 share the denominators 2^s s
+    # and 2^s C(s, 2): sum their integer numerators, then divide once
     zeta_coeffs = {}
-    for r1 in range(1, k1 + 1):
-        for r2 in range(1, k2 + 1):
-            s = r1 + r2
-            base = Fraction(comb(k1 - 1, r1 - 1) * comb(k2 - 1, r2 - 1)
-                            * comb(s, r1) * (-1) ** s, 2 ** s)
-            w1 = base * Fraction(k1 + k2 - s, s)
-            if w1:
-                zeta_coeffs[s] = zeta_coeffs.get(s, Fraction(0)) + 2 * w1
-            if s > 2:
-                w2 = base * Fraction(comb(r1, 2) + comb(r2, 2), comb(s, 2))
-                if w2:
-                    zeta_coeffs[s - 1] = zeta_coeffs.get(s - 1, Fraction(0)) + 2 * w2
+    for s in range(2, k1 + k2 + 1):
+        p1 = p2 = 0
+        for r1 in range(max(1, s - k2), min(k1, s - 1) + 1):
+            r2 = s - r1
+            term = comb(k1 - 1, r1 - 1) * comb(k2 - 1, r2 - 1) * comb(s, r1)
+            p1 += term
+            p2 += term * (comb(r1, 2) + comb(r2, 2))
+        sign = 2 * (-1) ** s
+        w1 = Fraction(sign * p1 * (k1 + k2 - s), 2 ** s * s)
+        if w1:
+            zeta_coeffs[s] = zeta_coeffs.get(s, 0) + w1
+        if s > 2 and p2:
+            zeta_coeffs[s - 1] = zeta_coeffs.get(s - 1, 0) + Fraction(
+                sign * p2, 2 ** s * comb(s, 2))
     if not zeta_coeffs:
         return float((1 if k1 == k2 else 0) - Fraction(1, 2))
     maxmag = max(abs(c.numerator / c.denominator) for c in zeta_coeffs.values())

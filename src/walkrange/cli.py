@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,11 @@ SCHEMA_VERSION = 1
 
 
 def _sig(x, digits):
+    """x rounded to `digits` significant digits.
+
+    Exact probabilities come in as count / total: int / int true division
+    is correctly rounded, so it gives float(Fraction(count, total)) without
+    reducing the fraction."""
     return float(f"%.{digits}g" % float(x))
 
 
@@ -59,27 +65,33 @@ def _cmd_dist(args):
     digits = args.digits
     total = comb(2 * n, n)
     rows = []
+    provenance = {"backend": backend, "truncation": 2 * n, "digits": digits}
     if backend == EXACT:
         eng = Engine(2 * n, backend=EXACT)
         counts, tail = eng.distribution(n, k, args.lmax)
         results = {"distribution": [], "tail_count": str(tail),
                    "total": str(total)}
         for l in sorted(counts):
-            pr = _sig(Fraction(counts[l], total), digits)
+            pr = _sig(counts[l] / total, digits)
             results["distribution"].append(
                 {"l": l, "count": str(counts[l]), "probability": pr})
             rows.append([n, k, l, counts[l], pr])
     else:
-        eng = Engine(2 * n, backend="float", scale=Fraction(1, 2))
-        probs = eng.probabilities(n, k, args.lmax)
+        if k >= 3 and n > 0:
+            # the series route cancels ever harder for k >= 3 (condition
+            # ~ n^{(2k-1)/2}); the all-positive DP does not
+            probs = walks.local_time_probabilities(n, k, args.lmax)
+            provenance = {"backend": "dp", "digits": digits}
+        else:
+            eng = Engine(2 * n, backend="float", scale=Fraction(1, 2))
+            probs = eng.probabilities(n, k, args.lmax)
         results = {"distribution": [], "total": str(total)}
         for l, p in enumerate(probs):
-            results["distribution"].append(
-                {"l": l, "probability": _sig(p, digits)})
-            rows.append([n, k, l, "", _sig(p, digits)])
+            pr = _sig(p, digits)
+            results["distribution"].append({"l": l, "probability": pr})
+            rows.append([n, k, l, "", pr])
     rep = _report("dist", {"n": n, "k": k, "lmax": args.lmax},
-                  results, {"backend": backend, "truncation": 2 * n,
-                            "digits": digits})
+                  results, provenance)
     return _emit(rep, args.format, rows, ["n", "k", "l", "count", "probability"])
 
 
@@ -89,11 +101,10 @@ def _cmd_range_dist(args):
     total = comb(2 * n, n)
     tail = total - sum(hist.values())
     digits = args.digits
-    rows = [[n, m, c, _sig(Fraction(c, total), digits)] for m, c in sorted(hist.items())]
+    rows = [[n, m, c, _sig(c / total, digits)] for m, c in sorted(hist.items())]
     results = {
-        "distribution": [{"m": m, "count": str(c),
-                          "probability": _sig(Fraction(c, total), digits)}
-                         for m, c in sorted(hist.items())],
+        "distribution": [{"m": m, "count": str(c), "probability": pr}
+                         for _, m, c, pr in rows],
         "tail_count": str(tail),
         "total": str(total),
     }
@@ -165,7 +176,7 @@ def _cmd_moments(args):
     total = comb(2 * n, n)
     digits = args.digits
     results = {"value": str(value),
-               "normalized": _sig(Fraction(value, total), digits),
+               "normalized": _sig(value / total, digits),
                "total": str(total)}
     rep = _report("moments", {"spec": args.spec, "n": n}, results,
                   {"backend": "exact", "digits": digits})
@@ -207,7 +218,7 @@ def _cmd_asymp(args):
         fl = Engine(2 * grid[-1], backend="float", scale=Fraction(1, 2))
         rows, entries = [], []
         for l in sorted(counts):
-            pr = _sig(Fraction(counts[l], total), digits)
+            pr = _sig(counts[l] / total, digits)
             if l <= 2:
                 limit, _tol = asy.extrapolate_probability(2, l, grid, engine=fl)
                 method = "extrapolated"
@@ -225,7 +236,9 @@ def _cmd_asymp(args):
         return _emit(rep, args.format, rows,
                      ["l", "count", "probability", "limit", "method"])
     if args.table == 2:
-        kmax = args.kmax or 5
+        kmax = args.kmax
+        if kmax < 2:
+            args.usage_error("argument --kmax: must be >= 2 with --table 2")
         entries, rows = [], []
         for k in range(2, kmax + 1):
             model = asy.tail_rate_fit(k, args.n)
@@ -237,7 +250,7 @@ def _cmd_asymp(args):
                       {"tail_rates": entries}, {"digits": digits})
         return _emit(rep, args.format, rows, ["k", "rates..."])
     if args.table == 3:
-        kmax = args.kmax or 5
+        kmax = args.kmax
         ks = list(range(1, kmax + 1)) + [100]
         entries, rows = [], []
         for i, k1 in enumerate(ks):
@@ -321,7 +334,7 @@ def _cmd_verify(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--digits", type=int, default=6,
+    common.add_argument("--digits", type=_int_from(1), default=6,
                         help="significant digits for probabilities")
     p = argparse.ArgumentParser(
         prog="walkrange",
@@ -341,7 +354,7 @@ def build_parser():
 
     r = add_parser("range-dist", help="distribution of the range")
     r.add_argument("--n", type=_int_from(0), required=True)
-    r.add_argument("--mmax", type=int, default=None)
+    r.add_argument("--mmax", type=_int_from(0), default=None)
     r.set_defaults(fn=_cmd_range_dist)
 
     m = add_parser("moments", help="mixed binomial moments")
@@ -358,12 +371,12 @@ def build_parser():
 
     a = add_parser("asymp", help="asymptotic tables and limits")
     a.add_argument("--table", type=int, choices=(1, 2, 3))
-    a.add_argument("--xi", type=int)
-    a.add_argument("--kmax", type=int)
-    a.add_argument("--lmax", type=int, default=10)
-    a.add_argument("--n", type=int, default=2000,
+    a.add_argument("--xi", type=_int_from(2))
+    a.add_argument("--kmax", type=_int_from(1), default=5)
+    a.add_argument("--lmax", type=_int_from(0), default=10)
+    a.add_argument("--n", type=_int_from(1), default=2000,
                    help="length parameter for rate fitting (table 2)")
-    a.set_defaults(fn=_cmd_asymp)
+    a.set_defaults(fn=_cmd_asymp, usage_error=a.error)
 
     o = add_parser("oracle", help="exhaustive enumeration counts")
     o.add_argument("--n", type=_int_from(0), required=True)
@@ -374,16 +387,35 @@ def build_parser():
     o.set_defaults(fn=_cmd_oracle)
 
     v = add_parser("verify", help="oracle-equivalence suite")
-    v.add_argument("--n-max", type=int, default=6)
+    v.add_argument("--n-max", type=_int_from(1), default=6)
     v.set_defaults(fn=_cmd_verify)
     return p
+
+
+@contextmanager
+def _int_str_unlimited():
+    """Lift CPython's int <-> str digit limit (4300 by default) for a block.
+
+    C(2n, n) has more digits than that from n ~ 7150 on; Pythons without
+    the limit have no setter."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(old)
 
 
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with _int_str_unlimited():
+            return args.fn(args)
     except WalkrangeError as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, sort_keys=True))

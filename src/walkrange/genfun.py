@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import MarkerOverflow, NonUnit, UnsupportedDepth
 from .pseries import EXACT, BaseSeriesCache, TruncatedSeries, base_series
@@ -416,10 +416,13 @@ class Engine:
     def probabilities(self, n, k, l_max, jmax=None):
         """Pr_n(N_{2k} = l) for l = 0..l_max; works on either backend.
 
-        The float backend is accurate here for k <= 2 at any order; for
-        k >= 3 the block decomposition cancels ever harder as the order
-        grows (condition ~ n^{(2k-1)/2}), so large-n float work at high
-        multiplicities should use walks.local_time_probabilities instead.
+        The float backend loses digits as the order grows.  For k <= 2 the
+        loss is mild but real: at n = 3969 the k = 2 values are 1.3e-6 to
+        2.7e-6 off the crossing-profile DP in relative terms (Pr(N_4 = 0)
+        0.35095189 against 0.35095143).  For k >= 3 the block decomposition
+        cancels ever harder (condition ~ n^{(2k-1)/2}): at n = 1000, k = 4
+        the third digit is wrong.  Large-n float work at k >= 3 should use
+        walks.local_time_probabilities, as `walkrange dist` does.
         """
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
@@ -505,6 +508,8 @@ class Engine:
             return comb(2 * n, n)
         if r > 4:
             raise UnsupportedDepth(f"mixed moments support depth <= 4, got {r}")
+        if n == 0:
+            return prod(comb(_empty_walk_count(k), m) for k, m in spec.items())
         if r == 1:
             series = self.term_single(ks[0]).zddz()
         elif r == 2:
@@ -576,6 +581,9 @@ def range_distribution(n, m_max=None):
     top = n + 1
     if m_max is None:
         m_max = top
+    if n == 0:
+        # the empty walk visits the origin alone
+        return {1: 1} if m_max >= 1 else {}
 
     # row[i] = C(2n, n - i), built once by the multiplicative recurrence
     row = [0] * (n + 1)

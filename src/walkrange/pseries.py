@@ -39,6 +39,9 @@ EXACT_ORDER_LIMIT = 512
 
 _FFT_THRESHOLD = 384
 
+# rows of the float B^{2F} table built per numpy pass
+_ROW_BLOCK = 64
+
 
 def choose_backend(K, override=None):
     if override is not None:
@@ -420,23 +423,55 @@ class BaseSeriesCache:
     # -- B^{2F} rows ---------------------------------------------------------
 
     def _ensure_even_rows(self):
-        """Coefficient table row[F][n'] = [z^{2n'}] (scaled B)^{2F}."""
-        if self.backend == FLOAT:
-            if self._even_rows is None:
-                half = self.K // 2
-                rows = np.zeros((half + 1, half + 1))
-                ls2 = 2.0 * math.log(float(self.scale))
-                np_ = np.arange(1, half + 1, dtype=np.float64)
-                for F in range(1, half + 1):
-                    # log v(F,n') accumulated over n' = F..half
-                    npr = np_[F - 1: half - 1]  # n' = F .. half-1
-                    ratios = np.log(npr * (2 * npr + 1) * (2 * npr + 2)) - \
-                        np.log((npr + 1) * (npr + 1 - F) * (npr + 1 + F))
-                    logs = np.concatenate(([F * ls2], ratios + ls2)).cumsum()
-                    rows[F, F:] = np.where(logs > -745.0, np.exp(logs), 0.0)
-                self._even_rows = rows
-            return self._even_rows
-        return None
+        """Float table rows[F][n'] = [z^{2n'}] (scaled B)^{2F}, F < len(rows).
+
+        Rows past the first one that underflows entirely are zero and are
+        not stored: the largest entry of row F sits near exp(-F^2 / n') at
+        scale 1/2, so about sqrt(745 K/2) rows are kept, O(K^1.5) memory.
+        Row 0 stays zero (B^0 enters no tail)."""
+        if self.backend != FLOAT:
+            return None
+        if self._even_rows is None:
+            half = self.K // 2
+            # first all-zero row, by bisection: row F + 1 underflows where F does
+            lo, hi = 1, half + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self._even_rows_block(mid, mid + 1).any():
+                    lo = mid + 1
+                else:
+                    hi = mid
+            rows = np.zeros((lo, half + 1))
+            for F0 in range(1, lo, _ROW_BLOCK):
+                F1 = min(F0 + _ROW_BLOCK, lo)
+                rows[F0:F1, F0:] = self._even_rows_block(F0, F1)
+            self._even_rows = rows
+        return self._even_rows
+
+    def _even_rows_block(self, F0, F1):
+        """Rows F0..F1-1 of the float table, columns n' = F0..K//2.
+
+        Row F is exp of the running sum, from n' = F on, of log s^{2F} and
+        the log ratios of successive ballot numbers times s^2; entries with
+        logs below -745 are zero.  Each row of the block is zero up to its
+        own n' = F, and the cumsum along axis 1 adds in the same order as a
+        cumsum of that row alone, so a row does not depend on its block."""
+        half = self.K // 2
+        ls2 = 2.0 * math.log(float(self.scale))
+        F = np.arange(F0, F1, dtype=np.float64)[:, None]
+        col = np.arange(F0, half + 1, dtype=np.float64)  # n' of each column
+        npr = col - 1                                    # ratio from n' - 1 to n'
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (npr + 1) * (npr + 1 - F) * (npr + 1 + F)
+            np.log(logs, out=logs)
+            np.subtract(np.log(npr * (2 * npr + 1) * (2 * npr + 2)), logs,
+                        out=logs)
+        logs += ls2
+        logs = np.where(col > F, logs, np.where(col == F, F * ls2, 0.0))
+        logs.cumsum(axis=1, out=logs)
+        keep = (logs > -745.0) & (col >= F)
+        # exp only where kept: results that underflow cost ~50x a normal exp
+        return np.where(keep, np.exp(np.where(keep, logs, 0.0)), 0.0)
 
     def _even_row(self, F):
         """Exact backend: ballot integers row[n'] = [z^{2n'}] B^{2F}, unscaled."""
@@ -455,7 +490,8 @@ class BaseSeriesCache:
             return self._scaled(self._even_row(F), step=2)
         rows = self._ensure_even_rows()
         out = np.zeros(K + 1)
-        out[2 * F:: 2] = rows[F, F:]
+        if F < len(rows):
+            out[2 * F:: 2] = rows[F, F:]
         return TruncatedSeries(out, FLOAT, K)
 
     def tail(self, f):
@@ -469,10 +505,8 @@ class BaseSeriesCache:
         else:
             rows = self._ensure_even_rows()
             acc = np.zeros(half + 1)
-            j = 1
-            while f * j <= half:
-                acc += rows[f * j]
-                j += 1
+            for F in range(f, len(rows), f):
+                acc += rows[F]
             out = np.zeros(K + 1)
             out[0:: 2] = acc
             ser = TruncatedSeries(out, FLOAT, K)
@@ -487,12 +521,14 @@ class BaseSeriesCache:
         backend adds integer ballot rows times weights over one denominator.
         """
         half = self.K // 2
-        acc_w = [None] * (half + 1)
-        for f in range(1, half + 1):
+        # float rows past the stored table are zero and need no weights
+        top = half if self.backend == EXACT else len(self._ensure_even_rows()) - 1
+        acc_w = [None] * (top + 1)
+        for f in range(1, top + 1):
             wf = weight(f)
             if wf == 0:
                 continue
-            for F in range(f, half + 1, f):
+            for F in range(f, top + 1, f):
                 acc_w[F] = wf if acc_w[F] is None else acc_w[F] + wf
         if self.backend == EXACT:
             ws = [(F, Fraction(w)) for F, w in enumerate(acc_w) if w]

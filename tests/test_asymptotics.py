@@ -169,6 +169,44 @@ def test_second_moment_limit_against_mpmath():
             reference(k1, k2), abs=1e-12)
 
 
+def _second_moment_limit_term_by_term(k1, k2):
+    """The former loop: one Fraction per (r1, r2) term."""
+    from math import comb
+
+    from walkrange.asymptotics import zeta_fraction
+    zeta_coeffs = {}
+    for r1 in range(1, k1 + 1):
+        for r2 in range(1, k2 + 1):
+            s = r1 + r2
+            base = Fraction(comb(k1 - 1, r1 - 1) * comb(k2 - 1, r2 - 1)
+                            * comb(s, r1) * (-1) ** s, 2 ** s)
+            w1 = base * Fraction(k1 + k2 - s, s)
+            if w1:
+                zeta_coeffs[s] = zeta_coeffs.get(s, Fraction(0)) + 2 * w1
+            if s > 2:
+                w2 = base * Fraction(comb(r1, 2) + comb(r2, 2), comb(s, 2))
+                if w2:
+                    zeta_coeffs[s - 1] = zeta_coeffs.get(s - 1, Fraction(0)) + 2 * w2
+    if not zeta_coeffs:
+        return float((1 if k1 == k2 else 0) - Fraction(1, 2))
+    maxmag = max(abs(c.numerator / c.denominator) for c in zeta_coeffs.values())
+    digits = 30 + int(math.log10(max(maxmag, 1.0))) + 1
+    acc = Fraction((1 if k1 == k2 else 0)) - Fraction(1, 2)
+    for s, c in zeta_coeffs.items():
+        acc += c * zeta_fraction(s, digits)
+    return float(acc)
+
+
+def test_second_moment_limit_equals_term_by_term_sum():
+    # every (k1, k2) of `asymp --table 3 --kmax 8`: per-s integer sums give
+    # the same rational, hence the same float, as one Fraction per term
+    ks = list(range(1, 9)) + [100]
+    for i, k1 in enumerate(ks):
+        for k2 in ks[i:]:
+            assert second_moment_limit(k1, k2) == \
+                _second_moment_limit_term_by_term(k1, k2), (k1, k2)
+
+
 def test_range_moment_limits():
     assert range_moment_limit(2) == pytest.approx(math.pi / 3, rel=1e-14)
     assert range_moment_limit(3) == pytest.approx(1.14788, abs=5e-6)

@@ -1,10 +1,15 @@
 """Command-line interface: schemas, formats, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
 
-from walkrange.cli import run
+from walkrange.cli import _sig, run
+from walkrange.genfun import range_distribution
+from walkrange.walks import local_time_probabilities
 
 
 def run_json(capsys, argv):
@@ -164,11 +169,21 @@ def test_argument_errors_exit_two(capsys):
     ["oracle", "--n", "2", "--d", "0"],
     ["oracle", "--n", "2", "--track", "0"],
     ["oracle", "--n", "2", "--track", "1,x"],
+    ["asymp", "--table", "3", "--kmax", "0"],
+    ["asymp", "--table", "2", "--kmax", "1"],
+    ["asymp", "--table", "1", "--lmax", "-1"],
+    ["asymp", "--table", "2", "--n", "0"],
+    ["asymp", "--xi", "1"],
+    ["range-dist", "--n", "3", "--mmax", "-1"],
+    ["verify", "--n-max", "-1"],
+    ["dist", "--n", "4", "--k", "1", "--lmax", "2", "--digits", "0"],
 ], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
         "moments-spec-malformed", "moments-spec-k0", "range-dist-n-neg",
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
         "oracle-n-neg", "oracle-d0", "oracle-track-k0",
-        "oracle-track-malformed"])
+        "oracle-track-malformed", "asymp-kmax0", "asymp-table2-kmax1",
+        "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "range-dist-mmax-neg",
+        "verify-n-max-neg", "digits0"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -199,3 +214,80 @@ def test_dist_empty_walk_has_no_higher_multiplicity(capsys, k):
     assert rep["results"]["distribution"] == [
         {"l": 0, "count": "1", "probability": 1.0}]
     assert rep["results"]["tail_count"] == "0"
+
+
+def test_moments_empty_walk(capsys):
+    # the empty walk has N_2 = 1 and no other multiplicity
+    rc, rep, _ = run_json(capsys, ["moments", "--spec", "1:1", "--n", "0"])
+    assert rc == 0
+    assert rep["results"]["value"] == "1"
+    rc, rep, _ = run_json(capsys, ["moments", "--spec", "1:1,2:1",
+                                   "--n", "0"])
+    assert rep["results"]["value"] == "0"
+
+
+def test_range_dist_empty_walk(capsys):
+    rc, rep, _ = run_json(capsys, ["range-dist", "--n", "0"])
+    assert rc == 0
+    assert rep["results"]["distribution"] == [
+        {"m": 1, "count": "1", "probability": 1.0}]
+    assert rep["results"]["tail_count"] == "0"
+
+
+def test_counts_past_the_int_str_digit_limit(capsys):
+    # C(14400, 7200) has 4333 digits, past CPython's default limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, rep, _ = run_json(capsys, ["range-dist", "--n", "7200", "--mmax", "3"])
+    assert rc == 0
+    total = rep["results"]["total"]
+    assert len(total) == 4333
+    want = comb(14400, 7200)
+    assert int(total[-4000:]) == want % 10 ** 4000
+    assert int(total[:-4000]) == want // 10 ** 4000
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_range_dist_probabilities_are_rounded_exact_ratios(capsys):
+    n = 1500
+    rc, rep, _ = run_json(capsys, ["range-dist", "--n", str(n)])
+    total = comb(2 * n, n)
+    want = {m: _sig(Fraction(c, total), 6)
+            for m, c in range_distribution(n).items()}
+    got = {r["m"]: r["probability"] for r in rep["results"]["distribution"]}
+    assert got == want
+
+
+def test_exact_dist_probabilities_are_rounded_exact_ratios(capsys):
+    n = 40
+    rc, rep, _ = run_json(capsys, ["dist", "--n", str(n), "--k", "2",
+                                   "--lmax", "30", "--digits", "12"])
+    total = comb(2 * n, n)
+    for r in rep["results"]["distribution"]:
+        assert r["probability"] == _sig(Fraction(int(r["count"]), total), 12)
+
+
+@pytest.mark.parametrize("backend", [["--backend", "float"], []])
+def test_float_dist_k4_takes_the_dp(capsys, backend):
+    # the series route printed Pr(N_8 = 0) = 0.392833 here; the DP 0.395055
+    rc, rep, _ = run_json(capsys, ["dist", "--n", "1000", "--k", "4",
+                                   "--lmax", "4"] + backend)
+    assert rc == 0
+    assert rep["provenance"]["backend"] == "dp"
+    want = [_sig(p, 6) for p in local_time_probabilities(1000, 4, 4)]
+    got = [r["probability"] for r in rep["results"]["distribution"]]
+    assert got == want
+    assert got[0] == 0.395055
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_float_dist_dp_matches_exact_backend(capsys, k):
+    argv = ["dist", "--n", "15", "--k", str(k), "--lmax", "6",
+            "--digits", "12"]
+    rc, dp, _ = run_json(capsys, argv + ["--backend", "float"])
+    assert dp["provenance"]["backend"] == "dp"
+    rc, ex, _ = run_json(capsys, argv + ["--backend", "exact"])
+    for a, b in zip(dp["results"]["distribution"],
+                    ex["results"]["distribution"], strict=True):
+        assert a["l"] == b["l"]
+        assert a["probability"] == pytest.approx(b["probability"],
+                                                 rel=1e-10, abs=1e-15)

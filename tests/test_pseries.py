@@ -352,3 +352,42 @@ def test_exact_division_and_log_match_recurrences():
     for n in range(1, K + 1):
         lg[n] = cl[n] - sum(Fraction(i, n) * lg[i] * cl[n - i] for i in range(1, n))
     assert frac_series(cl).log().coeffs == lg
+
+
+def _even_rows_per_row(K, scale):
+    """The former float B^{2F} table: a dense (K/2+1)^2 array, one row at a time."""
+    half = K // 2
+    rows = np.zeros((half + 1, half + 1))
+    ls2 = 2.0 * math.log(float(scale))
+    np_ = np.arange(1, half + 1, dtype=np.float64)
+    for F in range(1, half + 1):
+        npr = np_[F - 1: half - 1]
+        ratios = np.log(npr * (2 * npr + 1) * (2 * npr + 2)) - \
+            np.log((npr + 1) * (npr + 1 - F) * (npr + 1 + F))
+        logs = np.concatenate(([F * ls2], ratios + ls2)).cumsum()
+        rows[F, F:] = np.where(logs > -745.0, np.exp(logs), 0.0)
+    return rows
+
+
+@pytest.mark.parametrize("K,scale", [
+    (2, Fraction(1, 2)), (10, Fraction(1, 2)), (101, Fraction(1, 2)),
+    (1922, Fraction(1, 2)), (4000, Fraction(1, 2)),
+    (2, 1), (10, 1), (101, 1), (1922, Fraction(1, 4))])
+def test_float_even_rows_equal_per_row_table(K, scale):
+    rows = base_series(K, FLOAT, scale)._ensure_even_rows()
+    ref = _even_rows_per_row(K, scale)
+    kept = len(rows)
+    assert rows.shape == (kept, K // 2 + 1)
+    assert np.array_equal(rows.view(np.int64), ref[:kept].view(np.int64))
+    assert not ref[kept:].any()
+    if K >= 1922:
+        assert kept < K // 2          # rows that underflow are not stored
+
+
+def test_float_tails_read_past_stored_rows():
+    c = base_series(4000, FLOAT, Fraction(1, 2))
+    kept = len(c._ensure_even_rows())
+    assert c.b_even_power(kept).is_zero()
+    assert not c.b_even_power(kept - 1).is_zero()
+    # the geometric tail of f = kept - 1 is its first row alone
+    assert c.tail(kept - 1) == c.b_even_power(kept - 1)
