@@ -409,7 +409,7 @@ def _probability_table(k, ns, l_max, engine=None):
     nmax = max(ns)
     if k <= 2:
         if engine is None:
-            engine = Engine(2 * nmax, backend="float", scale=Fraction(1, 2))
+            engine = Engine(2 * nmax, backend="float")
         if engine.K < 2 * nmax:
             raise ValueError("engine truncation order too small")
         return engine, {n: engine.probabilities(n, k, l_max) for n in ns}

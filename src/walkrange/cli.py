@@ -13,7 +13,6 @@ import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from fractions import Fraction
 from math import comb
 
 from . import asymptotics as asy
@@ -83,7 +82,7 @@ def _cmd_dist(args):
             probs = walks.local_time_probabilities(n, k, args.lmax)
             provenance = {"backend": "dp", "digits": digits}
         else:
-            eng = Engine(2 * n, backend="float", scale=Fraction(1, 2))
+            eng = Engine(2 * n, backend="float")
             probs = eng.probabilities(n, k, args.lmax)
         results = {"distribution": [], "total": str(total)}
         for l, p in enumerate(probs):
@@ -215,7 +214,7 @@ def _cmd_asymp(args):
         total = comb(78, 39)
         tail_model = asy.doublepoint_tail()
         grid = [250, 500, 1000, 2000]
-        fl = Engine(2 * grid[-1], backend="float", scale=Fraction(1, 2))
+        fl = Engine(2 * grid[-1], backend="float")
         rows, entries = [], []
         for l in sorted(counts):
             pr = _sig(counts[l] / total, digits)
@@ -239,6 +238,8 @@ def _cmd_asymp(args):
         kmax = args.kmax
         if kmax < 2:
             args.usage_error("argument --kmax: must be >= 2 with --table 2")
+        if args.n < 500:
+            args.usage_error("argument --n: must be >= 500 with --table 2")
         entries, rows = [], []
         for k in range(2, kmax + 1):
             model = asy.tail_rate_fit(k, args.n)
@@ -249,20 +250,18 @@ def _cmd_asymp(args):
         rep = _report("asymp", {"table": 2, "kmax": kmax, "n": args.n},
                       {"tail_rates": entries}, {"digits": digits})
         return _emit(rep, args.format, rows, ["k", "rates..."])
-    if args.table == 3:
-        kmax = args.kmax
-        ks = list(range(1, kmax + 1)) + [100]
-        entries, rows = [], []
-        for i, k1 in enumerate(ks):
-            for k2 in ks[i:]:
-                v = asy.second_moment_limit(k1, k2)
-                entries.append({"k1": k1, "k2": k2,
-                                "covariance": _sig(v, digits)})
-                rows.append([k1, k2, _sig(v, digits)])
-        rep = _report("asymp", {"table": 3, "kmax": kmax},
-                      {"covariances": entries}, {"digits": digits})
-        return _emit(rep, args.format, rows, ["k1", "k2", "covariance"])
-    raise WalkrangeError("asymp needs --table 1|2|3 or --xi R")
+    kmax = args.kmax
+    ks = list(range(1, kmax + 1)) + [100]
+    entries, rows = [], []
+    for i, k1 in enumerate(ks):
+        for k2 in ks[i:]:
+            v = asy.second_moment_limit(k1, k2)
+            entries.append({"k1": k1, "k2": k2,
+                            "covariance": _sig(v, digits)})
+            rows.append([k1, k2, _sig(v, digits)])
+    rep = _report("asymp", {"table": 3, "kmax": kmax},
+                  {"covariances": entries}, {"digits": digits})
+    return _emit(rep, args.format, rows, ["k1", "k2", "covariance"])
 
 
 def _cmd_oracle(args):
@@ -370,8 +369,9 @@ def build_parser():
     f.set_defaults(fn=_cmd_first_moment)
 
     a = add_parser("asymp", help="asymptotic tables and limits")
-    a.add_argument("--table", type=int, choices=(1, 2, 3))
-    a.add_argument("--xi", type=_int_from(2))
+    what = a.add_mutually_exclusive_group(required=True)
+    what.add_argument("--table", type=int, choices=(1, 2, 3))
+    what.add_argument("--xi", type=_int_from(2))
     a.add_argument("--kmax", type=_int_from(1), default=5)
     a.add_argument("--lmax", type=_int_from(0), default=10)
     a.add_argument("--n", type=_int_from(1), default=2000,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
 
-from .errors import MarkerOverflow, NonUnit, UnsupportedDepth
+from .errors import DomainError, MarkerOverflow, NonUnit, UnsupportedDepth
 from .pseries import EXACT, BaseSeriesCache, TruncatedSeries, base_series
 
 
@@ -111,8 +111,8 @@ class MarkedSeries:
 class Engine:
     """Joint-distribution calculator at one truncation order and backend."""
 
-    def __init__(self, K, backend=None, scale=1, cache=None):
-        self.cache = cache if cache is not None else base_series(K, backend, scale)
+    def __init__(self, K, backend=None):
+        self.cache = base_series(K, backend)
         self.K = self.cache.K
         self.backend = self.cache.backend
         self._pair = {}
@@ -414,21 +414,21 @@ class Engine:
         return counts, tail
 
     def probabilities(self, n, k, l_max, jmax=None):
-        """Pr_n(N_{2k} = l) for l = 0..l_max; works on either backend.
+        """Pr_n(N_{2k} = l) for l = 0..l_max; float k >= 3 raises DomainError.
 
-        The float backend loses digits as the order grows.  For k <= 2 the
-        loss is mild but real: at n = 3969 the k = 2 values are 1.3e-6 to
-        2.7e-6 off the crossing-profile DP in relative terms (Pr(N_4 = 0)
-        0.35095189 against 0.35095143).  For k >= 3 the block decomposition
-        cancels ever harder (condition ~ n^{(2k-1)/2}): at n = 1000, k = 4
-        the third digit is wrong.  Large-n float work at k >= 3 should use
-        walks.local_time_probabilities, as `walkrange dist` does.
+        The float backend answers k <= 2 by the closed-form moment series
+        and loses digits mildly as the order grows: at n = 3969 the k = 2
+        values are 1.3e-6 to 2.7e-6 off the crossing-profile DP in relative
+        terms.  Float k >= 3 is walks.local_time_probabilities' job.
         """
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
         if n == 0:
             one = 1.0 if self.backend != EXACT else Fraction(1)
             return [one * (l == _empty_walk_count(k)) for l in range(l_max + 1)]
+        if k >= 3 and self.backend != EXACT:
+            raise DomainError("float probabilities for k >= 3 come from "
+                              "walks.local_time_probabilities")
         if jmax is None:
             jmax = min((2 * n) // k, l_max + 48)
         if k == 2:
@@ -653,7 +653,7 @@ def vertex_factor(q, k, w):
     if _is_series(w):
         one = TruncatedSeries.one(w.K, w.backend)
         onew = one + w
-        if onew.coeffs[0] == 0:
+        if onew[0] == 0:
             raise NonUnit("1 + w is not a unit")
         if q == 0:
             return (w / onew).pow(k).scaled(Fraction(1, k))

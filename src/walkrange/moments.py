@@ -31,29 +31,14 @@ from .pseries import BaseSeriesCache, TruncatedSeries
 # d = 1 moment series
 # ---------------------------------------------------------------------------
 
-def first_moment_series(k, cache: BaseSeriesCache):
-    """Series whose [z^{2n}] coefficient is sum_w N_{2k}(w) at length 2n."""
-    return cache.one_minus_A.pow(k).scaled(Fraction(1, k)).zddz()
-
-
 def range_moment_series(cache: BaseSeriesCache):
     """Series whose [z^{2n}] coefficient is sum_w ran(w) at length 2n.
 
-    z d/dz of -(1/2) log(1 - 4z^2); the coefficient at z^{2n} is just 4^n,
-    so the series is written down directly."""
-    K = cache.K
-    if cache.backend == "exact":
-        coeffs = [Fraction(0)] * (K + 1)
-        for m in range(1, K // 2 + 1):
-            coeffs[2 * m] = Fraction(4) ** m * cache.scale ** (2 * m)
-        return TruncatedSeries(coeffs, "exact", K)
-    coeffs = np.zeros(K + 1)
-    s2 = float(cache.scale) ** 2
-    v = 1.0
-    for m in range(1, K // 2 + 1):
-        v *= 4.0 * s2
-        coeffs[2 * m] = v
-    return TruncatedSeries(coeffs, "float", K)
+    z d/dz of -(1/2) log(1 - 4z^2); the coefficient at z^{2n} is just 4^n
+    ((4 s^2)^n at the cache's scale s), so the series is written down directly."""
+    r = 4 * cache.scale ** 2
+    return TruncatedSeries([r ** (m // 2) if m and m % 2 == 0 else 0
+                            for m in range(cache.K + 1)], cache.backend, cache.K)
 
 
 def first_moment_exact(n, k):

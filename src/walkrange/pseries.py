@@ -1,13 +1,24 @@
 """Truncated formal power series in z with exact-rational and float backends.
 
-A series is a dense coefficient vector c[0..K]; every arithmetic result is
-re-projected onto the truncation order of its operands.  Exact series are
-integer numerators over one denominator, canonical (den > 0 and
-gcd(den, *nums) == 1), multiplied by Kronecker substitution (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", JSC 2009;
-as in FLINT's fmpz_poly): each vector is packed into one big integer, the
-two are multiplied once (CPython's Karatsuba) and the low K+1 slots are read
-back.  Division is a Newton iteration on that product.  Base series:
+A series is a dense coefficient vector nums[0..K] over a denominator den;
+every arithmetic result is re-projected onto the truncation order of its
+operands.  Each ring operation is written once for both backends, which
+differ only in how a vector is built, in the product kernel, in how a
+scalar enters the coefficient field and in how a coefficient is read:
+
+- exact: integer numerators over one denominator, canonical (den > 0 and
+  gcd(den, *nums) == 1), multiplied by Kronecker substitution (Harvey,
+  "Faster polynomial multiplication via multipoint Kronecker substitution",
+  JSC 2009; as in FLINT's fmpz_poly): each vector is packed into one big
+  integer, the two are multiplied once (CPython's Karatsuba) and the low
+  K+1 slots are read back;
+- float: a read-only, finite float64 array with den == 1, multiplied by
+  numpy convolution (FFT from _FFT_THRESHOLD on), whose error is relative
+  to the operands' norms: float series need bounded coefficients.
+
+Division is a Newton iteration on the product and log integrates z a'/a
+(Brent & Kung, "Fast algorithms for manipulating formal power series",
+J. ACM 1978).  Base series:
 
     A  = sqrt(1 - 4 z^2)            (square-root factor of the walk kernel)
     B  = 2z / (1 + A)               (z times the Catalan generating function)
@@ -15,14 +26,17 @@ back.  Division is a Newton iteration on that product.  Base series:
 
 with the geometric tails B^{2f}/(1 - B^{2f}) and weighted sums over them.
 B-powers have the ballot-number closed form [z^m] B^j = (j/m) C(m, (m-j)/2),
-so the cache needs no division and its exact series are integer vectors.  A
-cache built at a scale 0 < s <= 1 stores s^m times the true coefficients,
-which keeps float coefficients bounded for large truncation orders.
+so the cache needs no division and its exact series are integer vectors.
+The backend fixes the scale s of a cache, which stores s^m times the true
+coefficients: s = 1 on the exact backend, s = 1/2 on the float backend,
+where it cancels the 4^n growth of the walk counts and keeps every
+coefficient inside float64 range at any truncation order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -41,6 +55,9 @@ _FFT_THRESHOLD = 384
 
 # rows of the float B^{2F} table built per numpy pass
 _ROW_BLOCK = 64
+
+# the scale s of every float cache
+_FLOAT_SCALE = 0.5
 
 
 def choose_backend(K, override=None):
@@ -86,35 +103,69 @@ def _kronecker(a, b, K):
     return out
 
 
+def _convolve(a, b, K):
+    """Coefficients 0..K of the product of the float vectors a and b."""
+    a, b = a[: K + 1], b[: K + 1]
+    if K + 1 >= _FFT_THRESHOLD:
+        size = 1 << (2 * K).bit_length()
+        fa = np.fft.rfft(a, size)
+        fb = np.fft.rfft(b, size)
+        return np.fft.irfft(fa * fb, size)[: K + 1]
+    return np.convolve(a, b)[: K + 1]
+
+
+def _scalar(c, backend):
+    """c as (numerator, denominator) in the backend's coefficient field."""
+    if backend == EXACT:
+        c = Fraction(c)
+        return c.numerator, c.denominator
+    return float(c), 1
+
+
+def _each(fn, *vecs):
+    """fn coefficientwise: on whole float arrays at once, entry by entry
+    along integer lists."""
+    if isinstance(vecs[-1], np.ndarray):
+        return fn(*vecs)
+    return list(map(fn, *vecs))
+
+
+def _orders(vec):
+    """The orders 0, 1, ... of vec, as a vector of its kind."""
+    if isinstance(vec, np.ndarray):
+        return np.arange(len(vec), dtype=np.float64)
+    return range(len(vec))
+
+
 class TruncatedSeries:
     """Immutable truncated power series; all ops return new instances.
 
-    Exact: integer numerators `nums` over `den`; float: a read-only ndarray.
-    `coeffs` and `s[m]` give Fractions or floats."""
+    Coefficient m is nums[m] / den: integers over a canonical den (exact) or
+    a read-only float array over den == 1 (float).  `coeffs` and `s[m]`
+    give Fractions or floats."""
 
-    __slots__ = ("backend", "K", "nums", "den", "_arr")
+    __slots__ = ("backend", "K", "nums", "den")
 
     def __init__(self, coeffs, backend, K=None, den=None):
-        """Exact coeffs are rationals, or integer numerators over `den`."""
+        """Coefficients coeffs[m] / den up to order K, zero past the end of
+        coeffs; with den None, exact coeffs are rationals.  A float den is 1."""
+        K = len(coeffs) - 1 if K is None else K
         if backend == EXACT:
             if den is None:
                 fr = [Fraction(c) for c in coeffs]
                 den = math.lcm(*(c.denominator for c in fr))
                 coeffs = [c.numerator * (den // c.denominator) for c in fr]
-            K = len(coeffs) - 1 if K is None else K
             nums = list(coeffs[: K + 1]) + [0] * (K + 1 - len(coeffs))
             g = math.gcd(den, *nums)
             self.nums = nums if g == 1 else [c // g for c in nums]
             self.den = den // g
         elif backend == FLOAT:
-            data = np.asarray(coeffs, dtype=np.float64)
-            if K is None:
-                K = len(data) - 1
-            if len(data) < K + 1:
-                data = np.concatenate([data, np.zeros(K + 1 - len(data))])
-            arr = np.array(data[: K + 1], dtype=np.float64)
-            arr.flags.writeable = False
-            self._arr = _check_finite(arr)
+            data = np.asarray(coeffs, dtype=np.float64)[: K + 1]
+            nums = np.zeros(K + 1)
+            nums[: len(data)] = data
+            nums.flags.writeable = False
+            self.nums = _check_finite(nums)
+            self.den = 1
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -122,7 +173,7 @@ class TruncatedSeries:
 
     @property
     def coeffs(self):
-        return self._arr if self.backend == FLOAT else [
+        return self.nums if self.backend == FLOAT else [
             Fraction(c, self.den) for c in self.nums]
 
     # -- constructors ------------------------------------------------------
@@ -137,12 +188,8 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, c, m, K, backend):
-        if backend == EXACT:
-            return cls([0] * m + [c], EXACT, K)
-        coeffs = np.zeros(K + 1)
-        if m <= K:
-            coeffs[m] = float(c)
-        return cls(coeffs, backend, K)
+        num, den = _scalar(c, backend)
+        return cls([0] * m + [num], backend, K, den)
 
     # -- helpers -----------------------------------------------------------
 
@@ -157,16 +204,14 @@ class TruncatedSeries:
     def __getitem__(self, m):
         if not 0 <= m <= self.K:
             return Fraction(0) if self.backend == EXACT else 0.0
-        return Fraction(self.nums[m], self.den) if self.backend == EXACT else self._arr[m]
+        return Fraction(self.nums[m], self.den) if self.backend == EXACT else self.nums[m]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.backend != other.backend or self.K != other.K:
-            return False
-        if self.backend == EXACT:
-            return self.den == other.den and self.nums == other.nums
-        return bool(np.array_equal(self.coeffs, other.coeffs))
+        return (self.backend == other.backend and self.K == other.K
+                and self.den == other.den
+                and bool(np.array_equal(self.nums, other.nums)))
 
     def __hash__(self):
         return id(self)
@@ -177,9 +222,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.backend}, K={self.K}, [{head}{tail}])"
 
     def is_zero(self):
-        if self.backend == EXACT:
-            return not any(self.nums)
-        return not np.any(self.coeffs)
+        return not any(self.nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -189,49 +232,33 @@ class TruncatedSeries:
             raise ValueError("projection order must be >= 0")
         if K >= self.K:
             return self
-        return TruncatedSeries(self.coeffs[: K + 1], self.backend, K)
+        return TruncatedSeries(self.nums[: K + 1], self.backend, K, self.den)
 
     def __add__(self, other):
         K = self._binop_check(other)
-        if self.backend == EXACT:
-            den = math.lcm(self.den, other.den)
-            fa, fb = den // self.den, den // other.den
-            return TruncatedSeries([fa * x + fb * y for x, y in zip(
-                self.nums, other.nums)], EXACT, K, den)
-        return TruncatedSeries(self.coeffs[: K + 1] + other.coeffs[: K + 1], FLOAT, K)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return TruncatedSeries(_each(lambda x, y: fa * x + fb * y,
+                                     self.nums[: K + 1], other.nums[: K + 1]),
+                               self.backend, K, den)
 
     def __sub__(self, other):
-        K = self._binop_check(other)
-        if self.backend == EXACT:
-            return self + other.scaled(-1)
-        return TruncatedSeries(self.coeffs[: K + 1] - other.coeffs[: K + 1], FLOAT, K)
+        self._binop_check(other)
+        return self + other.scaled(-1)
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, c):
-        if self.backend == EXACT:
-            c = Fraction(c)
-            return TruncatedSeries([c.numerator * x for x in self.nums], EXACT,
-                                   self.K, c.denominator * self.den)
-        return TruncatedSeries(float(c) * self.coeffs, FLOAT, self.K)
+        num, den = _scalar(c, self.backend)
+        return TruncatedSeries(_each(lambda x: num * x, self.nums), self.backend,
+                               self.K, den * self.den)
 
     def __mul__(self, other):
         K = self._binop_check(other)
-        if self.backend == EXACT:
-            return TruncatedSeries(_kronecker(self.nums, other.nums, K), EXACT,
-                                   K, self.den * other.den)
-        a = self.coeffs[: K + 1]
-        b = other.coeffs[: K + 1]
-        if K + 1 >= _FFT_THRESHOLD:
-            n = 2 * K + 1
-            size = 1 << (n - 1).bit_length()
-            fa = np.fft.rfft(a, size)
-            fb = np.fft.rfft(b, size)
-            full = np.fft.irfft(fa * fb, size)[: K + 1]
-        else:
-            full = np.convolve(a, b)[: K + 1]
-        return TruncatedSeries(full, FLOAT, K)
+        kernel = _kronecker if self.backend == EXACT else _convolve
+        return TruncatedSeries(kernel(self.nums, other.nums, K), self.backend, K,
+                               self.den * other.den)
 
     def __truediv__(self, other):
         """Division by a unit (nonzero constant term)."""
@@ -239,59 +266,31 @@ class TruncatedSeries:
         b0 = other[0]
         if b0 == 0:
             raise DivByNonUnit("division by a series with zero constant term")
-        if self.backend == EXACT:
-            # Newton: x <- 2x - x^2 other doubles the number of exact orders
-            x = TruncatedSeries.monomial(1 / b0, 0, 0, EXACT)
-            while x.K < K:
-                x = TruncatedSeries(x.nums, EXACT, min(2 * x.K + 1, K), x.den)
-                x = x.scaled(2) - x * x * other
-            return self * x
-        a = np.asarray(self.coeffs[: K + 1])
-        b = np.asarray(other.coeffs[: K + 1])
-        out = np.zeros(K + 1)
-        for n in range(K + 1):
-            acc = a[n]
-            if n:
-                acc -= np.dot(out[:n], b[n:0:-1])
-            out[n] = acc / b0
-        return TruncatedSeries(out, FLOAT, K)
+        # Newton: x <- 2x - x^2 other doubles the number of correct orders
+        x = TruncatedSeries.monomial(1 / b0, 0, 0, self.backend)
+        while x.K < K:
+            x = TruncatedSeries(x.nums, self.backend, min(2 * x.K + 1, K), x.den)
+            x = x.scaled(2) - x * x * other
+        return self * x
 
     def inverse(self):
         return TruncatedSeries.one(self.K, self.backend) / self
 
     def log(self):
-        """log of a unit series; exact backend additionally needs c0 == 1."""
+        """log of a series with positive constant term c0: log(c0) plus the
+        integral of z a'/a.  The exact backend needs c0 == 1."""
         c0 = self[0]
-        if c0 == 0:
-            raise DivByNonUnit("log of a series with zero constant term")
-        K = self.K
-        if self.backend == EXACT:
-            if c0 != 1:
-                raise DivByNonUnit("exact-backend log needs constant term 1")
-            # z d/dz log(a) = (z d/dz a) / a; undo z d/dz by dividing c_m by m
-            d, L = self.zddz() / self, math.lcm(*range(1, K + 1))
-            return TruncatedSeries([c * (L // m) if m else 0 for m, c in
-                                    enumerate(d.nums)], EXACT, K, d.den * L)
-        if c0 < 0:
-            raise DivByNonUnit("log of a series with negative constant term")
-        a = self.coeffs
-        out = np.zeros(K + 1)
-        out[0] = math.log(c0)
-        w = np.arange(K + 1, dtype=np.float64)
-        for n in range(1, K + 1):
-            acc = a[n]
-            if n > 1:
-                acc -= np.dot(w[1:n] * out[1:n], a[n - 1:0:-1]) / n
-            out[n] = acc / c0
-        return TruncatedSeries(out, FLOAT, K)
+        if c0 <= 0 or (self.backend == EXACT and c0 != 1):
+            raise DivByNonUnit("log needs a positive constant term, and 1 "
+                               "on the exact backend")
+        d = self.zddz() / self
+        return TruncatedSeries([d[m] / m if m else math.log(c0)
+                                for m in range(self.K + 1)], self.backend, self.K)
 
     def zddz(self):
         """Apply z d/dz: multiply the m-th coefficient by m."""
-        if self.backend == EXACT:
-            return TruncatedSeries([m * c for m, c in enumerate(self.nums)],
-                                   EXACT, self.K, self.den)
-        return TruncatedSeries(
-            np.arange(self.K + 1, dtype=np.float64) * self.coeffs, FLOAT, self.K)
+        return TruncatedSeries(_each(operator.mul, _orders(self.nums), self.nums),
+                               self.backend, self.K, self.den)
 
     def pow(self, m):
         if m < 0:
@@ -307,29 +306,6 @@ class TruncatedSeries:
         return result
 
 
-def project(series, K):
-    return series.project(K)
-
-
-_ARITH_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div-by-unit": lambda a, b: a / b,
-    "log-of-unit": lambda a, _b: a.log(),
-    "z-d/dz": lambda a, _b: a.zddz(),
-}
-
-
-def arith(lhs, rhs, op):
-    """Dispatch table over the ring operations; unary ops ignore rhs."""
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
-    return fn(lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # base series cache
 # ---------------------------------------------------------------------------
@@ -341,42 +317,39 @@ def _catalan(m):
 class BaseSeriesCache:
     """Holds A, B, h0 and the B-power/geometric-tail machinery at one order.
 
-    All stored series share one (K, backend, scale).  Immutable once built;
-    the lazy caches are fill-once and safe to share across threads doing
-    read-mostly work.
+    All stored series share one (K, backend) and the backend's `scale`
+    (1 exact, 1/2 float).  Immutable once built; the lazy caches are
+    fill-once and safe to share across threads doing read-mostly work.
     """
 
-    def __init__(self, K, backend=None, scale=1):
+    def __init__(self, K, backend=None):
         backend = choose_backend(K, backend)
         self.K = K
         self.backend = backend
-        self.scale = Fraction(scale)
-        if not 0 < self.scale <= 1:
-            raise ValueError("scale must be in (0, 1]")
+        self.scale = 1 if backend == EXACT else _FLOAT_SCALE
         self._even_rows = None          # float backend: matrix of B^{2F} rows
         self._even_rows_exact = {}      # exact backend: F -> integer row
-        self._tail_cache = {}
         half = K // 2
 
         if backend == EXACT:
-            self.A, self.inv_A = (self._scaled(v, step=2) for v in (
-                [-2 * _catalan(m - 1) if m else 1 for m in range(half + 1)],
-                [comb(2 * m, m) for m in range(half + 1)]))
+            self.A = self._even([-2 * _catalan(m - 1) if m else 1
+                                 for m in range(half + 1)])
+            self.inv_A = self._even([comb(2 * m, m) for m in range(half + 1)])
         else:
-            a = np.zeros(K + 1)
-            inv = np.zeros(K + 1)
+            a = np.zeros(half + 1)
+            inv = np.zeros(half + 1)
             a[0] = 1.0
             inv[0] = 1.0
             val_a, val_i = 1.0, 1.0
-            s2 = float(self.scale) ** 2
+            s2 = self.scale ** 2
             for m in range(1, half + 1):
                 # ratios of successive Catalan / central-binomial numbers
                 val_a *= s2 * (4 * m - 6) / m if m > 1 else s2
                 val_i *= s2 * (4 * m - 2) / m
-                a[2 * m] = -2.0 * val_a
-                inv[2 * m] = val_i
-            self.A = TruncatedSeries(a, FLOAT, K)
-            self.inv_A = TruncatedSeries(inv, FLOAT, K)
+                a[m] = -2.0 * val_a
+                inv[m] = val_i
+            self.A = self._even(a)
+            self.inv_A = self._even(inv)
 
         self.one = TruncatedSeries.one(K, backend)
         self.one_minus_A = self.one - self.A
@@ -385,21 +358,15 @@ class BaseSeriesCache:
 
     # -- scaffolding ---------------------------------------------------------
 
-    def _scaled(self, vals, den=1, step=1):
-        """Exact series sum_i (vals[i] / den) (s z)^(step i) at scale s."""
-        p, q, K = self.scale.numerator, self.scale.denominator, self.K
-        nums = [0] * (K + 1)
-        nums[::step] = [v * p ** (step * i) * q ** (K - step * i)
-                        for i, v in enumerate(vals)]
-        return TruncatedSeries(nums, EXACT, K, den * q ** K)
+    def _even(self, vals, den=1):
+        """The series sum_i (vals[i] / den) z^(2i), i <= K//2."""
+        nums = [0] * (self.K + 1) if self.backend == EXACT else np.zeros(self.K + 1)
+        nums[::2] = vals
+        return TruncatedSeries(nums, self.backend, self.K, den)
 
     def monomial(self, c, m):
         """c * z^m as a series at this cache's scale."""
-        if self.backend == EXACT:
-            coeff = Fraction(c) * self.scale ** m
-        else:
-            coeff = float(c) * float(self.scale) ** m
-        return TruncatedSeries.monomial(coeff, m, self.K, self.backend)
+        return TruncatedSeries.monomial(c * self.scale ** m, m, self.K, self.backend)
 
     def zero(self):
         return TruncatedSeries.zero(self.K, self.backend)
@@ -408,10 +375,11 @@ class BaseSeriesCache:
         """B^j via the ballot closed form [z^m] B^j = (j/m) C(m,(m-j)/2)."""
         K = self.K
         if self.backend == EXACT:
-            return self._scaled([j * comb(m, (m - j) // 2) // m if m >= j and
-                                 (m - j) % 2 == 0 else 0 for m in range(K + 1)])
+            return TruncatedSeries([j * comb(m, (m - j) // 2) // m if m >= j and
+                                    (m - j) % 2 == 0 else 0 for m in range(K + 1)],
+                                   EXACT, K, 1)
         out = np.zeros(K + 1)
-        ls = math.log(float(self.scale))
+        ls = math.log(self.scale)
         for m in range(j, K + 1):
             if (m - j) % 2 == 0:
                 h = (m - j) // 2
@@ -457,7 +425,7 @@ class BaseSeriesCache:
         own n' = F, and the cumsum along axis 1 adds in the same order as a
         cumsum of that row alone, so a row does not depend on its block."""
         half = self.K // 2
-        ls2 = 2.0 * math.log(float(self.scale))
+        ls2 = 2.0 * math.log(self.scale)
         F = np.arange(F0, F1, dtype=np.float64)[:, None]
         col = np.arange(F0, half + 1, dtype=np.float64)  # n' of each column
         npr = col - 1                                    # ratio from n' - 1 to n'
@@ -474,7 +442,11 @@ class BaseSeriesCache:
         return np.where(keep, np.exp(np.where(keep, logs, 0.0)), 0.0)
 
     def _even_row(self, F):
-        """Exact backend: ballot integers row[n'] = [z^{2n'}] B^{2F}, unscaled."""
+        """row[n'] = [z^{2n'}] (scaled B)^{2F}: ballot integers (exact) or a
+        row of the float table (zero past the stored rows)."""
+        if self.backend == FLOAT:
+            rows = self._ensure_even_rows()
+            return rows[F] if F < len(rows) else 0.0
         if F not in self._even_rows_exact:
             self._even_rows_exact[F] = [
                 F * comb(2 * n, n - F) // n if n >= F else 0
@@ -483,35 +455,13 @@ class BaseSeriesCache:
 
     def b_even_power(self, F):
         """(scaled B)^{2F} as a series."""
-        K = self.K
-        if 2 * F > K:
+        if 2 * F > self.K:
             return self.zero()
-        if self.backend == EXACT:
-            return self._scaled(self._even_row(F), step=2)
-        rows = self._ensure_even_rows()
-        out = np.zeros(K + 1)
-        if F < len(rows):
-            out[2 * F:: 2] = rows[F, F:]
-        return TruncatedSeries(out, FLOAT, K)
+        return self._even(self._even_row(F))
 
     def tail(self, f):
         """Geometric tail B^{2f} / (1 - B^{2f}) = sum_j B^{2fj}."""
-        if f in self._tail_cache:
-            return self._tail_cache[f]
-        K = self.K
-        half = K // 2
-        if self.backend == EXACT:
-            ser = self.lambert_sum(lambda g: int(g == f))
-        else:
-            rows = self._ensure_even_rows()
-            acc = np.zeros(half + 1)
-            for F in range(f, len(rows), f):
-                acc += rows[F]
-            out = np.zeros(K + 1)
-            out[0:: 2] = acc
-            ser = TruncatedSeries(out, FLOAT, K)
-        self._tail_cache[f] = ser
-        return ser
+        return self.lambert_sum(lambda g: int(g == f))
 
     def lambert_sum(self, weight):
         """sum_f weight(f) * B^{2f}/(1 - B^{2f}) with f cut at K//2.
@@ -520,9 +470,9 @@ class BaseSeriesCache:
         sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}; the exact
         backend adds integer ballot rows times weights over one denominator.
         """
-        half = self.K // 2
+        rows = self._ensure_even_rows()
         # float rows past the stored table are zero and need no weights
-        top = half if self.backend == EXACT else len(self._ensure_even_rows()) - 1
+        top = self.K // 2 if rows is None else len(rows) - 1
         acc_w = [None] * (top + 1)
         for f in range(1, top + 1):
             wf = weight(f)
@@ -530,21 +480,16 @@ class BaseSeriesCache:
                 continue
             for F in range(f, top + 1, f):
                 acc_w[F] = wf if acc_w[F] is None else acc_w[F] + wf
-        if self.backend == EXACT:
-            ws = [(F, Fraction(w)) for F, w in enumerate(acc_w) if w]
-            den = math.lcm(*(w.denominator for _, w in ws))
-            acc = [0] * (half + 1)
-            for F, w in ws:
-                iw = w.numerator * (den // w.denominator)
-                acc[F:] = [x + iw * r for x, r in
-                           zip(acc[F:], self._even_row(F)[F:])]
-            return self._scaled(acc, den, step=2)
-        rows = self._ensure_even_rows()
-        wvec = np.array([0.0 if w is None else float(w) for w in acc_w])
-        acc = wvec @ rows
-        out = np.zeros(self.K + 1)
-        out[0:: 2] = acc
-        return TruncatedSeries(out, FLOAT, self.K)
+        if rows is not None:
+            return self._even(np.array([0.0 if w is None else float(w)
+                                        for w in acc_w]) @ rows)
+        ws = [(F, Fraction(w)) for F, w in enumerate(acc_w) if w]
+        den = math.lcm(*(w.denominator for _, w in ws))
+        acc = [0] * (top + 1)
+        for F, w in ws:
+            iw = w.numerator * (den // w.denominator)
+            acc[F:] = [x + iw * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
+        return self._even(acc, den)
 
     # -- lattice visit series -----------------------------------------------
 
@@ -560,30 +505,21 @@ class BaseSeriesCache:
     # -- coefficient extraction ----------------------------------------------
 
     def count_at(self, series, n):
-        """True [z^{2n}] coefficient (undoes the scale).  Exact backend."""
-        c = series[2 * n]
-        if self.backend == EXACT:
-            return c / self.scale ** (2 * n)
-        return float(c) / float(self.scale) ** (2 * n)
-
-    def closed_walk_total(self, n):
-        """C(2n, n) at this cache's scale, as an exact Fraction."""
-        return Fraction(comb(2 * n, n)) * self.scale ** (2 * n)
+        """True [z^{2n}] coefficient: the stored one over s^{2n}."""
+        return series[2 * n] / self.scale ** (2 * n)
 
     def probability(self, series, n):
         """[z^{2n}] series / C(2n,n), scale-free."""
-        denom = self.closed_walk_total(n)
-        c = series[2 * n]
         if self.backend == EXACT:
-            return c / denom
-        return float(c) / float(denom)
+            return series[2 * n] / comb(2 * n, n)
+        # C(2n, n) s^{2n} at s = 1/2, rounded once
+        return float(series[2 * n]) / float(Fraction(comb(2 * n, n), 4 ** n))
 
 
-def base_series(K, backend=None, scale=1):
+def base_series(K, backend=None):
     """Build the base-series cache (A, B, h0, tails) at truncation order K.
 
-    Float caches above order ~1000 need scale < 1 (1/2 is the natural
-    choice), or the raw 4^n coefficient growth overflows float64 and raises
-    NonFiniteCoefficient on first use.
+    The backend fixes the scale: exact caches store the true coefficients,
+    float caches 2^{-m} times them, which stays finite at any order.
     """
-    return BaseSeriesCache(K, backend, scale)
+    return BaseSeriesCache(K, backend)

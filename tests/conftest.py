@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from walkrange.genfun import Engine
@@ -7,8 +5,8 @@ from walkrange.genfun import Engine
 
 @pytest.fixture(scope="session")
 def float_engine_4000():
-    """Shared scaled float engine at truncation 4000 (n up to 2000)."""
-    return Engine(4000, backend="float", scale=Fraction(1, 2))
+    """Shared float engine at truncation 4000 (n up to 2000)."""
+    return Engine(4000, backend="float")
 
 
 @pytest.fixture(scope="session")

@@ -174,6 +174,8 @@ def test_argument_errors_exit_two(capsys):
     ["asymp", "--table", "1", "--lmax", "-1"],
     ["asymp", "--table", "2", "--n", "0"],
     ["asymp", "--xi", "1"],
+    ["asymp", "--table", "2", "--n", "499"],
+    ["asymp", "--table", "1", "--xi", "2"],
     ["range-dist", "--n", "3", "--mmax", "-1"],
     ["verify", "--n-max", "-1"],
     ["dist", "--n", "4", "--k", "1", "--lmax", "2", "--digits", "0"],
@@ -182,7 +184,8 @@ def test_argument_errors_exit_two(capsys):
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
         "oracle-n-neg", "oracle-d0", "oracle-track-k0",
         "oracle-track-malformed", "asymp-kmax0", "asymp-table2-kmax1",
-        "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "range-dist-mmax-neg",
+        "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table2-n-small",
+        "asymp-table-and-xi", "range-dist-mmax-neg",
         "verify-n-max-neg", "digits0"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -190,6 +193,15 @@ def test_invalid_values_exit_two_without_traceback(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
+
+
+def test_asymp_without_table_or_xi_exits_two_without_traceback(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["asymp"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "one of the arguments --table --xi is required" in err
+    assert "Traceback" not in err
 
 
 def test_dist_empty_walk_has_one_singlepoint(capsys):

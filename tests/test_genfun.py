@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from walkrange.errors import NonUnit, UnsupportedDepth
+from walkrange.errors import DomainError, NonUnit, UnsupportedDepth
 from walkrange.genfun import (Engine, joint_counts, range_count_series,
                               range_distribution, range_moment, vertex_factor,
                               vertex_factor_series_form)
@@ -225,11 +225,26 @@ def test_marker_substitution_identity():
 
 def test_probabilities_float_match_exact_small():
     ee = Engine(24, backend=EXACT)
-    ef = Engine(24, backend="float", scale=Fraction(1, 2))
-    for k in (1, 2, 3):
+    ef = Engine(24, backend="float")
+    for k in (1, 2):
         pe = [float(x) for x in ee.probabilities(12, k, 6)]
         pf = ef.probabilities(12, k, 6)
         assert pf == pytest.approx(pe, abs=1e-12)
+    # float k >= 3 is the crossing-profile DP's job
+    with pytest.raises(DomainError, match="local_time_probabilities"):
+        ef.probabilities(12, 3, 6)
+
+
+def test_float_k2_probabilities_bit_for_bit():
+    # the float k = 2 route is what `walkrange dist --backend float` prints,
+    # so its digits must not move: pinned bit for bit, any change in the
+    # float operation order of add, sub, scaled, mul, zddz, pow or
+    # lambert_sum shows here
+    got = Engine(1200, backend="float").probabilities(600, 2, 8)
+    assert got == [0.350602553507539, 0.40538710488580887, 0.17219226799659504,
+                   0.047839094205418264, 0.01610311099078919, 0.00532229541195036,
+                   0.0017342545492904267, 0.0005587027435340515,
+                   0.00017831779374877232]
 
 
 # -- mixed moments ----------------------------------------------------------------
@@ -324,7 +339,7 @@ def test_probabilities_series_vs_crossing_dp_large_n():
     # series route carries ~1e-8 absolute noise at this order from the
     # alternating block sums, the DP is good to ~1e-12
     n = 500
-    eng = Engine(2 * n, backend="float", scale=Fraction(1, 2))
+    eng = Engine(2 * n, backend="float")
     ser = eng.probabilities(n, 2, 12)
     dp = local_time_probabilities(n, 2, 12)
     assert ser == pytest.approx(list(dp), abs=2e-8)

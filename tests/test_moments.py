@@ -11,7 +11,7 @@ from walkrange.genfun import Engine
 from walkrange.moments import (asymptotic_first_moment,
                                asymptotic_range_moment, elliptic_k,
                                escape_constant, first_moment_exact,
-                               first_moment_series, green, i0e,
+                               green, i0e,
                                mean_point_count, mean_range,
                                range_moment_series)
 from walkrange.pseries import EXACT, base_series
@@ -19,9 +19,10 @@ from walkrange.walks import oracle_counts, oracle_mixed_moment
 
 
 def test_first_moment_series_examples():
-    c = base_series(4, backend=EXACT)
-    assert first_moment_series(1, c).coeffs == [0, 0, 4, 0, 8]
-    assert first_moment_series(2, c).coeffs == [0, 0, 0, 0, 8]
+    # z d/dz of the single term: [z^{2n}] is sum_w N_{2k}(w) at length 2n
+    eng = Engine(4, backend=EXACT)
+    assert eng.term_single(1).zddz().coeffs == [0, 0, 4, 0, 8]
+    assert eng.term_single(2).zddz().coeffs == [0, 0, 0, 0, 8]
 
 
 def test_range_moment_series_examples():
@@ -32,9 +33,9 @@ def test_range_moment_series_examples():
 
 
 def test_first_moment_closed_form_matches_series():
-    c = base_series(24, backend=EXACT)
+    eng = Engine(24, backend=EXACT)
     for k in (1, 2, 3, 4):
-        s = first_moment_series(k, c)
+        s = eng.term_single(k).zddz()
         for n in range(1, 13):
             assert s.coeffs[2 * n] == first_moment_exact(n, k)
 
@@ -50,11 +51,11 @@ def test_first_moment_matches_distribution_sum():
 
 def test_point_moment_sum_rule():
     # summing the point-count moments over k recovers the range moment
-    c = base_series(20, backend=EXACT)
-    total = c.zero()
+    eng = Engine(20, backend=EXACT)
+    total = eng.cache.zero()
     for k in range(1, 11):
-        total = total + first_moment_series(k, c)
-    assert total == range_moment_series(c)
+        total = total + eng.term_single(k).zddz()
+    assert total == range_moment_series(eng.cache)
 
 
 def test_mean_point_count_approaches_one():
