@@ -17,7 +17,7 @@ that reaches lengths enumeration cannot.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -225,10 +225,12 @@ def local_time_distribution(n, k, l_max=None):
     Dynamic program over crossing profiles with exact integers; memory and
     time grow like n^3, so this is a mid-size-n oracle (n up to ~60).
     """
-    from collections import defaultdict
-
+    if n < 0 or k < 1 or (l_max is not None and l_max < 0):
+        raise ValueError("need n >= 0, k >= 1 and l_max >= 0")
     if l_max is None:
-        l_max = 2 * n
+        l_max = max(2 * n, 1)
+    if n == 0:  # the empty walk visits the origin once: N_2 = 1
+        return {l: 1 for l in [int(k == 1)] if l <= l_max}
 
     def mark(kq):
         return 1 if kq == k else 0
@@ -286,46 +288,46 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     it returns the array for m = n.  Shorter lengths share n's crossing cap
     and so drop less mass than a run of their own.
 
-    State (layer s, row u) is written once, from layer s - u, and read
-    once, at layer s.  Row u therefore keeps a ring of u slots in one packed
-    triangle and layer s lives at slot off[u] + s % u: each step gathers its
-    layer with one index, applies the three transitions, and writes them
-    back into the slots it just read.
+    One matrix W[u, u'] = C(u+u'-1, u) 4^{-u'} makes a step: by Pascal's
+    rule the root weight is below + above, and above = (u/u') W, so with
+    sigma = below + above one product W^T [below | u sigma] gives next below
+    and next above = next below + W^T (u sigma) / u'.  Row u is first
+    written for layer u, so step s reads rows u <= s only.  State (layer s,
+    row u) is written once, from layer s - u, and read once, at layer s: row
+    u keeps a ring of u slots in a packed triangle, layer s at slot
+    off[u] + s % u, each slot [below | above] as the product lays it out.
     """
     ms = [n] if lengths is None else list(lengths)
     if not all(1 <= m <= n for m in ms):
         raise ValueError(f"lengths must lie in 1..{n}")
-    if u_cap is None:
-        u_cap = int(8 * math.sqrt(n)) + 16
-    u_cap = min(u_cap, n)
+    if k < 1 or l_max < 0 or (u_cap is not None and u_cap < 1):
+        raise ValueError("need k >= 1, l_max >= 0 and u_cap >= 1")
+    u_cap = min(n, int(8 * math.sqrt(n)) + 16 if u_cap is None else u_cap)
     L = l_max + 1
     log4 = math.log(4.0)
-
-    # lgam[j] = lgamma(j) for j >= 1, looked up; index 0 is never used
-    lgam = np.array([0.0] + [math.lgamma(j) for j in range(1, 2 * u_cap + 2)])
-    uu, vv = np.meshgrid(np.arange(1, u_cap + 1), np.arange(1, u_cap + 1),
-                         indexing="ij")
-    # per-point factors, scaled by 4^{-u'}:
-    #   below root C(u+u'-1, u); at root C(u+u', u'); above root C(u+u'-1, u')
-    w_below = np.exp(lgam[uu + vv] - lgam[uu + 1] - lgam[vv] - vv * log4)
-    w_root = np.exp(lgam[uu + vv + 1] - lgam[uu + 1] - lgam[vv + 1] - vv * log4)
-    w_above = np.exp(lgam[uu + vv] - lgam[vv + 1] - lgam[uu] - vv * log4)
-
     rows = np.arange(1, u_cap + 1)
+    # lgam[j] = lgamma(j) for j >= 1, looked up; index 0 is never used
+    lgam = np.array([0.0] + [math.lgamma(j) for j in range(1, 2 * u_cap + 1)])
+    # wt[u' - 1, u - 1] = W[u, u'], stored so the product reads it by rows
+    vv, uu = rows[:, None], rows[None, :]
+    wt = np.exp(lgam[uu + vv] - lgam[uu + 1] - lgam[vv] - vv * log4)
+
     off = rows * (rows - 1) // 2
-    state = np.zeros((2, u_cap * (u_cap + 1) // 2, L))
+    state = np.zeros((u_cap * (u_cap + 1) // 2, 2 * L))
     marks = (rows == k).astype(np.intp)
     first = marks <= l_max
-    state[:, off[first], marks[first]] = [math.exp(-u * log4)
-                                          for u in rows[first]]
+    init = [math.exp(-u * log4) for u in rows[first]]
+    state[off[first], marks[first]] = state[off[first], L + marks[first]] = init
 
     out = {}
     for s in range(1, n + 1):
+        live = min(s, u_cap)
         slots = off + s % rows
-        lay = state[:, slots]
+        lay = state[slots[:live]]
+        lay[:, L:] += lay[:, :L]
         if s in ms:
-            top = lay[0] + lay[1]
-            if k <= u_cap:
+            top = lay[:, L:].copy()
+            if k <= live:
                 top[k - 1] = np.concatenate(([0.0], top[k - 1, :-1]))
             # cumsum adds the rows one by one; sum would go pairwise at L == 1
             cb = float(Fraction(math.comb(2 * s, s), 4 ** s))
@@ -333,21 +335,19 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
         if s == n:
             break
         up_max = min(u_cap, n - s)
-        # dense transitions, marker shift handled as a correction below
-        t_below = w_below.T[:up_max] @ lay[0]          # (up_max, L)
-        t_above = w_root.T[:up_max] @ lay[0] + w_above.T[:up_max] @ lay[1]
-        for vprime in range(max(1, k - u_cap), min(up_max, k - 1) + 1):
-            uval = k - vprime
-            c0 = w_below[uval - 1, vprime - 1] * lay[0, uval - 1]
-            c1 = (w_root[uval - 1, vprime - 1] * lay[0, uval - 1]
-                  + w_above[uval - 1, vprime - 1] * lay[1, uval - 1])
-            t_below[vprime - 1] -= c0
-            t_above[vprime - 1] -= c1
-            t_below[vprime - 1, 1:] += c0[: L - 1]
-            t_above[vprime - 1, 1:] += c1[: L - 1]
+        lay[:, L:] *= rows[:live, None]
+        step = wt[:up_max, :live] @ lay
+        step[:, L:] /= rows[:up_max, None]
+        step[:, L:] += step[:, :L]
+        # the point between rows k - v and v holds k visits: shift its mark
+        for v in range(max(1, k - live), min(up_max, k - 1) + 1):
+            c = (wt[v - 1, k - v - 1] * lay[k - v - 1]).reshape(2, L)
+            c[1] = c[0] + c[1] / v
+            t = step[v - 1].reshape(2, L)
+            t -= c
+            t[:, 1:] += c[:, :-1]
         # rows past up_max keep stale values: their next layer is past n
-        state[0, slots[:up_max]] = t_below
-        state[1, slots[:up_max]] = t_above
+        state[slots[:up_max]] = step
     return out[n] if lengths is None else out
 
 

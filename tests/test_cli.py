@@ -121,6 +121,25 @@ def test_asymp_table3_small(capsys):
     assert ent[(1, 2)] == pytest.approx(-0.08877, abs=5e-6)
 
 
+# stdout of `asymp --table 2 --kmax 5 --n 600` as printed with the DP step
+# of three weight matrices; the order in which the DP rounds must not move
+# the printed rates and residuals
+_TABLE2_N600 = (
+    '{"command": "asymp", "parameters": {"kmax": 5, "n": 600, "table":'
+    ' 2}, "provenance": {"digits": 6}, "results": {"tail_rates": [{"k":'
+    ' 2, "rates": [0.2914], "residual": 9.95e-08}, {"k": 3, "rates":'
+    ' [0.290182, -0.23068], "residual": 3.02e-09}, {"k": 4, "rates":'
+    ' [0.2986, -0.14779, 0.123738], "residual": 6.82e-09}, {"k": 5,'
+    ' "rates": [0.419829, 0.302855, -0.199141, -0.103949], "residual":'
+    ' 1.71e-09}]}, "schema_version": 1}'
+    "\n")
+
+
+def test_asymp_table2_output_is_pinned(capsys):
+    assert run(["asymp", "--table", "2", "--kmax", "5", "--n", "600"]) == 0
+    assert capsys.readouterr().out == _TABLE2_N600
+
+
 def test_verify_subcommand_exit_zero(capsys):
     rc = run(["verify", "--n-max", "3"])
     captured = capsys.readouterr()

@@ -179,11 +179,17 @@ def test_oracle_rejects_invalid_arguments():
 
 
 def test_local_time_distribution_matches_enumeration():
-    for n in (3, 5, 7):
+    for n in (0, 3, 5, 7):
         for k in (1, 2, 4):
             dp = local_time_distribution(n, k)
             want = {l: c for (l,), c in oracle_counts(n, 1, (k,)).items() if c}
             assert {l: c for l, c in dp.items() if c} == want
+
+
+def test_local_time_distribution_rejects_invalid_arguments():
+    for n, k, l_max in ((-1, 2, None), (4, 0, None), (4, 2, -1)):
+        with pytest.raises(ValueError):
+            local_time_distribution(n, k, l_max)
 
 
 def test_local_time_probabilities_match_exact():
@@ -197,6 +203,19 @@ def test_local_time_probabilities_match_exact():
             want = [exact.get(l, 0) / comb(2 * m, m) for l in range(13)]
             np.testing.assert_allclose(table[m], want, rtol=0, atol=1e-13)
     assert table[25].sum() == pytest.approx(1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("n,k", [(25, 2), (25, 5), (40, 3), (60, 3), (60, 4)])
+def test_local_time_probabilities_relative_to_exact_counts(n, k):
+    # every entry of the full l range: tail entries near 1e-14 are held to
+    # the same relative bound as the bulk, and impossible l give exact zeros
+    exact = local_time_distribution(n, k)
+    want = np.array([exact.get(l, 0) / comb(2 * n, n)
+                     for l in range(2 * n + 1)])
+    got = local_time_probabilities(n, k, 2 * n)
+    nonzero = want != 0
+    np.testing.assert_allclose(got[nonzero], want[nonzero], rtol=1e-13, atol=0)
+    assert np.all(got[~nonzero] == 0)
 
 
 def test_local_time_probabilities_crossing_cap():
@@ -218,8 +237,9 @@ def test_local_time_probabilities_marker_clipping():
 def _dict_of_layers_dp(n, k, l_max, u_cap):
     """The float DP with one dict entry per layer and per-row loops.
 
-    Reference for the packed ring in local_time_probabilities: same weights,
-    same matmuls, same order of additions, so results must agree bit for bit.
+    Reference for local_time_probabilities, with the three transition
+    weights and three products per step; the single-matrix step rounds in
+    another order, so results agree to a few ulps, not bit for bit.
     """
     u_cap = min(u_cap, n)
     L = l_max + 1
@@ -267,7 +287,8 @@ def _dict_of_layers_dp(n, k, l_max, u_cap):
     (260, 3, 20, 145), (300, 4, 9, 7), (300, 9, 6, 7)])
 def test_local_time_probabilities_equal_dict_of_layers(n, k, l_max, u_cap):
     got = local_time_probabilities(n, k, l_max, u_cap=u_cap)
-    assert got.tobytes() == _dict_of_layers_dp(n, k, l_max, u_cap).tobytes()
+    want = _dict_of_layers_dp(n, k, l_max, u_cap)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_local_time_probabilities_lengths_match_separate_runs():
@@ -291,6 +312,13 @@ def test_local_time_probabilities_rejects_lengths_outside_the_pass():
     for lengths in ([31], [0], [30, -2]):
         with pytest.raises(ValueError):
             local_time_probabilities(30, 3, 5, lengths=lengths)
+
+
+@pytest.mark.parametrize("k,l_max,u_cap", [(0, 3, None), (3, -1, None),
+                                           (3, 3, 0)])
+def test_local_time_probabilities_rejects_invalid_arguments(k, l_max, u_cap):
+    with pytest.raises(ValueError):
+        local_time_probabilities(10, k, l_max, u_cap=u_cap)
 
 
 def test_sample_moments_degenerate_case():
