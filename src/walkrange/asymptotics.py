@@ -70,7 +70,6 @@ def _chebyshev_weights(nterms):
     return ints
 
 
-@lru_cache(maxsize=None)
 def _zeta_fraction(s, digits):
     """zeta(s) as a Fraction with error below 10^-digits.
 
@@ -90,13 +89,26 @@ def _zeta_fraction(s, digits):
     return Fraction(-num * two, scale * dn * (two - 1))
 
 
+@lru_cache(maxsize=None)
 def zeta(s):
     """zeta(s) for integer s >= 2, accurate to better than 1e-14 relative."""
     return float(_zeta_fraction(s, 25))
 
 
+_ZETA_FRACTIONS = {}  # s -> (digits, zeta(s) with error below 10^-digits)
+
+
 def zeta_fraction(s, digits):
-    return _zeta_fraction(s, digits)
+    """zeta(s) as a Fraction with error below 10^-digits.
+
+    One fraction per s is kept and answers every request for as many
+    digits or fewer; a request for more rebuilds it with at least twice the
+    digits, so each s is built a few times at most."""
+    have = _ZETA_FRACTIONS.get(s, (0, None))
+    if have[0] < digits:
+        digits = max(digits, 2 * have[0])
+        have = _ZETA_FRACTIONS[s] = (digits, _zeta_fraction(s, digits))
+    return have[1]
 
 
 def zeta_em(s, terms=40, correction_order=12):

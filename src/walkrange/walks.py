@@ -207,17 +207,24 @@ def oracle_mixed_moment(n, d, spec, budget=DEFAULT_ENUM_BUDGET):
 #
 # A closed 1-d walk of length 2n is determined by its window of visited
 # points, the number u_e >= 1 of up-crossings of each edge e of the window
-# (down-crossings match by closure, so sum u_e = n), and an interleaving
-# choice at every point.  The number of walks with a given profile
-# factorizes into per-point binomials:
+# (down-crossings match by closure, so sum u_e = n), its start point (the
+# root) and an interleaving choice at every point.  The number of walks
+# with a given profile and root factorizes into per-point binomials:
 #     below the root:  C(u + u' - 1, u)
 #     at the root:     C(u + u', u')
 #     above the root:  C(u + u' - 1, u')
 # where u, u' are the crossing numbers of the edges below/above the point.
 # The visit count of a point is k(q) = u + u' (boundary points: the single
-# adjacent u).  Everything is a sum of nonnegative terms, so the float
-# variant below has no cancellation and stays accurate at large n where
-# series-based evaluation of high multiplicities loses precision.
+# adjacent u).  The exact oracle `local_time_distribution` sums over roots
+# with all three weights.  The float DP `local_time_probabilities` uses a
+# rooting identity instead (the rotation argument of the cycle lemma,
+# Dvoretzky & Motzkin 1947): moving the root from the lowest point to q
+# multiplies the count by k(q) / u_1 (u_1 crosses the lowest edge), and the
+# k(q) sum to 2n, so it counts walks rooted at their lowest point, every
+# other point above the root, with weight 2n / u_1.
+# All terms are nonnegative, so the float DP has no cancellation and stays
+# accurate at large n where series-based evaluation of high multiplicities
+# loses precision.
 
 def local_time_distribution(n, k, l_max=None):
     """Exact counts {l: #closed walks of length 2n with N_{2k} = l}.
@@ -288,14 +295,12 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     it returns the array for m = n.  Shorter lengths share n's crossing cap
     and so drop less mass than a run of their own.
 
-    One matrix W[u, u'] = C(u+u'-1, u) 4^{-u'} makes a step: by Pascal's
-    rule the root weight is below + above, and above = (u/u') W, so with
-    sigma = below + above one product W^T [below | u sigma] gives next below
-    and next above = next below + W^T (u sigma) / u'.  Row u is first
-    written for layer u, so step s reads rows u <= s only.  State (layer s,
-    row u) is written once, from layer s - u, and read once, at layer s: row
-    u keeps a ring of u slots in a packed triangle, layer s at slot
-    off[u] + s % u, each slot [below | above] as the product lays it out.
+    Walks are rooted at their lowest point (the rooting identity above):
+    row u starts at 4^{-u} / u, a step applies W[u, u'] = C(u+u'-1, u')
+    4^{-u'}, and the read-out at length m gains the factor 2m.  State
+    (layer s, row u) is written once, from layer s - u, and read once, at
+    layer s: row u keeps a ring of u slots in a packed triangle, layer s at
+    slot off[u] + s % u, so step s reads rows u <= s only.
     """
     ms = [n] if lengths is None else list(lengths)
     if not all(1 <= m <= n for m in ms):
@@ -310,42 +315,36 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     lgam = np.array([0.0] + [math.lgamma(j) for j in range(1, 2 * u_cap + 1)])
     # wt[u' - 1, u - 1] = W[u, u'], stored so the product reads it by rows
     vv, uu = rows[:, None], rows[None, :]
-    wt = np.exp(lgam[uu + vv] - lgam[uu + 1] - lgam[vv] - vv * log4)
+    wt = np.exp(lgam[uu + vv] - lgam[vv + 1] - lgam[uu] - vv * log4)
 
     off = rows * (rows - 1) // 2
-    state = np.zeros((u_cap * (u_cap + 1) // 2, 2 * L))
+    state = np.zeros((u_cap * (u_cap + 1) // 2, L))
     marks = (rows == k).astype(np.intp)
     first = marks <= l_max
-    init = [math.exp(-u * log4) for u in rows[first]]
-    state[off[first], marks[first]] = state[off[first], L + marks[first]] = init
+    state[off[first], marks[first]] = [math.exp(-u * log4) / u
+                                       for u in rows[first]]
 
     out = {}
     for s in range(1, n + 1):
         live = min(s, u_cap)
         slots = off + s % rows
         lay = state[slots[:live]]
-        lay[:, L:] += lay[:, :L]
         if s in ms:
-            top = lay[:, L:].copy()
+            top = lay.copy()
             if k <= live:
                 top[k - 1] = np.concatenate(([0.0], top[k - 1, :-1]))
             # cumsum adds the rows one by one; sum would go pairwise at L == 1
-            cb = float(Fraction(math.comb(2 * s, s), 4 ** s))
+            cb = float(Fraction(math.comb(2 * s, s), 2 * s * 4 ** s))
             out[s] = np.cumsum(top, axis=0)[-1] / cb
         if s == n:
             break
         up_max = min(u_cap, n - s)
-        lay[:, L:] *= rows[:live, None]
         step = wt[:up_max, :live] @ lay
-        step[:, L:] /= rows[:up_max, None]
-        step[:, L:] += step[:, :L]
         # the point between rows k - v and v holds k visits: shift its mark
         for v in range(max(1, k - live), min(up_max, k - 1) + 1):
-            c = (wt[v - 1, k - v - 1] * lay[k - v - 1]).reshape(2, L)
-            c[1] = c[0] + c[1] / v
-            t = step[v - 1].reshape(2, L)
-            t -= c
-            t[:, 1:] += c[:, :-1]
+            c = wt[v - 1, k - v - 1] * lay[k - v - 1]
+            step[v - 1] -= c
+            step[v - 1, 1:] += c[:-1]
         # rows past up_max keep stale values: their next layer is past n
         state[slots[:up_max]] = step
     return out[n] if lengths is None else out

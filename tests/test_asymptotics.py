@@ -43,9 +43,12 @@ def test_zeta_against_mpmath():
 def test_zeta_fraction_high_precision():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 70
-    got = zeta_fraction(2, 60)
-    ref = mp.zeta(2)
-    assert abs(mp.mpf(got.numerator) / got.denominator - ref) < mp.mpf(10) ** -60
+    # a request for more digits than the kept fraction has rebuilds it
+    for s, digits in ((2, 60), (29, 10), (29, 60), (29, 30)):
+        got = zeta_fraction(s, digits)
+        ref = mp.zeta(s)
+        assert abs(mp.mpf(got.numerator) / got.denominator - ref) \
+            < mp.mpf(10) ** -digits, (s, digits)
 
 
 def test_tail_sum_direct_value():

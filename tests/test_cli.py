@@ -140,6 +140,24 @@ def test_asymp_table2_output_is_pinned(capsys):
     assert capsys.readouterr().out == _TABLE2_N600
 
 
+# stdout of `dist --n 1000 --k 4 --lmax 4 --backend float` (the DP route)
+# as printed by the DP that summed over start points in two phases
+_DIST_DP_N1000 = (
+    '{"command": "dist", "parameters": {"k": 4, "lmax": 4, "n": 1000},'
+    ' "provenance": {"backend": "dp", "digits": 6}, "results":'
+    ' {"distribution": [{"l": 0, "probability": 0.395055}, {"l": 1,'
+    ' "probability": 0.354915}, {"l": 2, "probability": 0.157129}, {"l": 3,'
+    ' "probability": 0.0593891}, {"l": 4, "probability": 0.02186}], "total":'
+    f' "{comb(2000, 1000)}"}}, "schema_version": 1}}'
+    "\n")
+
+
+def test_dist_dp_output_is_pinned(capsys):
+    assert run(["dist", "--n", "1000", "--k", "4", "--lmax", "4",
+                "--backend", "float"]) == 0
+    assert capsys.readouterr().out == _DIST_DP_N1000
+
+
 def test_verify_subcommand_exit_zero(capsys):
     rc = run(["verify", "--n-max", "3"])
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Enumeration oracle, profile bookkeeping, local-time DP, sampling."""
 
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -205,7 +206,8 @@ def test_local_time_probabilities_match_exact():
     assert table[25].sum() == pytest.approx(1.0, abs=1e-11)
 
 
-@pytest.mark.parametrize("n,k", [(25, 2), (25, 5), (40, 3), (60, 3), (60, 4)])
+@pytest.mark.parametrize("n,k", [(25, 2), (25, 5), (40, 3), (60, 3), (60, 4),
+                                 (1, 1), (1, 2), (10, 1), (12, 6)])
 def test_local_time_probabilities_relative_to_exact_counts(n, k):
     # every entry of the full l range: tail entries near 1e-14 are held to
     # the same relative bound as the bulk, and impossible l give exact zeros
@@ -216,6 +218,33 @@ def test_local_time_probabilities_relative_to_exact_counts(n, k):
     nonzero = want != 0
     np.testing.assert_allclose(got[nonzero], want[nonzero], rtol=1e-13, atol=0)
     assert np.all(got[~nonzero] == 0)
+
+
+def test_rooting_identity_by_enumeration():
+    # without any DP: walks with N_{2k} = l number sum 2n / k_min over those
+    # rooted at their lowest point, k_min the visits of that point
+    for n in range(1, 6):
+        walks_n = [Walk(1, steps)
+                   for steps in itertools.product((1, -1), repeat=2 * n)
+                   if sum(steps) == 0]
+        for k in (1, 2, 3):
+            counts, rooted = Counter(), Counter()
+            for w in walks_n:
+                l = profile(w).count(k)
+                counts[l] += 1
+                if min(w.points()) == (0,):
+                    rooted[l] += Fraction(2 * n, multiplicity(0, w) // 2)
+            assert rooted == counts, (n, k)
+
+
+def test_local_time_probabilities_keeps_the_benchmark_hook():
+    # perfbench/layertrace.py wraps this function by name and counts DP
+    # layers from its first positional argument, n
+    fn = walks.local_time_probabilities
+    assert fn.__name__ == "local_time_probabilities"
+    first = next(iter(inspect.signature(fn).parameters.values()))
+    assert first.name == "n"
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_local_time_probabilities_crossing_cap():
@@ -237,9 +266,12 @@ def test_local_time_probabilities_marker_clipping():
 def _dict_of_layers_dp(n, k, l_max, u_cap):
     """The float DP with one dict entry per layer and per-row loops.
 
-    Reference for local_time_probabilities, with the three transition
-    weights and three products per step; the single-matrix step rounds in
-    another order, so results agree to a few ulps, not bit for bit.
+    Reference for local_time_probabilities that sums over the start point
+    (the root) in two phases, points below the root and then the root and
+    the points above it, with the three transition weights and three
+    products per step.  The DP under test roots every walk at its lowest
+    point instead, so it checks another decomposition: the two agree
+    through the rooting identity, to a few ulps, not bit for bit.
     """
     u_cap = min(u_cap, n)
     L = l_max + 1
