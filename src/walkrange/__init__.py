@@ -11,8 +11,7 @@ formula at small lengths.
 
 from .errors import (BackendMismatch, BudgetExceeded, DivByNonUnit,
                      DomainError, IllConditioned, MarkerOverflow,
-                     NonFiniteCoefficient, NonUnit, UnsupportedDepth,
-                     WalkrangeError)
+                     NonFiniteCoefficient, NonUnit, WalkrangeError)
 from .genfun import (Engine, joint_counts, range_distribution, range_moment,
                      vertex_factor)
 from .moments import (asymptotic_first_moment, asymptotic_range_moment,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BackendMismatch", "BudgetExceeded", "DivByNonUnit", "DomainError",
     "IllConditioned", "MarkerOverflow", "NonFiniteCoefficient", "NonUnit",
-    "UnsupportedDepth", "WalkrangeError",
+    "WalkrangeError",
     "Engine", "joint_counts", "range_distribution", "range_moment",
     "vertex_factor",
     "asymptotic_first_moment", "asymptotic_range_moment",

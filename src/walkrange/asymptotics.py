@@ -52,22 +52,16 @@ def bernoulli(m):
 @lru_cache(maxsize=None)
 def _chebyshev_weights(nterms):
     """Integer weights d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)."""
-    term = Fraction(1, nterms)
-    acc = term
-    out = []
+    term = acc = 1  # n (n+i-1)! 4^i / ((n-i)! (2i)!) at i = 0
+    out = [acc]
     for i in range(1, nterms + 1):
-        out.append(acc)
-        term = term * 4 * (nterms + i - 1) * (nterms - i + 1)
-        term /= (2 * i - 1) * (2 * i)
-        acc += term
-    out.append(acc)
-    ints = []
-    for v in out:
-        v = v * nterms
-        if v.denominator != 1:
+        term, rem = divmod(term * 4 * (nterms + i - 1) * (nterms - i + 1),
+                           (2 * i - 1) * (2 * i))
+        if rem:
             raise AssertionError("acceleration weights must be integers")
-        ints.append(v.numerator)
-    return ints
+        acc += term
+        out.append(acc)
+    return out
 
 
 def _zeta_fraction(s, digits):
@@ -329,10 +323,12 @@ def second_moment_limit(k1, k2):
         return float((1 if k1 == k2 else 0) - Fraction(1, 2))
     maxmag = max(abs(c.numerator / c.denominator) for c in zeta_coeffs.values())
     digits = 30 + int(math.log10(max(maxmag, 1.0))) + 1
-    acc = Fraction((1 if k1 == k2 else 0)) - Fraction(1, 2)
-    for s, c in zeta_coeffs.items():
-        acc += c * zeta_fraction(s, digits)
-    return float(acc)
+    # one integer sum over a common denominator; int / int rounds correctly
+    terms = [c * zeta_fraction(s, digits) for s, c in zeta_coeffs.items()]
+    den = math.lcm(2, *(t.denominator for t in terms))
+    num = (1 if k1 == k2 else -1) * (den // 2) + sum(
+        t.numerator * (den // t.denominator) for t in terms)
+    return num / den
 
 
 def range_moment_limit(r):

@@ -25,10 +25,6 @@ class MarkerOverflow(WalkrangeError):
     """A marker-polynomial expansion did not terminate within its bounds."""
 
 
-class UnsupportedDepth(WalkrangeError):
-    """A mixed moment of depth r > 4 was requested."""
-
-
 class IllConditioned(WalkrangeError):
     """A rate fit produced residuals above tolerance."""
 

