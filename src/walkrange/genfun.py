@@ -81,7 +81,9 @@ class MarkedSeries:
         return sum(k * x for k, x in zip(self.markers, e)) <= self.K
 
     def _extendable(self, e):
-        """Whether e with one more marker is still admissible."""
+        """Whether e with one more marker, in some slot, is still admissible."""
+        if any(x > b for x, b in zip(e, self.bounds)):
+            return False
         w = sum(k * x for k, x in zip(self.markers, e))
         return any(x < b and w + k <= self.K
                    for k, x, b in zip(self.markers, e, self.bounds))

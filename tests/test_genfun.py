@@ -305,6 +305,31 @@ def test_mixed_moments_past_depth_four_match_oracle():
                 oracle_mixed_moment(n, 1, spec), (spec, n)
 
 
+def test_mixed_moments_at_n20_with_spec_bounds():
+    # the spec bounds bind long before the weight cap K = 40 does; the
+    # pinned values are those of the earlier sum over spec permutations
+    eng = Engine(40, backend=EXACT)
+    pinned = {((1, 1), (2, 2)): 75828553280,
+              ((1, 2), (3, 1)): 38519599360,
+              ((1, 1), (2, 1), (3, 1)): 153158593600,
+              ((1, 1), (2, 1), (3, 1), (4, 1)): 183480760160}
+    for items, want in pinned.items():
+        spec = dict(items)
+        assert eng.mixed_moment(spec, 20) == want, spec
+        gf = eng.joint_genfun(tuple(spec))
+        s = gf.coefficient(tuple(spec.values()))
+        assert eng.cache.count_at(s, 20) == want, spec
+
+
+def test_joint_counts_with_bounds_below_the_weight_cap():
+    # on K = 40 the markers are bounded by 2n // k, well under K // k
+    eng = Engine(40, backend=EXACT)
+    for n in (4, 12):
+        got = joint_counts(eng, n, (1, 2))
+        assert got == joint_counts(Engine(2 * n, backend=EXACT), n, (1, 2))
+        assert sum(got.values()) == comb(2 * n, n)
+
+
 def test_exact_only_operations_reject_float_backend():
     eng = Engine(8, backend="float")
     with pytest.raises(ValueError):
