@@ -246,11 +246,10 @@ def em_expansion(k, M):
 
 @dataclass
 class TailModel:
-    """Pr(N = l) ~ sum_i rates[i]^l (theta0_i + l theta1_i) + cross terms."""
+    """Pr(N = l) ~ sum_i rates[i]^l (theta0_i + l theta1_i)."""
 
     rates: list
     weights: list = field(default_factory=list)   # (theta0, theta1) per rate
-    cross: dict = field(default_factory=dict)     # (i, j) -> theta2
     residual: float = 0.0
 
     def predict(self, l):
@@ -258,9 +257,6 @@ class TailModel:
         for i, a in enumerate(self.rates):
             t0, t1 = self.weights[i] if i < len(self.weights) else (0.0, 0.0)
             acc += a ** l * (t0 + l * t1)
-        for (i, j), t2 in self.cross.items():
-            ai, aj = self.rates[i], self.rates[j]
-            acc += t2 * sum(ai ** m * aj ** (l - m) for m in range(1, l))
         return acc
 
 
@@ -420,8 +416,8 @@ def _probability_table(k, ns, l_max, engine=None):
             engine = Engine(2 * nmax, backend="float")
         if engine.K < 2 * nmax:
             raise ValueError("engine truncation order too small")
-        return engine, {n: engine.probabilities(n, k, l_max) for n in ns}
-    return engine, walks.local_time_probabilities(nmax, k, l_max, lengths=ns)
+        return {n: engine.probabilities(n, k, l_max) for n in ns}
+    return walks.local_time_probabilities(nmax, k, l_max, lengths=ns)
 
 
 def extrapolate_probability(k, l, n_grid, engine=None):
@@ -430,38 +426,32 @@ def extrapolate_probability(k, l, n_grid, engine=None):
     Returns (estimate, tolerance) with the tolerance taken from the last two
     extrapolation levels.
     """
-    engine, table = _probability_table(k, sorted(set(n_grid)), l, engine)
+    table = _probability_table(k, sorted(set(n_grid)), l, engine)
     ns = sorted(table)
     return richardson(ns, [table[n][l] for n in ns])
 
 
-def default_n_grid(n, levels=4):
-    return [max(2, n // 2 ** i) for i in range(levels)]
-
-
-def tail_rate_fit(k, n, l_range=None, levels=4, fit_order=None, engine=None,
-                  residual_tol=1e-3):
+def tail_rate_fit(k, n):
     """Recover the geometric tail rates of Pr(N_{2k} = l) empirically.
 
-    Pr_n values on an n-grid are Richardson-extrapolated pointwise in l, a
-    linear recurrence of order min(2(k-1), window) is fitted to the limits,
-    and the recurrence roots (clustered, since each rate is a double root of
-    the l * rate^l tail form) are returned sorted by decreasing magnitude.
+    Pr_n values on the grid n, n/2, n/4, n/8 are Richardson-extrapolated
+    pointwise in l = 3, 4, ..., a linear recurrence of order
+    min(2(k-1), window/2) is fitted to the limits, and the recurrence roots
+    (clustered, since each rate is a double root of the l * rate^l tail
+    form) are returned sorted by decreasing magnitude.
     """
     if n < 500:
         raise DomainError("rate fitting needs n >= 500")
-    if l_range is None:
-        l_range = range(3, 3 + max(12, 4 * (k - 1) + 8))
-    ls = list(l_range)
-    ns = default_n_grid(n, levels)
-    engine, table = _probability_table(k, ns, max(ls), engine)
+    ls = list(range(3, 3 + max(12, 4 * (k - 1) + 8)))
+    ns = [n // 2 ** i for i in range(4)]
+    table = _probability_table(k, ns, max(ls))
     pr_inf = []
     for l in ls:
         est, _tol = richardson(ns, [table[nn][l] for nn in ns])
         pr_inf.append(est)
-    order = fit_order if fit_order is not None else min(2 * (k - 1), len(ls) // 2)
-    roots, residual = fit_linear_recurrence(pr_inf, order)
-    if not np.all(np.isfinite(roots)) or residual > residual_tol:
+    roots, residual = fit_linear_recurrence(pr_inf,
+                                            min(2 * (k - 1), len(ls) // 2))
+    if not np.all(np.isfinite(roots)) or residual > 1e-3:
         raise IllConditioned(f"rate fit residual {residual:.2e} over tolerance")
     # tail rates of a decaying distribution lie strictly inside the unit
     # disk; anything else is a noise direction of the least-squares problem

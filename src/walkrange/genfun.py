@@ -7,8 +7,9 @@ The counting function over closed walks,
 is assembled from single and pair terms and a transfer-operator resolvent
 for three or more markers; under z d/dz its unmarked term is the closed-walk
 count series h0.  Expanding in the markers u_k gives joint binomial moments
-sum_w prod_k C(N_{2k}, j_k); binomial inversion turns those into exact
-occupancy counts.  Every marked moment, single-multiplicity or mixed, is a
+sum_w prod_k C(N_{2k}, j_k); one binomial inversion, on exact integers,
+turns those into occupancy counts (for k <= 2 closed forms give the counts
+directly).  Every marked moment, single-multiplicity or mixed, is a
 coefficient of the one resolvent walk in `Engine._accumulate_resolvent`.
 Everything here was validated coefficient-by-coefficient against
 exhaustive walk enumeration.
@@ -25,7 +26,6 @@ exact below order K because B^{2f} = O(z^{2f}).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -48,16 +48,6 @@ def _as_int(x):
     return int(x)
 
 
-@dataclass
-class QOperator:
-    """Transfer operator for one multiplicity class on the (rho,t) index set."""
-
-    k: int
-    kmax: int
-    indices: list
-    entries: dict  # (p, q) -> TruncatedSeries, only nonzero entries stored
-
-
 class MarkedSeries:
     """Polynomial in marker variables with TruncatedSeries coefficients.
 
@@ -66,14 +56,13 @@ class MarkedSeries:
     heavier monomials cannot contribute below order K.
     """
 
-    __slots__ = ("markers", "bounds", "K", "backend", "terms")
+    __slots__ = ("markers", "bounds", "K", "terms")
 
-    def __init__(self, markers, bounds, K, backend, terms=None):
+    def __init__(self, markers, bounds, K):
         self.markers = tuple(markers)
         self.bounds = tuple(bounds)
         self.K = K
-        self.backend = backend
-        self.terms = dict(terms or {})
+        self.terms = {}
 
     def _admissible(self, e):
         if any(x > b for x, b in zip(e, self.bounds)):
@@ -112,7 +101,6 @@ class Engine:
         self._oma_pow = [self.cache.one, self.cache.one_minus_A]
         self._a_pow = [self.cache.one, self.cache.A]
         self._term_pair = {}
-        self._double_state = None        # closed-form k=2 iteration state
 
     # -- building blocks -----------------------------------------------------
 
@@ -213,6 +201,7 @@ class Engine:
         return out
 
     def transfer_operator(self, k, kmax=None):
+        """Q(k) on the (rho, t) index set as {(p, q): nonzero series}."""
         kmax = kmax or k
         idx = _tri_indices(kmax)
         entries = {}
@@ -235,7 +224,7 @@ class Engine:
                                       * factorial(rho)))
                 if not s.is_zero():
                     entries[((rho, t), (rhot, tt))] = s
-        return QOperator(k, kmax, idx, entries)
+        return entries
 
     # -- joint generating function ----------------------------------------------
 
@@ -251,7 +240,7 @@ class Engine:
         tracked = tuple(sorted(tracked))
         if bounds is None:
             bounds = tuple(self.K // k for k in tracked)
-        ms = MarkedSeries(tracked, bounds, self.K, self.backend)
+        ms = MarkedSeries(tracked, bounds, self.K)
         zero_e = (0,) * len(tracked)
         for i1, k1 in enumerate(tracked):
             ms.add_term(_plus_one(zero_e, i1), self.term_single(k1))
@@ -302,7 +291,7 @@ class Engine:
                     # advance: v <- sum_k u_k Q(k) v
                     nv = {}
                     for ik, k in enumerate(tracked):
-                        for (p, q), qs in qops[k].entries.items():
+                        for (p, q), qs in qops[k].items():
                             for e, s in v.get(q, {}).items():
                                 ee = _plus_one(e, ik)
                                 if not ms._extendable(ee):
@@ -347,12 +336,9 @@ class Engine:
             return counts, 1 - sum(counts.values())
         jmax = (2 * n) // k
         ms = self.binomial_moment_series(k, jmax)
-        mom = [self.cache.count_at(s, n) for s in ms]
-        counts = {}
-        for l in range(0, min(l_max, jmax) + 1):
-            c = sum((-1) ** (j - l) * comb(j, l) * mom[j]
-                    for j in range(l, jmax + 1))
-            counts[l] = _as_int(c)
+        inv = _binomial_inversion(
+            {(j,): _as_int(self.cache.count_at(s, n)) for j, s in enumerate(ms)})
+        counts = {l: inv.get((l,), 0) for l in range(min(l_max, jmax) + 1)}
         total = comb(2 * n, n)
         tail = total - sum(counts.values())
         if k == 1:
@@ -373,11 +359,11 @@ class Engine:
     def probabilities(self, n, k, l_max):
         """Pr_n(N_{2k} = l) for l = 0..l_max; float k >= 3 raises DomainError.
 
-        The exact backend divides the counts of `distribution` by C(2n, n).
-        The float backend answers k <= 2 by the closed-form moment series
-        and loses digits mildly as the order grows: at n = 3969 the k = 2
-        values are 1.3e-6 to 2.7e-6 off the crossing-profile DP in relative
-        terms.  Float k >= 3 is walks.local_time_probabilities' job.
+        The exact backend divides the counts of `distribution` by C(2n, n);
+        the float backend reads k <= 2 off the closed-form count series.  Its
+        k = 2 values are within 3e-8 of the crossing-profile DP (relative) for
+        l >= 3, and 2.7e-6 for l <= 2, up to n = 4000.  Float k >= 3 is
+        walks.local_time_probabilities' job.
         """
         if self.backend == EXACT:
             counts, _ = self.distribution(n, k, l_max)
@@ -390,19 +376,11 @@ class Engine:
         if k >= 3:
             raise DomainError("float probabilities for k >= 3 come from "
                               "walks.local_time_probabilities")
-        jmax = min((2 * n) // k, l_max + 48)
-        if k == 2:
-            ms = self.doublepoint_moment_series(jmax)
-        else:
-            ms = self.binomial_moment_series(k, jmax)
-        mom = [self.cache.probability(s, n) for s in ms]
-        out = []
-        for l in range(l_max + 1):
-            acc = 0.0
-            for j in range(jmax, l - 1, -1):  # small terms first
-                acc += (-1) ** (j - l) * comb(j, l) * mom[j]
-            out.append(acc)
-        return out
+        top = min(l_max, (2 * n) // k)  # N_{2k} <= 2n/k: the rest is 0.0
+        series = (self.singlepoint_series() if k == 1
+                  else self.doublepoint_count_series(top))
+        out = [self.cache.probability(s, n) for s in series[: top + 1]]
+        return out + [0.0] * (l_max + 1 - len(out))
 
     # -- closed forms for k = 1 and k = 2 ----------------------------------------
 
@@ -415,26 +393,47 @@ class Engine:
         s0 = self.cache.A - self.cache.one + s2
         return s0, s1, s2
 
+    def _doublepoint_terms(self):
+        """(h0, a, b, S^2, g) of the k = 2 marked function
+        h0 + u a + u^2 b + z d/dz [u^3 S^2 / (1 - u g)], where a = 4z^2 h0,
+        b = T(2,2)', g = pair_block(1,1), S = (1 - A) g + pair_block(1,2)."""
+        g = self.pair_block(1, 1)
+        s = self.cache.one_minus_A * g + self.pair_block(1, 2)
+        h0 = self.cache.h0
+        return (h0, self.cache.monomial(4, 2) * h0, self.term_pair(2, 2).zddz(),
+                s.pow(2), g)
+
     def doublepoint_moment_series(self, jmax):
-        """Closed-form M_j for k = 2 (no transfer operator needed)."""
-        if self._double_state is None:
-            self._double_state = {"series": [self.cache.h0], "acc": None}
-        st = self._double_state
-        out = st["series"]
-        g11 = self.pair_block(1, 1)
-        while len(out) <= jmax:
-            j = len(out)
-            if j == 1:
-                out.append(self.cache.monomial(4, 2) * self.cache.h0)
-            elif j == 2:
-                out.append(self.term_pair(2, 2).zddz())
-            else:
-                if st["acc"] is None:
-                    st["acc"] = (self.cache.one_minus_A * g11
-                                 + self.pair_block(1, 2)).pow(2)
-                out.append(st["acc"].zddz())
-                st["acc"] = st["acc"] * g11
-        return out[: jmax + 1]
+        """Closed-form M_j for k = 2: z d/dz [S^2 g^(j-3)] for j >= 3."""
+        h0, a, b, acc, g = self._doublepoint_terms()
+        out = [h0, a, b][: jmax + 1]
+        for _ in range(3, jmax + 1):
+            out.append(acc.zddz())
+            acc = acc * g
+        return out
+
+    def doublepoint_count_series(self, l_max):
+        """Count series c_l, l <= l_max: [z^{2n}] c_l = #walks with N_4 = l.
+
+        At u = v - 1, 1 - u g = (1 + g)(1 - v rho) with rho = g / (1 + g), so
+        no inversion is needed: with W_i = S^2 rho^i / (1 + g), c_0 = h0 - a
+        + b - W_0', c_1 = a - 2b + (3 W_0 - W_1)', c_2 = b + (3 W_1 - 3 W_0 -
+        W_2)' and c_l = z d/dz [S^2 rho^(l-3) / (1 + g)^4] for l >= 3."""
+        h0, a, b, s2, g = self._doublepoint_terms()
+        inv = (self.cache.one + g).inverse()
+        rho = g * inv
+        w0 = s2 * inv
+        w1 = w0 * rho
+        w2 = w1 * rho
+        out = [h0 - a + b - w0.zddz(),
+               a - b.scaled(2) + (w0.scaled(3) - w1).zddz(),
+               b + (w1.scaled(3) - w0.scaled(3) - w2).zddz()][: l_max + 1]
+        if l_max >= 3:
+            acc = w0 * inv.pow(3)
+            for _ in range(3, l_max + 1):
+                out.append(acc.zddz())
+                acc = acc * rho
+        return out
 
     def first_moment(self, k, n):
         """E_n(N_{2k}): exact Fraction on the exact backend, else float."""
@@ -473,7 +472,7 @@ class Engine:
             k1, k2 = ks[0], ks[-1]
             series = self.term_pair(k1, k2).scaled(2 - (1 if k1 == k2 else 0))
         else:
-            ms = MarkedSeries(ks, spec.values(), self.K, self.backend)
+            ms = MarkedSeries(ks, spec.values(), self.K)
             self._accumulate_resolvent(ms)
             series = ms.coefficient(spec.values())
             if series is None:
@@ -495,22 +494,12 @@ def _empty_walk_count(k):
 # joint counts by binomial inversion
 # ---------------------------------------------------------------------------
 
-def joint_counts(engine: Engine, n, tracked, bounds=None):
-    """Exact joint occupancy counts {(N_{2k})_k: #walks} at length 2n."""
-    if engine.backend != EXACT:
-        raise ValueError("joint_counts requires the exact backend")
-    tracked = tuple(sorted(tracked))
-    if bounds is None:
-        bounds = tuple((2 * n) // k for k in tracked)
-    gf = engine.joint_genfun(tracked, bounds)
-    # binomial moments M_j = sum_l prod_i C(l_i, j_i) N_l; the inverse
-    # N_l = sum_j prod_i (-1)^(j_i - l_i) C(j_i, l_i) M_j factors by axis
-    vals = {}
-    for e, s in gf.terms.items():
-        v = _as_int(engine.cache.count_at(s, n))
-        if v:
-            vals[e] = v
-    for axis in range(len(tracked)):
+def _binomial_inversion(moments):
+    """Counts {l: N_l} from integer binomial moments {j: M_j}, keyed by
+    exponent tuples: M_j = sum_l prod_i C(l_i, j_i) N_l, and the inverse
+    N_l = sum_j prod_i (-1)^(j_i - l_i) C(j_i, l_i) M_j factors by axis."""
+    vals = {j: m for j, m in moments.items() if m}
+    for axis in range(len(next(iter(moments)))):
         inv = defaultdict(int)
         for j, m in vals.items():
             ja = j[axis]
@@ -518,6 +507,17 @@ def joint_counts(engine: Engine, n, tracked, bounds=None):
                 inv[j[:axis] + (la,) + j[axis + 1:]] += (
                     (-1) ** (ja - la) * comb(ja, la) * m)
         vals = inv
+    return vals
+
+
+def joint_counts(engine: Engine, n, tracked):
+    """Exact joint occupancy counts {(N_{2k})_k: #walks} at length 2n."""
+    if engine.backend != EXACT:
+        raise ValueError("joint_counts requires the exact backend")
+    tracked = tuple(sorted(tracked))
+    gf = engine.joint_genfun(tracked, tuple((2 * n) // k for k in tracked))
+    vals = _binomial_inversion({e: _as_int(engine.cache.count_at(s, n))
+                                for e, s in gf.terms.items()})
     return {l: vals[l] for l in sorted(vals) if vals[l]}
 
 

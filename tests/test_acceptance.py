@@ -151,13 +151,13 @@ def test_criterion_5_printed_100_101_verbatim():
     assert abs(asy.second_moment_limit(100, 101) - 0.47061) <= 5e-6
 
 
-def test_criterion_6_tail_rates(float_engine_4000):
+def test_criterion_6_tail_rates():
     targets = {2: 0.29140, 3: 0.29018, 4: 0.29867, 5: 0.30263}
     second = {3: -0.23057, 4: -0.14176}
     worst = 0.0
     ok = True
     for k, want in targets.items():
-        model = asy.tail_rate_fit(k, 2000, engine=float_engine_4000)
+        model = asy.tail_rate_fit(k, 2000)
         worst = max(worst, abs(model.rates[0] - want))
         ok &= abs(model.rates[0] - want) <= 2e-3
         if k in second:

@@ -243,8 +243,8 @@ def test_fit_linear_recurrence_needs_enough_data():
         fit_linear_recurrence([1.0, 0.5, 0.25], 2)
 
 
-def test_tail_rate_fit_doublepoints(float_engine_4000):
-    model = tail_rate_fit(2, 2000, engine=float_engine_4000)
+def test_tail_rate_fit_doublepoints():
+    model = tail_rate_fit(2, 2000)
     alpha = math.pi ** 2 / (24 + math.pi ** 2)
     assert abs(model.rates[0] - alpha) <= 1e-4
     t0, t1 = model.weights[0]

@@ -127,7 +127,7 @@ def test_asymp_table3_small(capsys):
 _TABLE2_N600 = (
     '{"command": "asymp", "parameters": {"kmax": 5, "n": 600, "table":'
     ' 2}, "provenance": {"digits": 6}, "results": {"tail_rates": [{"k":'
-    ' 2, "rates": [0.2914], "residual": 9.95e-08}, {"k": 3, "rates":'
+    ' 2, "rates": [0.2914], "residual": 3.64e-10}, {"k": 3, "rates":'
     ' [0.290182, -0.23068], "residual": 3.02e-09}, {"k": 4, "rates":'
     ' [0.2986, -0.14779, 0.123738], "residual": 6.82e-09}, {"k": 5,'
     ' "rates": [0.419829, 0.302855, -0.199141, -0.103949], "residual":'

@@ -97,26 +97,26 @@ def test_term_pair_moments_match_oracle(eng12):
 def test_transfer_operator_row_vanishing(eng12):
     for k in (2, 3, 4):
         q = eng12.transfer_operator(k, kmax=5)
-        for (p, _qq) in q.entries:
+        for (p, _qq) in q:
             assert p[0] + p[1] < k - 1
 
 
 def test_transfer_operator_no_constant_term(eng12):
     q = eng12.transfer_operator(3)
-    for s in q.entries.values():
+    for s in q.values():
         assert s.coeffs[0] == 0 and s.coeffs[1] == 0
 
 
 def test_transfer_operator_k2_entry(eng12):
     q = eng12.transfer_operator(2)
-    assert set(q.entries) == {((0, 0), (0, 0))}
-    assert q.entries[((0, 0), (0, 0))] == eng12.chain_block(1, 2)
+    assert set(q) == {((0, 0), (0, 0))}
+    assert q[((0, 0), (0, 0))] == eng12.chain_block(1, 2)
 
 
 def _apply(q, vec):
     """Q v against {index -> TruncatedSeries}."""
     out = {}
-    for (p, qq), s in q.entries.items():
+    for (p, qq), s in q.items():
         if qq in vec:
             out[p] = out[p] + s * vec[qq] if p in out else s * vec[qq]
     return out
@@ -125,7 +125,7 @@ def _apply(q, vec):
 def test_transfer_powers_vanish_on_excluded_rows(eng12):
     k = 3
     q = eng12.transfer_operator(k, kmax=5)
-    vec = {p: TruncatedSeries.one(12, EXACT) for p in q.indices}
+    vec = {qq: TruncatedSeries.one(12, EXACT) for (_p, qq) in q}
     out = _apply(q, vec)
     for _ in range(3):
         for p, s in out.items():
@@ -270,13 +270,35 @@ def test_exact_probabilities_are_the_count_ratios():
 def test_float_k2_probabilities_bit_for_bit():
     # the float k = 2 route is what `walkrange dist --backend float` prints,
     # so its digits must not move: pinned bit for bit, any change in the
-    # float operation order of add, sub, scaled, mul, zddz, pow or
+    # float operation order of add, sub, scaled, mul, inverse, zddz, pow or
     # lambert_sum shows here
     got = Engine(1200, backend="float").probabilities(600, 2, 8)
-    assert got == [0.350602553507539, 0.40538710488580887, 0.17219226799659504,
-                   0.047839094205418264, 0.01610311099078919, 0.00532229541195036,
-                   0.0017342545492904267, 0.0005587027435340515,
-                   0.00017831779374877232]
+    assert got == [0.35060255350754516, 0.40538710488579377, 0.17219226799660495,
+                   0.047839094205418826, 0.016103110990783414, 0.005322295411957197,
+                   0.0017342545492343574, 0.0005587027439337683,
+                   0.00017831779126765664]
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_float_k2_probabilities_match_crossing_dp_to_l40(n):
+    # read off the count series with no cut inversion, every value to l = 40
+    # is positive and tracks the all-positive DP in relative terms; l <= 2
+    # keeps the float series' known sixth-digit drift
+    got = Engine(2 * n, backend="float").probabilities(n, 2, 40)
+    dp = local_time_probabilities(n, 2, 40)
+    assert min(got) >= 0
+    for l, (g, d) in enumerate(zip(got, dp)):
+        assert abs(g - d) <= (3e-6 if l <= 2 else 1e-7) * d, l
+
+
+def test_doublepoint_count_series_equal_exact_counts():
+    # the u = v - 1 closed form against the inverted resolvent moments
+    eng = Engine(40, backend=EXACT)
+    series = eng.doublepoint_count_series(20)
+    for n in range(1, 21):
+        counts, _ = eng.distribution(n, 2, n)
+        assert [eng.cache.count_at(s, n) for s in series] == \
+            [counts.get(l, 0) for l in range(21)], n
 
 
 # -- mixed moments ----------------------------------------------------------------
