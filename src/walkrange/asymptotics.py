@@ -83,12 +83,6 @@ def _zeta_fraction(s, digits):
     return Fraction(-num * two, scale * dn * (two - 1))
 
 
-@lru_cache(maxsize=None)
-def zeta(s):
-    """zeta(s) for integer s >= 2, accurate to better than 1e-14 relative."""
-    return float(_zeta_fraction(s, 25))
-
-
 _ZETA_FRACTIONS = {}  # s -> (digits, zeta(s) with error below 10^-digits)
 
 
@@ -103,6 +97,11 @@ def zeta_fraction(s, digits):
         digits = max(digits, 2 * have[0])
         have = _ZETA_FRACTIONS[s] = (digits, _zeta_fraction(s, digits))
     return have[1]
+
+
+def zeta(s):
+    """zeta(s) for integer s >= 2, accurate to better than 1e-14 relative."""
+    return float(zeta_fraction(s, 25))
 
 
 def zeta_em(s, terms=40, correction_order=12):
@@ -298,9 +297,9 @@ def second_moment_limit(k1, k2):
     for k1 = k2 = k, so float summation would lose everything to
     cancellation at k around 100.
     """
-    # the (r1, r2) terms with one s = r1 + r2 share the denominators 2^s s
-    # and 2^s C(s, 2): sum their integer numerators, then divide once
-    zeta_coeffs = {}
+    # zeta(t) collects the s = t term over 2^t t and the s = t + 1 term over
+    # 2^(t+1) C(t+1, 2): both divide 2^t t (t + 1), so sum integer numerators
+    nums = {}
     for s in range(2, k1 + k2 + 1):
         p1 = p2 = 0
         for r1 in range(max(1, s - k2), min(k1, s - 1) + 1):
@@ -309,21 +308,21 @@ def second_moment_limit(k1, k2):
             p1 += term
             p2 += term * (comb(r1, 2) + comb(r2, 2))
         sign = 2 * (-1) ** s
-        w1 = Fraction(sign * p1 * (k1 + k2 - s), 2 ** s * s)
-        if w1:
-            zeta_coeffs[s] = zeta_coeffs.get(s, 0) + w1
+        if p1 * (k1 + k2 - s):
+            nums[s] = nums.get(s, 0) + sign * p1 * (k1 + k2 - s) * (s + 1)
         if s > 2 and p2:
-            zeta_coeffs[s - 1] = zeta_coeffs.get(s - 1, 0) + Fraction(
-                sign * p2, 2 ** s * comb(s, 2))
-    if not zeta_coeffs:
+            nums[s - 1] = nums.get(s - 1, 0) + sign * p2
+    if not nums:
         return float((1 if k1 == k2 else 0) - Fraction(1, 2))
-    maxmag = max(abs(c.numerator / c.denominator) for c in zeta_coeffs.values())
+    dens = {t: 2 ** t * t * (t + 1) for t in nums}
+    maxmag = max(abs(c / dens[t]) for t, c in nums.items())
     digits = 30 + int(math.log10(max(maxmag, 1.0))) + 1
     # one integer sum over a common denominator; int / int rounds correctly
-    terms = [c * zeta_fraction(s, digits) for s, c in zeta_coeffs.items()]
-    den = math.lcm(2, *(t.denominator for t in terms))
+    zf = {t: zeta_fraction(t, digits) for t in nums}
+    den = math.lcm(2, *(dens[t] * zf[t].denominator for t in nums))
     num = (1 if k1 == k2 else -1) * (den // 2) + sum(
-        t.numerator * (den // t.denominator) for t in terms)
+        c * zf[t].numerator * (den // (dens[t] * zf[t].denominator))
+        for t, c in nums.items())
     return num / den
 
 

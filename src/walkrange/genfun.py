@@ -10,7 +10,9 @@ count series h0.  Expanding in the markers u_k gives joint binomial moments
 sum_w prod_k C(N_{2k}, j_k); one binomial inversion, on exact integers,
 turns those into occupancy counts (for k <= 2 closed forms give the counts
 directly).  Every marked moment, single-multiplicity or mixed, is a
-coefficient of the one resolvent walk in `Engine._accumulate_resolvent`.
+coefficient of `Engine._accumulate_resolvent`, one walk per query: it starts
+from every u_{k2} u_{k3} |right(k2, k3)> at once, and <left(k)| is the exit
+row of the step for u_k.
 Everything here was validated coefficient-by-coefficient against
 exhaustive walk enumeration.
 
@@ -101,6 +103,7 @@ class Engine:
         self._oma_pow = [self.cache.one, self.cache.one_minus_A]
         self._a_pow = [self.cache.one, self.cache.A]
         self._term_pair = {}
+        self._dp_counts = []
 
     # -- building blocks -----------------------------------------------------
 
@@ -256,56 +259,48 @@ class Engine:
     def _accumulate_resolvent(self, ms):
         """Add sum over k1,k2,k3 of u-weighted <left| resolvent |right> to ms.
 
-        Only monomials within ms's bounds are multiplied out: a contraction
-        must land on an admissible monomial, and a state is kept only while
-        one more marker (its contraction) still lands on one.
+        One walk: the start sums u_{k2} u_{k3} |right(k2, k3)> over every
+        pair, so starts on one (index, exponent) are added before any
+        product, and the step for u_k is Q(k) with <left(k)| as its exit
+        row.  An exit lands in ms only on an admissible monomial, and a move
+        is kept only while one more marker (its exit) still lands on one.
         """
         tracked = ms.markers
         kmax = max(tracked)
-        qops = {k: self.transfer_operator(k, kmax) for k in tracked}
-        lefts = {k: self.left_vector(k, kmax) for k in tracked}
+        steps = []  # the step for u_k: Q(k) plus the exit row <left(k)|
+        for k in tracked:
+            exits = self.left_vector(k, kmax).items()
+            steps.append(list(self.transfer_operator(k, kmax).items())
+                         + [((None, q), s) for q, s in exits])
         zero_e = (0,) * len(tracked)
-
+        v = {}  # index -> {exponent -> series}
         for i2, k2 in enumerate(tracked):
             for i3, k3 in enumerate(tracked):
                 e0 = _plus_one(_plus_one(zero_e, i2), i3)
-                if not ms._extendable(e0):
-                    continue
-                # v: index -> {exponent -> series}, starting at u_{k2} u_{k3}
-                v = {p: {e0: s} for p, s in
-                     self.right_vector(k2, k3, kmax).items()}
-                for _depth in range(sum(ms.bounds) + 2):
-                    if not v:
-                        break
-                    # contract with each left vector, weighted by u_{k1}
-                    for i1, k1 in enumerate(tracked):
-                        left = lefts[k1]
-                        for p, pol in v.items():
-                            ls = left.get(p)
-                            if ls is None:
-                                continue
-                            for e, s in pol.items():
-                                ee = _plus_one(e, i1)
-                                if ms._admissible(ee):
-                                    ms.add_term(ee, ls * s)
-                    # advance: v <- sum_k u_k Q(k) v
-                    nv = {}
-                    for ik, k in enumerate(tracked):
-                        for (p, q), qs in qops[k].items():
-                            for e, s in v.get(q, {}).items():
-                                ee = _plus_one(e, ik)
-                                if not ms._extendable(ee):
-                                    continue
-                                term = qs * s
-                                if term.is_zero():
-                                    continue
+                if ms._extendable(e0):
+                    for p, s in self.right_vector(k2, k3, kmax).items():
+                        dst = v.setdefault(p, {})
+                        dst[e0] = dst[e0] + s if e0 in dst else s
+        for _depth in range(sum(ms.bounds) + 2):
+            if not v:
+                break
+            nv = {}
+            for ik, rows in enumerate(steps):
+                for (p, q), qs in rows:
+                    for e, s in v.get(q, {}).items():
+                        ee = _plus_one(e, ik)
+                        if p is None:
+                            if ms._admissible(ee):
+                                ms.add_term(ee, qs * s)
+                        elif ms._extendable(ee):
+                            term = qs * s
+                            if not term.is_zero():
                                 dst = nv.setdefault(p, {})
                                 dst[ee] = dst[ee] + term if ee in dst else term
-                    v = nv
-                else:
-                    if v:
-                        raise MarkerOverflow(
-                            "resolvent expansion exceeded marker bounds")
+            v = nv
+        else:
+            if v:
+                raise MarkerOverflow("resolvent expansion exceeded marker bounds")
 
     # -- single-multiplicity moments and distribution ---------------------------
 
@@ -418,22 +413,24 @@ class Engine:
         At u = v - 1, 1 - u g = (1 + g)(1 - v rho) with rho = g / (1 + g), so
         no inversion is needed: with W_i = S^2 rho^i / (1 + g), c_0 = h0 - a
         + b - W_0', c_1 = a - 2b + (3 W_0 - W_1)', c_2 = b + (3 W_1 - 3 W_0 -
-        W_2)' and c_l = z d/dz [S^2 rho^(l-3) / (1 + g)^4] for l >= 3."""
-        h0, a, b, s2, g = self._doublepoint_terms()
-        inv = (self.cache.one + g).inverse()
-        rho = g * inv
-        w0 = s2 * inv
-        w1 = w0 * rho
-        w2 = w1 * rho
-        out = [h0 - a + b - w0.zddz(),
-               a - b.scaled(2) + (w0.scaled(3) - w1).zddz(),
-               b + (w1.scaled(3) - w0.scaled(3) - w2).zddz()][: l_max + 1]
-        if l_max >= 3:
-            acc = w0 * inv.pow(3)
-            for _ in range(3, l_max + 1):
-                out.append(acc.zddz())
-                acc = acc * rho
-        return out
+        W_2)' and c_l = z d/dz [S^2 rho^(l-3) / (1 + g)^4] for l >= 3.
+        Each engine builds these n-independent series once and keeps them."""
+        if not self._dp_counts:
+            h0, a, b, s2, g = self._doublepoint_terms()
+            inv = (self.cache.one + g).inverse()
+            rho = g * inv
+            w0 = s2 * inv
+            w1 = w0 * rho
+            w2 = w1 * rho
+            self._dp_counts = [h0 - a + b - w0.zddz(),
+                               a - b.scaled(2) + (w0.scaled(3) - w1).zddz(),
+                               b + (w1.scaled(3) - w0.scaled(3) - w2).zddz()]
+            self._dp_tail = [w0 * inv.pow(3), rho]  # c_3 before z d/dz, rho
+        out, tail = self._dp_counts, self._dp_tail
+        while len(out) <= l_max:
+            out.append(tail[0].zddz())
+            tail[0] = tail[0] * tail[1]
+        return out[: l_max + 1]
 
     def first_moment(self, k, n):
         """E_n(N_{2k}): exact Fraction on the exact backend, else float."""
@@ -515,6 +512,8 @@ def joint_counts(engine: Engine, n, tracked):
     if engine.backend != EXACT:
         raise ValueError("joint_counts requires the exact backend")
     tracked = tuple(sorted(tracked))
+    if n == 0:
+        return {tuple(_empty_walk_count(k) for k in tracked): 1}
     gf = engine.joint_genfun(tracked, tuple((2 * n) // k for k in tracked))
     vals = _binomial_inversion({e: _as_int(engine.cache.count_at(s, n))
                                 for e, s in gf.terms.items()})

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from walkrange.errors import DomainError, IllConditioned
-from walkrange.asymptotics import (bernoulli, doublepoint_tail, em_expansion,
+from walkrange.asymptotics import (_zeta_fraction, bernoulli,
+                                   doublepoint_tail, em_expansion,
                                    extrapolate_probability,
                                    fit_linear_recurrence, range_moment_limit,
                                    richardson, second_moment_limit,
@@ -49,6 +50,14 @@ def test_zeta_fraction_high_precision():
         ref = mp.zeta(s)
         assert abs(mp.mpf(got.numerator) / got.denominator - ref) \
             < mp.mpf(10) ** -digits, (s, digits)
+
+
+def test_zeta_float_whatever_precision_is_kept():
+    # zeta(s) reads the kept fraction, which may hold more than 25 digits;
+    # its float is the same as that of the 25-digit fraction
+    for s in range(2, 64):
+        zeta_fraction(s, 120)
+        assert zeta(s) == float(_zeta_fraction(s, 25)), s
 
 
 def test_tail_sum_direct_value():

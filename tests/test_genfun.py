@@ -166,11 +166,30 @@ def test_joint_genfun_mixed_marker_coefficient(eng12):
 
 def test_joint_counts_match_oracle():
     eng = Engine(10, backend=EXACT)
-    for tracked in ((1, 2), (1, 2, 3)):
-        for n in range(1, 6):
+    # n = 0 has no marked terms: the empty walk, N_2 = 1, is answered apart
+    for tracked in ((1, 2), (1, 2, 3), (1, 2, 3, 4)):
+        for n in range(6):
             got = joint_counts(eng, n, tracked)
             want = {key: c for key, c in oracle_counts(n, 1, tracked).items()}
             assert got == want, (tracked, n)
+
+
+def test_joint_counts_share_the_resolvent_walk(monkeypatch):
+    # starts on one (index, exponent) are summed before any product: one
+    # walk for all start pairs does at most 8,371 exact products here, where
+    # a walk per (k2, k3) start pair does 24,250
+    eng = Engine(24, backend=EXACT)
+    products = 0
+    mul = TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    joint_counts(eng, 12, (1, 2, 3, 4))
+    assert products <= 8371
 
 
 def test_joint_counts_skip_a_multiplicity():
@@ -289,6 +308,25 @@ def test_float_k2_probabilities_match_crossing_dp_to_l40(n):
     assert min(got) >= 0
     for l, (g, d) in enumerate(zip(got, dp)):
         assert abs(g - d) <= (3e-6 if l <= 2 else 1e-7) * d, l
+
+
+def test_doublepoint_count_series_built_once_per_engine(monkeypatch):
+    # the n-independent series are kept: later calls extend or slice them,
+    # with the values a fresh engine gives, and invert (1 + g) once
+    want = Engine(40, backend=EXACT).doublepoint_count_series(9)
+    eng = Engine(40, backend=EXACT)
+    inverses = 0
+    inverse = TruncatedSeries.inverse
+
+    def counting_inverse(self):
+        nonlocal inverses
+        inverses += 1
+        return inverse(self)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse", counting_inverse)
+    for l_max in (1, 5, 2, 9, 0):
+        assert eng.doublepoint_count_series(l_max) == want[: l_max + 1]
+    assert inverses == 1
 
 
 def test_doublepoint_count_series_equal_exact_counts():
