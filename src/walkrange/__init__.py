@@ -23,7 +23,7 @@ from .walks import (RangeProfile, Walk, multiplicity, oracle_counts, profile,
 from .asymptotics import (bernoulli, doublepoint_tail, em_expansion,
                           extrapolate_probability, range_moment_limit,
                           second_moment_limit, singlepoint_expansion,
-                          tail_rate_fit, zeta)
+                          tail_rate_fit, tail_rates_limit, zeta)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "sample_moments",
     "bernoulli", "doublepoint_tail", "em_expansion",
     "extrapolate_probability", "range_moment_limit", "second_moment_limit",
-    "singlepoint_expansion", "tail_rate_fit", "zeta",
+    "singlepoint_expansion", "tail_rate_fit", "tail_rates_limit", "zeta",
     "__version__",
 ]

@@ -12,9 +12,11 @@ correction turns the approach to that value into an expansion in powers of
 derives those expansion coefficients exactly (rationals paired with a zeta
 value), and builds on them: the doublepoint tail law, the singlepoint 1/n
 polynomials, limit covariances of the point counts, the Riemann-xi limits of
-range moments, plus the generic numeric tools (Richardson extrapolation in
-1/n and linear-recurrence rate fitting) used to recover tail rates
-empirically for multiplicities where no closed form is available.
+range moments, and the geometric tail rates of Pr(N_{2k} = l) for every k,
+read off the transfer operator at the singular point (`tail_rates_limit`).
+The generic numeric tools (Richardson extrapolation in 1/n and
+linear-recurrence rate fitting, `tail_rate_fit`) recover the same rates
+empirically from the crossing-profile DP, an independent check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import walks
 from .errors import DomainError, IllConditioned
+from .genfun import transfer_terms
 from .pseries import EXACT, TruncatedSeries
 
 # ---------------------------------------------------------------------------
@@ -272,6 +275,87 @@ def doublepoint_tail():
         - 3.0 / (4.0 * denom))
     theta1 = (1296.0 / math.pi ** 8) * (c / denom) ** 2
     return TailModel(rates=[alpha], weights=[(theta0, theta1)])
+
+
+# the largest k whose float eigenvalues of W(k) stay within 1e-10 relative of
+# 60-digit ones: 1.3e-12 at k = 10, 2.9e-11 at k = 11, 3.2e-10 at k = 12
+TAIL_RATES_KMAX = 10
+
+
+def limit_transfer_matrix(k):
+    """W(k), whose eigenvalues are the nonzero ones of Q(k) at the singular
+    point, with Fraction entries (see `tail_rates_limit`).
+
+    Entry ((rho, t), c) of Q(k) is (-1)^rho / rho! g(m0, c), m0 = k-2-rho-t,
+    so Q(k) = U G with U[c, b] = (-1)^rho' / rho'! [m0(c) = b] for
+    c = (rho', t'), and G U = W has the same nonzero eigenvalues:
+    W[a, b] = sum_{c: m0(c) = b} (-1)^rho' / rho'! g(a, c), where g(a, .) is
+    the row (0, k-2-a) of Q(k).  Each chain_block(i, j) is replaced by its
+    limit zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of
+    every zeta value is collected exactly before one product with
+    `zeta_fraction`, as in `second_moment_limit`.
+    """
+    cells = {}  # (a, b) -> {j: exact coefficient of zeta(j)}
+    for ((rho, t), (rhot, tt)), (terms, den) in transfer_terms(k).items():
+        if rho:
+            continue  # one row per m0 = a: (0, k - 2 - a)
+        cell = cells.setdefault((k - 2 - t, k - 2 - rhot - tt), {})
+        col = Fraction((-1) ** rhot, factorial(rhot) * den)
+        for _power, w, (_i, j) in terms:
+            cell[j] = cell.get(j, 0) + col * w / 2 ** j
+    maxmag = max(abs(c) for cell in cells.values() for c in cell.values())
+    digits = 30 + int(math.log10(max(maxmag, 1)))
+    W = [[Fraction(0)] * (k - 1) for _ in range(k - 1)]
+    for (a, b), cell in cells.items():
+        W[a][b] = sum(c * zeta_fraction(j, digits) for j, c in cell.items())
+    return W
+
+
+def tail_rates_limit(k):
+    """Geometric tail rates of the limit law of N_{2k}, by decreasing |rate|.
+
+    For j >= 3 the binomial moments are M_j = <L| Q(k)^{j-3} |R>, and
+    sum_l Pr(l) v^l = sum_j M_j (v-1)^j, so at the singular point the limit
+    law has its poles at v = 1 + 1/mu for the nonzero eigenvalues mu of
+    Q(k) there, and each tail rate is mu / (1 + mu) (transfer theorem:
+    Flajolet & Sedgewick, Analytic Combinatorics, 2009, ch. VI).  Those mu
+    are the eigenvalues of the (k-1) x (k-1) matrix W(k) of
+    `limit_transfer_matrix`; float eigenvalues of its rounded entries are
+    within 1e-10 relative for k <= TAIL_RATES_KMAX, and lose digits fast
+    beyond (cond W reaches 1e37 at k = 20).
+
+    The block limits.  At the singular point z = 1/2, A = sqrt(1 - 4z^2)
+    tends to 0, so every (1 - A)^m tends to 1.  Write
+    B^2 = (1 - A) / (1 + A) = e^{-L}, so L = 2 artanh A = 2A + O(A^3) and
+    tail_f = sum_{m>=1} e^{-fmL}.  Summing over f first,
+
+        sum_f C(f+i-1, j-1) tail_f = sum_{F>=1} c_F e^{-FL},
+        c_F = sum_{f | F} C(f+i-1, j-1).
+
+    The leading part f^{j-1} / (j-1)! of the binomial gives c_F ~
+    sigma_{j-1}(F) / (j-1)!, whose Dirichlet series zeta(s) zeta(s-j+1) has
+    its rightmost pole at s = j with residue zeta(j); so for j >= 2 the sum
+    is zeta(j) / L^j + O(L^{1-j} log(1/L)), the error coming from the
+    polynomial terms of lower degree.  Times A^j,
+
+        chain_block(i, j) -> zeta(j) / 2^j   (j >= 2),
+
+    and the error vanishes like A log(1/A).  Q(k) reads only blocks with
+    j >= 2i, so for j = 2 the binomial is f and has no constant term, and
+    the lower terms vanish like A: the truncated sums at orders K approach
+    the limit like K^{-1/2}.  The same argument on pair_block(1, 1) =
+    A^2 sum_f f tail_f gives zeta(2) / 4 = pi^2 / 24, the k = 2 case:
+    W(2) = [pi^2 / 24], so the rate is pi^2 / (24 + pi^2), the alpha of
+    `doublepoint_tail`.
+    """
+    if k < 2:
+        raise DomainError("N_2 has no tail: tail rates start at k = 2")
+    W = np.array(limit_transfer_matrix(k), dtype=np.float64)
+    mu = np.linalg.eigvals(W)
+    if np.any(mu.imag != 0):
+        raise IllConditioned(f"complex eigenvalues of W({k}): float "
+                             "eigenvalues have lost their accuracy")
+    return sorted((float(m / (1 + m)) for m in mu.real), key=lambda r: -abs(r))
 
 
 def singlepoint_expansion(n):

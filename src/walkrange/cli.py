@@ -236,19 +236,19 @@ def _cmd_asymp(args):
                      ["l", "count", "probability", "limit", "method"])
     if args.table == 2:
         kmax = args.kmax
-        if kmax < 2:
-            args.usage_error("argument --kmax: must be >= 2 with --table 2")
+        if not 2 <= kmax <= asy.TAIL_RATES_KMAX:
+            args.usage_error("argument --kmax: must be from 2 to "
+                             f"{asy.TAIL_RATES_KMAX} with --table 2")
         if args.n < 500:
             args.usage_error("argument --n: must be >= 500 with --table 2")
         entries, rows = [], []
         for k in range(2, kmax + 1):
-            model = asy.tail_rate_fit(k, args.n)
-            rates = [_sig(r, digits) for r in model.rates]
-            entries.append({"k": k, "rates": rates,
-                            "residual": _sig(model.residual, 3)})
+            rates = [_sig(r, digits) for r in asy.tail_rates_limit(k)]
+            entries.append({"k": k, "rates": rates})
             rows.append([k] + rates)
-        rep = _report("asymp", {"table": 2, "kmax": kmax, "n": args.n},
-                      {"tail_rates": entries}, {"digits": digits})
+        rep = _report("asymp", {"table": 2, "kmax": kmax},
+                      {"tail_rates": entries},
+                      {"digits": digits, "route": "transfer-operator-limit"})
         return _emit(rep, args.format, rows, ["k", "rates..."])
     kmax = args.kmax
     ks = list(range(1, kmax + 1)) + [100]
@@ -375,7 +375,8 @@ def build_parser():
     a.add_argument("--kmax", type=_int_from(1), default=5)
     a.add_argument("--lmax", type=_int_from(0), default=10)
     a.add_argument("--n", type=_int_from(1), default=2000,
-                   help="length parameter for rate fitting (table 2)")
+                   help="accepted for older command lines (>= 500 with "
+                        "--table 2); table 2 no longer reads it")
     a.set_defaults(fn=_cmd_asymp, usage_error=a.error)
 
     o = add_parser("oracle", help="exhaustive enumeration counts")

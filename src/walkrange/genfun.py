@@ -41,6 +41,36 @@ def _tri_indices(kmax):
             for t in range(max(kmax - 1 - r, 0))]
 
 
+def transfer_terms(k, kmax=None):
+    """The weights of Q(k): {(row, col): (terms, den)}, each entry being
+
+        sum over (power, w, (i, j)) in terms of w (1 - A)^power chain_block(i, j),
+
+    divided by den.  Rows with rho + t >= k - 1 vanish identically and are
+    left out, and so are columns with tt > m0 = k - 2 - rho - t.  The row
+    enters only through m0 and the factor (-1)^rho / rho!, so Q(k) has rank
+    at most k - 1; asymptotics.tail_rates_limit reads these same weights."""
+    kmax = kmax or k
+    idx = _tri_indices(kmax)
+    out = {}
+    for (rho, t) in idx:
+        m0 = k - 2 - rho - t
+        if m0 < 0:
+            continue
+        for (rhot, tt) in idx:
+            m = m0 - tt
+            if m < 0:
+                continue
+            terms = [(m - eta,
+                      Fraction(factorial(k - 1) * (-1) ** (rho + eta),
+                               factorial(eta) * factorial(m - eta)),
+                      (tt + 1, rhot + eta + 2 * tt + 2))
+                     for eta in range(m + 1)]
+            out[((rho, t), (rhot, tt))] = (
+                terms, factorial(tt) * factorial(tt + 1) * factorial(rho))
+    return out
+
+
 def _as_int(x):
     """Exact conversion of a rational that must be integral."""
     if isinstance(x, Fraction):
@@ -205,28 +235,15 @@ class Engine:
 
     def transfer_operator(self, k, kmax=None):
         """Q(k) on the (rho, t) index set as {(p, q): nonzero series}."""
-        kmax = kmax or k
-        idx = _tri_indices(kmax)
         entries = {}
-        for (rho, t) in idx:
-            m0 = k - 2 - rho - t
-            if m0 < 0:
-                continue  # rows with rho + t >= k - 1 vanish identically
-            for (rhot, tt) in idx:
-                m = m0 - tt
-                if m < 0:
-                    continue
-                s = TruncatedSeries.zero(self.K, self.backend)
-                for eta in range(m + 1):
-                    w = Fraction(factorial(k - 1) * (-1) ** (rho + eta),
-                                 factorial(eta) * factorial(m - eta))
-                    term = self._one_minus_A_pow(m - eta) * \
-                        self.chain_block(tt + 1, rhot + eta + 2 * tt + 2)
-                    s = s + term.scaled(w)
-                s = s.scaled(Fraction(1, factorial(tt) * factorial(tt + 1)
-                                      * factorial(rho)))
-                if not s.is_zero():
-                    entries[((rho, t), (rhot, tt))] = s
+        for key, (terms, den) in transfer_terms(k, kmax).items():
+            s = TruncatedSeries.zero(self.K, self.backend)
+            for power, w, (i, j) in terms:
+                term = self._one_minus_A_pow(power) * self.chain_block(i, j)
+                s = s + term.scaled(w)
+            s = s.scaled(Fraction(1, den))
+            if not s.is_zero():
+                entries[key] = s
         return entries
 
     # -- joint generating function ----------------------------------------------
@@ -511,9 +528,13 @@ def joint_counts(engine: Engine, n, tracked):
     """Exact joint occupancy counts {(N_{2k})_k: #walks} at length 2n."""
     if engine.backend != EXACT:
         raise ValueError("joint_counts requires the exact backend")
+    if 2 * n > engine.K:
+        raise ValueError("truncation order too small for this length")
     tracked = tuple(sorted(tracked))
     if n == 0:
         return {tuple(_empty_walk_count(k) for k in tracked): 1}
+    if not tracked:
+        return {(): comb(2 * n, n)}
     gf = engine.joint_genfun(tracked, tuple((2 * n) // k for k in tracked))
     vals = _binomial_inversion({e: _as_int(engine.cache.count_at(s, n))
                                 for e, s in gf.terms.items()})

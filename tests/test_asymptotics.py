@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from walkrange.errors import DomainError, IllConditioned
-from walkrange.asymptotics import (_zeta_fraction, bernoulli,
+from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction, bernoulli,
                                    doublepoint_tail, em_expansion,
                                    extrapolate_probability,
-                                   fit_linear_recurrence, range_moment_limit,
+                                   fit_linear_recurrence,
+                                   limit_transfer_matrix, range_moment_limit,
                                    richardson, second_moment_limit,
                                    singlepoint_expansion, singular_scaled_sum,
-                                   tail_rate_fit, tail_sum_direct, zeta,
-                                   zeta_em, zeta_fraction)
+                                   tail_rate_fit, tail_rates_limit,
+                                   tail_sum_direct, zeta, zeta_em,
+                                   zeta_fraction)
+from walkrange.genfun import Engine
 
 
 def test_bernoulli_values():
@@ -268,6 +271,61 @@ def test_tail_rate_fit_doublepoints():
 def test_tail_rate_fit_rejects_small_n():
     with pytest.raises(DomainError):
         tail_rate_fit(2, 100)
+
+
+def test_block_limits_at_the_singular_point(float_engine_4000):
+    # a float cache stores z -> z/2, so a block's coefficient sum is its
+    # value at the singular point z = 1/2, truncated at order K; the sums
+    # approach the limit like K^(-1/2), and 2 S(4000) - S(1000) removes that
+    small = Engine(1000, backend="float")
+
+    def limit(block, i, j):
+        big = getattr(float_engine_4000, block)(i, j).nums
+        return 2 * float(np.sum(big)) - float(np.sum(getattr(small, block)(i, j).nums))
+
+    # j = 1 diverges (zeta(1)); at (2, 2) the constant term of C(f + 1, 1)
+    # adds A log(1/A), which K^(-1/2) does not remove.  Q(k) reads j >= 2i.
+    for i in (1, 2):
+        for j in range(i + 1, 6):
+            want = zeta(j) / 2 ** j
+            assert abs(limit("chain_block", i, j) - want) <= 1e-4 * want, (i, j)
+    want = math.pi ** 2 / 24
+    assert abs(limit("pair_block", 1, 1) - want) <= 1e-6 * want
+
+
+def test_tail_rates_limit_doublepoints():
+    (rate,) = tail_rates_limit(2)
+    assert abs(rate - math.pi ** 2 / (24 + math.pi ** 2)) <= 1e-12
+    assert abs(rate - doublepoint_tail().rates[0]) <= 1e-12
+    with pytest.raises(DomainError):
+        tail_rates_limit(1)
+
+
+def test_tail_rates_limit_match_the_fit(tail_fits_2000):
+    # the fit runs the crossing-profile DP and shares no code with W(k)
+    for k, model in tail_fits_2000.items():
+        rates = tail_rates_limit(k)
+        assert len(rates) == k - 1
+        assert abs(rates[0] - model.rates[0]) <= 2e-3, k
+        if k in (3, 4):
+            assert abs(rates[1] - model.rates[1]) <= 5e-3, k
+
+
+def test_tail_rates_limit_against_mpmath():
+    # every k that `asymp --table 2 --kmax` accepts: the float eigenvalues
+    # of W(k) against 60-digit ones of the same matrix
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for k in range(2, TAIL_RATES_KMAX + 1):
+            W = mp.matrix([[mp.mpf(x.numerator) / x.denominator for x in row]
+                           for row in limit_transfer_matrix(k)])
+            mus = mp.eig(W)[0]  # a 1 x 1 W returns vectors whatever is asked
+            assert all(abs(mp.im(m)) < mp.mpf(10) ** -40 for m in mus), k
+            want = sorted(float(mp.re(m / (1 + m))) for m in mus)
+            got = sorted(tail_rates_limit(k))
+            assert len(got) == len(want) == k - 1
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-10 * abs(w), (k, g, w)
 
 
 def test_extrapolate_probability_singlepoints(float_engine_4000):

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from walkrange import walks
 from walkrange.cli import _sig, run
 from walkrange.genfun import range_distribution
 from walkrange.walks import local_time_probabilities
@@ -121,23 +122,46 @@ def test_asymp_table3_small(capsys):
     assert ent[(1, 2)] == pytest.approx(-0.08877, abs=5e-6)
 
 
-# stdout of `asymp --table 2 --kmax 5 --n 600` as printed with the DP step
-# of three weight matrices; the order in which the DP rounds must not move
-# the printed rates and residuals
+# stdout of `asymp --table 2 --kmax 5 --n 600`: the eigenvalue rates of the
+# limit transfer operator, which do not depend on --n
 _TABLE2_N600 = (
-    '{"command": "asymp", "parameters": {"kmax": 5, "n": 600, "table":'
-    ' 2}, "provenance": {"digits": 6}, "results": {"tail_rates": [{"k":'
-    ' 2, "rates": [0.2914], "residual": 3.64e-10}, {"k": 3, "rates":'
-    ' [0.290182, -0.23068], "residual": 3.02e-09}, {"k": 4, "rates":'
-    ' [0.2986, -0.14779, 0.123738], "residual": 6.82e-09}, {"k": 5,'
-    ' "rates": [0.419829, 0.302855, -0.199141, -0.103949], "residual":'
-    ' 1.71e-09}]}, "schema_version": 1}'
+    '{"command": "asymp", "parameters": {"kmax": 5, "table": 2},'
+    ' "provenance": {"digits": 6, "route": "transfer-operator-limit"},'
+    ' "results": {"tail_rates": [{"k": 2, "rates": [0.2914]}, {"k": 3,'
+    ' "rates": [0.290181, -0.230574]}, {"k": 4, "rates": [0.29867,'
+    ' -0.141764, 0.125563]}, {"k": 5, "rates": [0.30263, -0.188223,'
+    ' -0.0816851, 0.0764816]}]}, "schema_version": 1}'
     "\n")
 
 
 def test_asymp_table2_output_is_pinned(capsys):
     assert run(["asymp", "--table", "2", "--kmax", "5", "--n", "600"]) == 0
     assert capsys.readouterr().out == _TABLE2_N600
+
+
+def test_asymp_table2_runs_neither_the_dp_nor_the_fit(capsys, monkeypatch):
+    from walkrange import asymptotics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table 2 must not run this route")
+
+    monkeypatch.setattr(walks, "local_time_probabilities", refuse)
+    monkeypatch.setattr(asymptotics, "tail_rate_fit", refuse)
+    rc, rep, _ = run_json(capsys, ["asymp", "--table", "2", "--kmax", "5",
+                                   "--n", "1500"])
+    assert rc == 0
+    assert [e["k"] for e in rep["results"]["tail_rates"]] == [2, 3, 4, 5]
+
+
+def test_asymp_table2_rates_k3_to_k8(capsys):
+    # the printed digits of the limit-operator rates for k = 3..8
+    rc, rep, _ = run_json(capsys, ["asymp", "--table", "2", "--kmax", "8"])
+    assert rc == 0
+    rates = {e["k"]: e["rates"] for e in rep["results"]["tail_rates"]}
+    assert rates[3] == [0.290181, -0.230574]
+    assert rates[4] == [0.29867, -0.141764, 0.125563]
+    assert rates[5] == [0.30263, -0.188223, -0.0816851, 0.0764816]
+    assert [rates[k][0] for k in (6, 7, 8)] == [0.305899, 0.308286, 0.310199]
 
 
 # stdout of `dist --n 1000 --k 4 --lmax 4 --backend float` (the DP route)
@@ -208,6 +232,7 @@ def test_argument_errors_exit_two(capsys):
     ["oracle", "--n", "2", "--track", "1,x"],
     ["asymp", "--table", "3", "--kmax", "0"],
     ["asymp", "--table", "2", "--kmax", "1"],
+    ["asymp", "--table", "2", "--kmax", "11"],
     ["asymp", "--table", "1", "--lmax", "-1"],
     ["asymp", "--table", "2", "--n", "0"],
     ["asymp", "--xi", "1"],
@@ -221,6 +246,7 @@ def test_argument_errors_exit_two(capsys):
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
         "oracle-n-neg", "oracle-d0", "oracle-track-k0",
         "oracle-track-malformed", "asymp-kmax0", "asymp-table2-kmax1",
+        "asymp-table2-kmax-over-cap",
         "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table2-n-small",
         "asymp-table-and-xi", "range-dist-mmax-neg",
         "verify-n-max-neg", "digits0"])

@@ -192,6 +192,22 @@ def test_joint_counts_share_the_resolvent_walk(monkeypatch):
     assert products <= 8371
 
 
+def test_joint_counts_refuse_a_too_short_truncation():
+    # 70 closed walks of length 8 need the series to order 8, as in
+    # Engine.distribution
+    with pytest.raises(ValueError, match="truncation order too small"):
+        joint_counts(Engine(6, backend=EXACT), 4, (1,))
+    with pytest.raises(ValueError, match="truncation order too small"):
+        Engine(6, backend=EXACT).distribution(4, 1, 2)
+
+
+def test_joint_counts_with_nothing_tracked():
+    eng = Engine(8, backend=EXACT)
+    for n in range(5):
+        got = joint_counts(eng, n, ())
+        assert got == dict(oracle_counts(n, 1, ())) == {(): comb(2 * n, n)}, n
+
+
 def test_joint_counts_skip_a_multiplicity():
     # tracking (1, 3) marginalizes the untracked doublepoints correctly
     eng = Engine(10, backend=EXACT)
