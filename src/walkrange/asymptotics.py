@@ -31,7 +31,7 @@ import numpy as np
 
 from . import walks
 from .errors import DomainError, IllConditioned
-from .genfun import transfer_terms
+from .genfun import reduced_terms
 from .pseries import EXACT, TruncatedSeries
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,8 @@ def doublepoint_tail():
 # the largest k whose float eigenvalues of W(k) stay within 1e-10 relative of
 # 60-digit ones: 1.3e-12 at k = 10, 2.9e-11 at k = 11, 3.2e-10 at k = 12
 TAIL_RATES_KMAX = 10
+# the significant digits that 1e-10 relative certifies
+TAIL_RATES_DIGITS = 10
 
 
 def limit_transfer_matrix(k):
@@ -290,19 +292,17 @@ def limit_transfer_matrix(k):
     so Q(k) = U G with U[c, b] = (-1)^rho' / rho'! [m0(c) = b] for
     c = (rho', t'), and G U = W has the same nonzero eigenvalues:
     W[a, b] = sum_{c: m0(c) = b} (-1)^rho' / rho'! g(a, c), where g(a, .) is
-    the row (0, k-2-a) of Q(k).  Each chain_block(i, j) is replaced by its
-    limit zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of
-    every zeta value is collected exactly before one product with
-    `zeta_fraction`, as in `second_moment_limit`.
+    the row (0, k-2-a) of Q(k): the W(k) of `genfun.reduced_terms`, whose
+    s, s' are k-2-a, k-2-b.  Each chain_block(i, j) is replaced by its limit
+    zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of every
+    zeta value is collected exactly before one product with `zeta_fraction`,
+    as in `second_moment_limit`.
     """
     cells = {}  # (a, b) -> {j: exact coefficient of zeta(j)}
-    for ((rho, t), (rhot, tt)), (terms, den) in transfer_terms(k).items():
-        if rho:
-            continue  # one row per m0 = a: (0, k - 2 - a)
-        cell = cells.setdefault((k - 2 - t, k - 2 - rhot - tt), {})
-        col = Fraction((-1) ** rhot, factorial(rhot) * den)
-        for _power, w, (_i, j) in terms:
-            cell[j] = cell.get(j, 0) + col * w / 2 ** j
+    for (s, s2), weights in reduced_terms(k).items():
+        cell = cells.setdefault((k - 2 - s, k - 2 - s2), {})
+        for (_power, (_i, j)), w in weights.items():
+            cell[j] = cell.get(j, 0) + w / 2 ** j
     maxmag = max(abs(c) for cell in cells.values() for c in cell.values())
     digits = 30 + int(math.log10(max(maxmag, 1)))
     W = [[Fraction(0)] * (k - 1) for _ in range(k - 1)]

@@ -241,6 +241,9 @@ def _cmd_asymp(args):
                              f"{asy.TAIL_RATES_KMAX} with --table 2")
         if args.n < 500:
             args.usage_error("argument --n: must be >= 500 with --table 2")
+        if digits > asy.TAIL_RATES_DIGITS:
+            args.usage_error("argument --digits: must be at most "
+                             f"{asy.TAIL_RATES_DIGITS} with --table 2")
         entries, rows = [], []
         for k in range(2, kmax + 1):
             rates = [_sig(r, digits) for r in asy.tail_rates_limit(k)]

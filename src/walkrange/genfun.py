@@ -12,7 +12,8 @@ turns those into occupancy counts (for k <= 2 closed forms give the counts
 directly).  Every marked moment, single-multiplicity or mixed, is a
 coefficient of `Engine._accumulate_resolvent`, one walk per query: it starts
 from every u_{k2} u_{k3} |right(k2, k3)> at once, and <left(k)| is the exit
-row of the step for u_k.
+row of the step for u_k.  Its state is y[s], s = rho + t, of dimension
+kmax - 1, stepped by the matrices W(k) that Q(k) (of rank k - 1) factors by.
 Everything here was validated coefficient-by-coefficient against
 exhaustive walk enumeration.
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import DomainError, MarkerOverflow, NonUnit
-from .pseries import EXACT, BaseSeriesCache, TruncatedSeries, base_series
+from .pseries import EXACT, TruncatedSeries, base_series
 
 
 def _tri_indices(kmax):
@@ -49,7 +50,7 @@ def transfer_terms(k, kmax=None):
     divided by den.  Rows with rho + t >= k - 1 vanish identically and are
     left out, and so are columns with tt > m0 = k - 2 - rho - t.  The row
     enters only through m0 and the factor (-1)^rho / rho!, so Q(k) has rank
-    at most k - 1; asymptotics.tail_rates_limit reads these same weights."""
+    at most k - 1 (see `reduced_terms`)."""
     kmax = kmax or k
     idx = _tri_indices(kmax)
     out = {}
@@ -69,6 +70,24 @@ def transfer_terms(k, kmax=None):
             out[((rho, t), (rhot, tt))] = (
                 terms, factorial(tt) * factorial(tt + 1) * factorial(rho))
     return out
+
+
+def reduced_terms(k, kmax=None):
+    """The weights of W(k): {(s, s'): {(power, (i, j)): w}}, entry (s, s')
+    being the sum of w (1 - A)^power chain_block(i, j).  Row (rho, t) of Q(k)
+    is (-1)^rho / rho! row (0, s), s = rho + t, so Q(k) keeps the form
+    v[(rho, t)] = (-1)^rho / rho! y[s] and acts on y as W(k): W(k)[s, s']
+    sums (-1)^rho' / rho'! Q(k)[(0, s), (rho', t')] over rho' + t' = s'."""
+    cells = {}
+    for ((rho, t), (rhot, tt)), (terms, den) in transfer_terms(k, kmax).items():
+        if rho:
+            continue
+        cell = cells.setdefault((t, rhot + tt), {})
+        col = Fraction((-1) ** rhot, factorial(rhot) * den)
+        for power, w, ij in terms:
+            key, x = (power, ij), col * w
+            cell[key] = cell[key] + x if key in cell else x
+    return cells
 
 
 def _as_int(x):
@@ -276,35 +295,47 @@ class Engine:
     def _accumulate_resolvent(self, ms):
         """Add sum over k1,k2,k3 of u-weighted <left| resolvent |right> to ms.
 
-        One walk: the start sums u_{k2} u_{k3} |right(k2, k3)> over every
-        pair, so starts on one (index, exponent) are added before any
-        product, and the step for u_k is Q(k) with <left(k)| as its exit
-        row.  An exit lands in ms only on an admissible monomial, and a move
-        is kept only while one more marker (its exit) still lands on one.
+        The walk runs on y[s], s = rho + t < kmax - 1: every state is
+        v[(rho, t)] = (-1)^rho / rho! y[s] (`reduced_terms`), and so is
+        |right(k2, k3)>.  The step for u_k is W(k), one product per
+        (power, i, j) of an entry, with the exit row L_k[s] = (-1)^s / s!
+        left(k)[(s, 0)].  One walk: the start y0[s] = right(k2, k3)[(0, s)]
+        sums u_{k2} u_{k3} over every pair, so starts on one (index,
+        exponent) are added before any product.  An exit lands in ms only on
+        an admissible monomial, and a move is kept only while one more
+        marker (its exit) still lands on one.
         """
         tracked = ms.markers
         kmax = max(tracked)
-        steps = []  # the step for u_k: Q(k) plus the exit row <left(k)|
+        steps = []  # the step for u_k: the exit row L_k plus W(k)
         for k in tracked:
-            exits = self.left_vector(k, kmax).items()
-            steps.append(list(self.transfer_operator(k, kmax).items())
-                         + [((None, q), s) for q, s in exits])
+            step = [((None, s), v.scaled(Fraction((-1) ** s, factorial(s))))
+                    for (s, _t), v in self.left_vector(k, kmax).items()]
+            for key, cell in reduced_terms(k, kmax).items():
+                entry = TruncatedSeries.zero(self.K, self.backend)
+                for (power, ij), w in cell.items():
+                    term = self._one_minus_A_pow(power) * self.chain_block(*ij)
+                    entry = entry + term.scaled(w)
+                if not entry.is_zero():
+                    step.append((key, entry))
+            steps.append(step)
         zero_e = (0,) * len(tracked)
-        v = {}  # index -> {exponent -> series}
+        y = {}  # s -> {exponent -> series}
         for i2, k2 in enumerate(tracked):
             for i3, k3 in enumerate(tracked):
                 e0 = _plus_one(_plus_one(zero_e, i2), i3)
                 if ms._extendable(e0):
-                    for p, s in self.right_vector(k2, k3, kmax).items():
-                        dst = v.setdefault(p, {})
-                        dst[e0] = dst[e0] + s if e0 in dst else s
+                    for (rho, p), s in self.right_vector(k2, k3, kmax).items():
+                        if rho == 0:
+                            dst = y.setdefault(p, {})
+                            dst[e0] = dst[e0] + s if e0 in dst else s
         for _depth in range(sum(ms.bounds) + 2):
-            if not v:
+            if not y:
                 break
-            nv = {}
+            ny = {}
             for ik, rows in enumerate(steps):
                 for (p, q), qs in rows:
-                    for e, s in v.get(q, {}).items():
+                    for e, s in y.get(q, {}).items():
                         ee = _plus_one(e, ik)
                         if p is None:
                             if ms._admissible(ee):
@@ -312,11 +343,11 @@ class Engine:
                         elif ms._extendable(ee):
                             term = qs * s
                             if not term.is_zero():
-                                dst = nv.setdefault(p, {})
+                                dst = ny.setdefault(p, {})
                                 dst[ee] = dst[ee] + term if ee in dst else term
-            v = nv
+            y = ny
         else:
-            if v:
+            if y:
                 raise MarkerOverflow("resolvent expansion exceeded marker bounds")
 
     # -- single-multiplicity moments and distribution ---------------------------
@@ -588,20 +619,6 @@ def range_distribution(n, m_max=None):
     return out
 
 
-def range_count_series(cache: BaseSeriesCache, m):
-    """Series route for the range-m count (used to cross-check the ballot route)."""
-    def log_term(t):
-        s = TruncatedSeries.zero(cache.K, cache.backend)
-        j = 1
-        while t * j <= cache.K // 2:
-            s = s - cache.b_even_power(t * j).scaled(Fraction(1, j))
-            j += 1
-        return s
-
-    bracket = log_term(m).scaled(2) - log_term(m - 1) - log_term(m + 1)
-    return bracket.zddz()
-
-
 def range_moment(n, r, hist=None):
     """Exact E_n(ran^r) as a Fraction, from the full range histogram."""
     if hist is None:
@@ -645,20 +662,3 @@ def vertex_factor(q, k, w):
     acc = sum(comb(k - 1, nu) * comb(q, k - nu) * (-w) ** nu
               for nu in range(max(0, k - q), k))
     return (-1) ** k * acc / (q * (1 + w) ** k)
-
-
-def vertex_factor_series_form(q, k, w, terms=80):
-    """Unsummed proof form of the vertex factor, truncated after `terms`.
-
-    ((-1)^q / q!) (1+w)^q sum_{m >= max(k,q)} C(m,k) (m-1)!/(m-q)! w^{m-q} (-1)^{m+k}
-
-    Numeric w with |w| < 1 only; used to cross-validate the closed form.
-    """
-    if q < 1:
-        raise ValueError("the proof form covers q >= 1")
-    m0 = max(k, q)
-    acc = 0.0
-    for m in range(m0, m0 + terms):
-        acc += (comb(m, k) * (factorial(m - 1) / factorial(m - q))
-                * w ** (m - q) * (-1) ** (m + k))
-    return (-1) ** q / factorial(q) * (1 + w) ** q * acc

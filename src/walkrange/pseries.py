@@ -11,7 +11,9 @@ scalar enters the coefficient field and in how a coefficient is read:
   "Faster polynomial multiplication via multipoint Kronecker substitution",
   JSC 2009; as in FLINT's fmpz_poly): each vector is packed into one big
   integer, the two are multiplied once (CPython's Karatsuba) and the low
-  K+1 slots are read back;
+  K+1 slots are read back.  Only the window that reaches order K is
+  packed: past the valuations va and vb, a[va..K-vb] and b[vb..K-va],
+  whose product is written from order va + vb on;
 - float: a read-only, finite float64 array with den == 1, multiplied by
   numpy convolution (FFT from _FFT_THRESHOLD on), whose error is relative
   to the operands' norms: float series need bounded coefficients.
@@ -74,16 +76,29 @@ def _check_finite(arr):
     return arr
 
 
+def _valuation(v):
+    """Index of the first nonzero entry of v, or len(v) if there is none."""
+    return next((i for i, x in enumerate(v) if x), len(v))
+
+
 def _kronecker(a, b, K):
     """Coefficients 0..K of the product of the integer vectors a and b.
 
-    Slots are w = 8*nb bits, so every product coefficient has |c| < 2^(w-1);
-    adding 2^(w-1) per low slot modulo 2^(w(K+1)) makes it read back as
-    plain bytes, and the mask drops the (possibly negative) slots above K."""
+    Only the window that reaches order K is packed: with valuations va, vb,
+    a[va .. K-vb] and b[vb .. K-va], whose product lands from slot va + vb
+    on.  Slots are w = 8*nb bits, so every product coefficient has
+    |c| < 2^(w-1); adding 2^(w-1) per low slot modulo 2^(w n) makes it read
+    back as plain bytes, and the mask drops the (possibly negative) slots
+    above K."""
     # series in z^2 only (all walk series are) multiply as series in y = z^2
     s = 1 if any(a[1: K + 1: 2]) or any(b[1: K + 1: 2]) else 2
     a, b = a[: K + 1: s], b[: K + 1: s]
-    n = len(a)
+    out = [0] * (K + 1)
+    va, vb = _valuation(a), _valuation(b)
+    n = len(a) - va - vb  # slots 0 .. K // s - va - vb of the product
+    if n <= 0:
+        return out
+    a, b = a[va: va + n], b[vb: vb + n]
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + n.bit_length() + 2)
     nb = (bits + 7) // 8
@@ -97,9 +112,8 @@ def _kronecker(a, b, K):
     low = (pack(a) * pack(b) + bias) & ((1 << (8 * nb * n)) - 1)
     buf = low.to_bytes(nb * n, "little")
     half = 1 << (8 * nb - 1)
-    out = [0] * (K + 1)
-    out[::s] = [int.from_bytes(buf[i: i + nb], "little") - half
-                for i in range(0, nb * n, nb)]
+    out[s * (va + vb):: s] = [int.from_bytes(buf[i: i + nb], "little") - half
+                              for i in range(0, nb * n, nb)]
     return out
 
 

@@ -233,6 +233,7 @@ def test_argument_errors_exit_two(capsys):
     ["asymp", "--table", "3", "--kmax", "0"],
     ["asymp", "--table", "2", "--kmax", "1"],
     ["asymp", "--table", "2", "--kmax", "11"],
+    ["asymp", "--table", "2", "--kmax", "10", "--digits", "11"],
     ["asymp", "--table", "1", "--lmax", "-1"],
     ["asymp", "--table", "2", "--n", "0"],
     ["asymp", "--xi", "1"],
@@ -246,7 +247,7 @@ def test_argument_errors_exit_two(capsys):
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
         "oracle-n-neg", "oracle-d0", "oracle-track-k0",
         "oracle-track-malformed", "asymp-kmax0", "asymp-table2-kmax1",
-        "asymp-table2-kmax-over-cap",
+        "asymp-table2-kmax-over-cap", "asymp-table2-digits-over-cap",
         "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table2-n-small",
         "asymp-table-and-xi", "range-dist-mmax-neg",
         "verify-n-max-neg", "digits0"])

@@ -1,14 +1,13 @@
 """The d=1 joint-distribution engine against the enumeration oracle."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from walkrange.errors import DomainError, NonUnit
-from walkrange.genfun import (Engine, joint_counts, range_count_series,
-                              range_distribution, range_moment, vertex_factor,
-                              vertex_factor_series_form)
+from walkrange.genfun import (Engine, joint_counts, range_distribution,
+                              range_moment, vertex_factor)
 from walkrange.pseries import EXACT, TruncatedSeries, base_series
 from walkrange.walks import (local_time_distribution,
                              local_time_probabilities, oracle_counts,
@@ -134,6 +133,25 @@ def test_transfer_powers_vanish_on_excluded_rows(eng12):
         out = _apply(q, out)
 
 
+def test_walk_equals_the_dense_transfer_operator():
+    # the walk runs on the (k-1)-dimensional s = rho + t state; the dense
+    # Q(k) on the (rho, t) index set gives the same series,
+    # M_j = z d/dz <left(k)| Q(k)^(j-3) |right(k, k)> for j >= 3
+    eng = Engine(40, backend=EXACT)
+    for k in (3, 4, 5):
+        jmax = 2 * eng.K // k
+        got = eng.binomial_moment_series(k, jmax)
+        q, left = eng.transfer_operator(k), eng.left_vector(k)
+        vec = eng.right_vector(k, k)
+        for j in range(3, jmax + 1):
+            want = TruncatedSeries.zero(eng.K, EXACT)
+            for p, s in left.items():
+                if p in vec:
+                    want = want + s * vec[p]
+            assert got[j] == want.zddz(), (k, j)
+            vec = _apply(q, vec)
+
+
 def test_left_vector_lives_at_t_zero(eng12):
     for k in (1, 2, 3):
         lv = eng12.left_vector(k, kmax=4)
@@ -175,9 +193,10 @@ def test_joint_counts_match_oracle():
 
 
 def test_joint_counts_share_the_resolvent_walk(monkeypatch):
-    # starts on one (index, exponent) are summed before any product: one
-    # walk for all start pairs does at most 8,371 exact products here, where
-    # a walk per (k2, k3) start pair does 24,250
+    # starts on one (index, exponent) are summed before any product, and
+    # the walk runs on the s = rho + t state: one walk for all start pairs
+    # does at most 5,410 exact products here, where the same walk on the
+    # (rho, t) state did 8,371 and a walk per (k2, k3) start pair 24,250
     eng = Engine(24, backend=EXACT)
     products = 0
     mul = TruncatedSeries.__mul__
@@ -189,7 +208,7 @@ def test_joint_counts_share_the_resolvent_walk(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     joint_counts(eng, 12, (1, 2, 3, 4))
-    assert products <= 8371
+    assert products <= 5410
 
 
 def test_joint_counts_refuse_a_too_short_truncation():
@@ -448,6 +467,20 @@ def test_range_distribution_matches_oracle():
         assert sum(hist.values()) == comb(2 * n, n)
 
 
+def range_count_series(cache, m):
+    """Series route for the range-m count (used to cross-check the ballot route)."""
+    def log_term(t):
+        s = TruncatedSeries.zero(cache.K, cache.backend)
+        j = 1
+        while t * j <= cache.K // 2:
+            s = s - cache.b_even_power(t * j).scaled(Fraction(1, j))
+            j += 1
+        return s
+
+    bracket = log_term(m).scaled(2) - log_term(m - 1) - log_term(m + 1)
+    return bracket.zddz()
+
+
 def test_range_series_route_agrees_with_ballot_route():
     cache = base_series(20, backend=EXACT)
     for n in range(1, 11):
@@ -515,6 +548,23 @@ def test_vertex_factor_series_argument():
     got_q = vertex_factor(2, 1, w)
     # q=2, k=1: (-1) (1/2) C(0,0) C(2,1) / (1+w)
     assert got_q == (cache.one / (cache.one + w)).scaled(-1)
+
+
+def vertex_factor_series_form(q, k, w, terms=80):
+    """Unsummed proof form of the vertex factor, truncated after `terms`.
+
+    ((-1)^q / q!) (1+w)^q sum_{m >= max(k,q)} C(m,k) (m-1)!/(m-q)! w^{m-q} (-1)^{m+k}
+
+    Numeric w with |w| < 1 only; used to cross-validate the closed form.
+    """
+    if q < 1:
+        raise ValueError("the proof form covers q >= 1")
+    m0 = max(k, q)
+    acc = 0.0
+    for m in range(m0, m0 + terms):
+        acc += (comb(m, k) * (factorial(m - 1) / factorial(m - q))
+                * w ** (m - q) * (-1) ** (m + k))
+    return (-1) ** q / factorial(q) * (1 + w) ** q * acc
 
 
 def test_vertex_factor_resummation():

@@ -321,6 +321,62 @@ def test_kronecker_product_negative_top_slot_and_above(K):
         assert all(c < 0 for c in full[K + 1:])
 
 
+def shifted_rationals(rng, v, K, even=False):
+    """Random rationals on orders v..K with v leading zeros; with `even`,
+    the odd orders are zero too (the z^2 route of the product)."""
+    cs = [Fraction(0)] * v + rand_rationals(rng, K + 1 - v)
+    return [0 if even and m % 2 else c for m, c in enumerate(cs)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 17, 40])
+def test_kronecker_window_past_leading_zeros(K):
+    # only a[va .. K-vb] and b[vb .. K-va] are packed, and the product is
+    # written from slot va + vb on; it is zero once va + vb > K
+    import random
+    rng = random.Random(500 + K)
+    h = K // 2
+    pairs = [(0, 0), (1, 0), (0, 1), (3, 2), (2, 4), (5, 7), (h, K - h),
+             (K, 0), (0, K), (h + 1, K - h), (K, 1), (K, K)]
+    for va, vb in pairs:
+        for even in (False, True):
+            if even and (va % 2 or vb % 2):
+                continue
+            ca = shifted_rationals(rng, min(va, K + 1), K, even)
+            cb = shifted_rationals(rng, min(vb, K + 1), K, even)
+            p = check_product(ca, cb, K, K)
+            if va + vb > K:
+                assert p.is_zero() and p.den == 1, (va, vb)
+            else:
+                assert p[va + vb] != 0 and not any(p.nums[: va + vb]), (va, vb)
+
+
+@pytest.mark.parametrize("Ka,va,Kb,vb", [(17, 5, 40, 12), (40, 10, 17, 3),
+                                         (40, 9, 17, 9), (17, 6, 40, 11)])
+def test_kronecker_window_of_different_orders(Ka, va, Kb, vb):
+    # the window is cut at the smaller order; (40, 9, 17, 9) lands past it
+    import random
+    rng = random.Random(Ka * va + Kb * vb)
+    for even in (False, True):
+        check_product(shifted_rationals(rng, va, Ka, even),
+                      shifted_rationals(rng, vb, Kb, even), Ka, Kb)
+
+
+@pytest.mark.parametrize("K", [1, 2, 17, 40])
+def test_kronecker_window_of_a_lone_top_coefficient(K):
+    # a is zero except at order K: only b's constant term reaches order K
+    import random
+    rng = random.Random(900 + K)
+    top = [0] * K + [Fraction(-7, 3)]
+    for even in (False, True):
+        b = shifted_rationals(rng, 0, K, even)
+        p = check_product(top, b, K, K)
+        assert p.coeffs == [0] * K + [Fraction(-7, 3) * b[0]]
+        p = check_product(b, top, K, K)
+        assert p.coeffs == [0] * K + [Fraction(-7, 3) * b[0]]
+        assert check_product(top, [0] + b[1:], K, K).is_zero()
+        assert check_product(top, top, K, K).is_zero()
+
+
 def test_canonical_after_every_exact_op():
     import random
     rng = random.Random(99)
