@@ -307,6 +307,18 @@ class Engine:
         """
         tracked = ms.markers
         kmax = max(tracked)
+        zero_e = (0,) * len(tracked)
+        y = {}  # s -> {exponent -> series}
+        for i2, k2 in enumerate(tracked):
+            for i3, k3 in enumerate(tracked):
+                e0 = _plus_one(_plus_one(zero_e, i2), i3)
+                if ms._extendable(e0):
+                    for (rho, p), s in self.right_vector(k2, k3, kmax).items():
+                        if rho == 0:
+                            dst = y.setdefault(p, {})
+                            dst[e0] = dst[e0] + s if e0 in dst else s
+        if not y:  # no start can reach an admissible exponent: nothing to add
+            return
         steps = []  # the step for u_k: the exit row L_k plus W(k)
         for k in tracked:
             step = [((None, s), v.scaled(Fraction((-1) ** s, factorial(s))))
@@ -319,16 +331,6 @@ class Engine:
                 if not entry.is_zero():
                     step.append((key, entry))
             steps.append(step)
-        zero_e = (0,) * len(tracked)
-        y = {}  # s -> {exponent -> series}
-        for i2, k2 in enumerate(tracked):
-            for i3, k3 in enumerate(tracked):
-                e0 = _plus_one(_plus_one(zero_e, i2), i3)
-                if ms._extendable(e0):
-                    for (rho, p), s in self.right_vector(k2, k3, kmax).items():
-                        if rho == 0:
-                            dst = y.setdefault(p, {})
-                            dst[e0] = dst[e0] + s if e0 in dst else s
         for _depth in range(sum(ms.bounds) + 2):
             if not y:
                 break

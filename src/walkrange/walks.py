@@ -109,8 +109,12 @@ def profile(w: Walk) -> RangeProfile:
 # is split by a step prefix so that no subtree grown at once has more than
 # _BLOCK_LEAVES unpruned leaves: the arrays of a block do not grow with n,
 # and the prefix frontier has fewer than 2d (2d)^(2n) / _BLOCK_LEAVES rows.
+# A block costs a fixed number of numpy calls whatever its size (one `grow`
+# per step, one histogram, one tally), and at small n those calls, not the
+# arithmetic, set the time.  2^13 leaves make 4x fewer of them than 2^11,
+# and the peak memory of an n = 9 enumeration grows by under 1 MB.
 
-_BLOCK_LEAVES = 2 ** 11
+_BLOCK_LEAVES = 2 ** 13
 
 
 def _point_blocks(n, d):
@@ -158,15 +162,21 @@ def _point_blocks(n, d):
 
 
 def _visit_histograms(points, width):
-    """hist[r, k] = number of points that row r holds exactly k times."""
+    """hist[r, k] = number of points that row r holds exactly k times.
+
+    Sorts each row of `points` in place, and builds the cell index of each
+    run in place, so that a block's largest arrays are not copied.
+    """
     rows, m = points.shape
-    srt = np.sort(points, axis=1)
-    first = np.ones(srt.shape, dtype=bool)
-    np.not_equal(srt[:, 1:], srt[:, :-1], out=first[:, 1:])
-    starts = np.flatnonzero(first)
-    runs = np.diff(starts, append=srt.size)
-    return np.bincount(starts // m * width + runs,
-                       minlength=rows * width).reshape(rows, width)
+    points.sort(axis=1)
+    first = np.ones(points.shape, dtype=bool)
+    np.not_equal(points[:, 1:], points[:, :-1], out=first[:, 1:])
+    cell = np.flatnonzero(first)
+    runs = np.diff(cell, append=points.size)
+    cell //= m
+    cell *= width
+    cell += runs
+    return np.bincount(cell, minlength=rows * width).reshape(rows, width)
 
 
 def oracle_counts(n, d, tracked=(), include_range=False,
@@ -174,7 +184,10 @@ def oracle_counts(n, d, tracked=(), include_range=False,
     """Exact joint counts over all closed walks of length exactly 2n.
 
     Returns a Counter keyed by the tuple of N_{2k} for k in `tracked`,
-    extended with ran(w) when include_range is set.
+    extended with ran(w) when include_range is set; keys and counts are
+    Python ints, and with no key column every walk counts under ().  Raises
+    BudgetExceeded past `budget` walks of all directions, or when point codes
+    in signed base 2n + 1 would pass int64.
     """
     tracked = tuple(tracked)
     if n < 0 or d < 1 or any(k < 1 for k in tracked):
@@ -182,16 +195,38 @@ def oracle_counts(n, d, tracked=(), include_range=False,
     if (2 * d) ** (2 * n) > budget:
         raise BudgetExceeded(
             f"(2d)^(2n) = {(2 * d) ** (2 * n)} exceeds budget {budget}")
+    top_code = ((2 * n + 1) ** d - 1) // 2  # the point (n, n, .., n)
+    if top_code > np.iinfo(np.int64).max:
+        raise BudgetExceeded(
+            f"point codes reach ((2n+1)^d - 1)/2 = {top_code}, past int64")
     width = max((2 * n, 1) + tracked) + 1
     out = Counter()
     for points in _point_blocks(n, d):
-        hist = _visit_histograms(points, width)
-        keys = hist[:, list(tracked)]
-        if include_range:
-            keys = np.column_stack((keys, hist.sum(axis=1)))
-        uniq, cnt = np.unique(keys, axis=0, return_counts=True)
-        out.update(dict(zip(map(tuple, uniq.tolist()), cnt.tolist())))
+        out.update(_block_counts(points, width, tracked, include_range))
     return out
+
+
+def _block_counts(points, width, tracked, include_range):
+    """{key: number of rows} over one block, keyed as in `oracle_counts`.
+
+    The key rows are sorted by `np.lexsort`, first column primary, and
+    counted by run length, as `_visit_histograms` counts points.  A function
+    of its own, so that a block's histogram is freed before the next block
+    grows.
+    """
+    hist = _visit_histograms(points, width)
+    cols = [hist[:, k] for k in tracked]
+    if include_range:
+        cols.append(hist.sum(axis=1))
+    if not cols:
+        return {(): len(hist)}
+    # lexsort takes its last key as the primary one
+    keys = np.column_stack(cols)[np.lexsort(cols[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    runs = np.diff(starts, append=len(keys))
+    return dict(zip(map(tuple, keys[starts].tolist()), runs.tolist()))
 
 
 def oracle_mixed_moment(n, d, spec, budget=DEFAULT_ENUM_BUDGET):

@@ -13,11 +13,59 @@ from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction, bernoulli,
                                    fit_linear_recurrence,
                                    limit_transfer_matrix, range_moment_limit,
                                    richardson, second_moment_limit,
-                                   singlepoint_expansion, singular_scaled_sum,
-                                   tail_rate_fit, tail_rates_limit,
-                                   tail_sum_direct, zeta, zeta_em,
-                                   zeta_fraction)
+                                   singlepoint_expansion, tail_rate_fit,
+                                   tail_rates_limit, zeta, zeta_fraction)
 from walkrange.genfun import Engine
+
+
+# -- reference evaluations the library results are checked against ---------
+
+def zeta_em(s, terms=40, correction_order=12):
+    """Independent Euler-Maclaurin evaluation of zeta(s), for cross-checks."""
+    if s < 2:
+        raise DomainError("zeta_em needs s >= 2")
+    N = terms
+    acc = sum(Fraction(1, j ** s) for j in range(1, N + 1))
+    acc += Fraction(1, (s - 1) * N ** (s - 1))
+    acc -= Fraction(1, 2 * N ** s)
+    rising = Fraction(s)
+    for i in range(1, correction_order + 1):
+        acc += (bernoulli(2 * i) / math.factorial(2 * i) * rising
+                / N ** (s + 2 * i - 1))
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+    return float(acc)
+
+
+def sigma_table(k, fmax):
+    """sigma_k(f) for f = 1..fmax by sieving."""
+    table = np.zeros(fmax + 1)
+    for f in range(1, fmax + 1):
+        fk = float(f) ** k
+        table[f:: f] += fk
+    return table
+
+
+def tail_sum_direct(k, b, rel_tol=1e-16):
+    """sum_{f>=1} f^k b^f/(1-b^f) = sum_f sigma_k(f) b^f for 0 <= b < 1."""
+    if not 0 <= b < 1:
+        raise DomainError("need 0 <= b < 1")
+    if b == 0:
+        return 0.0
+    # f^k e^{f log b} negligible beyond fmax
+    log_b = math.log(b)
+    fmax = 64
+    while fmax ** k * math.exp(fmax * log_b) > rel_tol and fmax < 5 * 10 ** 7:
+        fmax *= 2
+    table = sigma_table(k, fmax)
+    powers = np.exp(np.arange(fmax + 1) * log_b)
+    return float(np.dot(table[1:], powers[1:]))
+
+
+def singular_scaled_sum(k, varsigma):
+    """g_k(s) = (sqrt(1-s))^{k+1} sum_f f^k b^f/(1-b^f) for real s < 1."""
+    u = math.sqrt(1.0 - varsigma)
+    b = (1.0 - u) / (1.0 + u)
+    return u ** (k + 1) * tail_sum_direct(k, b)
 
 
 def test_bernoulli_values():

@@ -199,11 +199,15 @@ def test_verify_to_length_sixteen(capsys):
 
 
 def test_internal_error_returns_structured_object(capsys):
-    rc = run(["oracle", "--n", "20", "--d", "3"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    err = json.loads(out.strip().splitlines()[-1])
-    assert err["error"]["type"] == "BudgetExceeded"
+    # too many walks, and point codes past int64 (3^41 // 2 > 2^63 - 1)
+    for argv in (["oracle", "--n", "20", "--d", "3"],
+                 ["oracle", "--n", "1", "--d", "41"]):
+        rc = run(argv)
+        cap = capsys.readouterr()
+        assert rc == 1, argv
+        err = json.loads(cap.out.strip().splitlines()[-1])
+        assert err["error"]["type"] == "BudgetExceeded", argv
+        assert "Traceback" not in cap.out + cap.err, argv
 
 
 def test_argument_errors_exit_two(capsys):

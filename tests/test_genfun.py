@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from walkrange import genfun
 from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_distribution,
                               range_moment, vertex_factor)
@@ -414,6 +415,17 @@ def test_mixed_moments_at_n20_with_spec_bounds():
         gf = eng.joint_genfun(tuple(spec))
         s = gf.coefficient(tuple(spec.values()))
         assert eng.cache.count_at(s, 20) == want, spec
+
+
+def test_walk_without_a_start_builds_no_steps(monkeypatch):
+    # for k > 2n no start exponent is extendable, so the walk returns
+    # before it assembles W(k), which grows with k
+    def no_steps(*args):
+        raise AssertionError("reduced_terms called for a walk with no start")
+
+    monkeypatch.setattr(genfun, "reduced_terms", no_steps)
+    assert Engine(10).distribution(5, 40, 3) == ({0: 252}, 0)
+    assert Engine(10).mixed_moment({30: 3}, 5) == 0
 
 
 def test_joint_counts_with_bounds_below_the_weight_cap():

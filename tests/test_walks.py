@@ -82,6 +82,15 @@ def test_oracle_budget():
         oracle_counts(30, 1, (1,), budget=10 ** 6)
 
 
+def test_oracle_refuses_point_codes_past_int64():
+    # points are coded in signed base 2n + 1, so the largest code is
+    # ((2n+1)^d - 1)/2: 3^40 // 2 still fits in int64, 3^41 // 2 does not
+    assert dict(oracle_counts(1, 40, (1,))) == {(2,): 80}
+    for n, d in ((1, 41), (2, 28), (2, 30)):
+        with pytest.raises(BudgetExceeded, match="int64"):
+            oracle_counts(n, d, ())
+
+
 def test_oracle_d2_walk_totals():
     # closed 2-d walk counts are squared central binomials
     for n in (1, 2, 3):
@@ -89,9 +98,11 @@ def test_oracle_d2_walk_totals():
 
 
 # every closed walk, one profile() each: the reference the block enumerator
-# must reproduce (d=1 up to n=6, d=2 up to n=3, d=3 up to n=2)
-_BRUTE_SIZES = [(n, 1) for n in range(1, 7)] + [(1, 2), (2, 2), (3, 2),
-                                                (1, 3), (2, 3)]
+# must reproduce (d=1 up to n=7, d=2 up to n=4, d=3 up to n=2); d=1 n=7 and
+# d=2 n=4 are the sizes that take several default-size blocks
+_ONE_BLOCK_SIZES = [(n, 1) for n in range(1, 7)] + [(1, 2), (2, 2), (3, 2),
+                                                    (1, 3), (2, 3)]
+_BRUTE_SIZES = _ONE_BLOCK_SIZES + [(7, 1), (4, 2)]
 _TRACKED_SETS = [(), (1,), (2,), (1, 3), (3, 1, 2), (2, 2), (7,)]
 
 
@@ -117,7 +128,6 @@ def brute():
 
 
 def test_oracle_counts_match_brute_force(brute):
-    # under the module's block size, d=1 n=6 and d=2 n=3 take several blocks
     for (n, d, tracked, rng), want in brute.items():
         got = oracle_counts(n, d, tracked, include_range=rng)
         assert got == want, (n, d, tracked, rng)
@@ -126,19 +136,20 @@ def test_oracle_counts_match_brute_force(brute):
 
 
 # small block sizes split each enumeration into many blocks, the last of them
-# partial; 1 makes every walk its own block
+# partial; 1 makes every walk its own block, thousands of them already on the
+# one-block sizes
 @pytest.mark.parametrize("leaves", [1, 6, 40])
 def test_oracle_counts_do_not_depend_on_block_size(brute, monkeypatch,
                                                    leaves):
     monkeypatch.setattr(walks, "_BLOCK_LEAVES", leaves)
-    for n, d in _BRUTE_SIZES:
+    for n, d in _ONE_BLOCK_SIZES:
         for tracked, rng in (((), False), ((3, 1, 2), True)):
             got = oracle_counts(n, d, tracked, include_range=rng)
             assert got == brute[n, d, tracked, rng], (n, d, tracked, rng)
 
 
 @pytest.mark.parametrize("n,d,leaves,one_block", [
-    (5, 1, None, True), (6, 1, None, False), (3, 2, None, False),
+    (5, 1, None, True), (7, 1, None, False), (4, 2, None, False),
     (3, 2, 40, False), (2, 3, 6, False)])
 def test_point_blocks_stay_within_the_block_size(monkeypatch, n, d, leaves,
                                                  one_block):
