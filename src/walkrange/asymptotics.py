@@ -234,18 +234,16 @@ TAIL_RATES_DIGITS = 10
 
 
 def limit_transfer_matrix(k):
-    """W(k), whose eigenvalues are the nonzero ones of Q(k) at the singular
-    point, with Fraction entries (see `tail_rates_limit`).
+    """W(k) of `genfun.reduced_terms` at the singular point, with Fraction
+    entries (see `tail_rates_limit`).
 
-    Entry ((rho, t), c) of Q(k) is (-1)^rho / rho! g(m0, c), m0 = k-2-rho-t,
-    so Q(k) = U G with U[c, b] = (-1)^rho' / rho'! [m0(c) = b] for
-    c = (rho', t'), and G U = W has the same nonzero eigenvalues:
-    W[a, b] = sum_{c: m0(c) = b} (-1)^rho' / rho'! g(a, c), where g(a, .) is
-    the row (0, k-2-a) of Q(k): the W(k) of `genfun.reduced_terms`, whose
-    s, s' are k-2-a, k-2-b.  Each chain_block(i, j) is replaced by its limit
-    zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of every
-    zeta value is collected exactly before one product with `zeta_fraction`,
-    as in `second_moment_limit`.
+    Row (rho, t) of Q(k) is (-1)^rho / rho! row (0, rho + t), so Q(k) = U G
+    factors through the state s = rho + t, and G U = W(k) has the same
+    nonzero eigenvalues.  Row a and column b here are s = k-2-a and
+    s' = k-2-b of `reduced_terms`.  Each chain_block(i, j) is replaced by its
+    limit zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of
+    every zeta value is collected exactly before one product with
+    `zeta_fraction`, as in `second_moment_limit`.
     """
     cells = {}  # (a, b) -> {j: exact coefficient of zeta(j)}
     for (s, s2), weights in reduced_terms(k).items():

@@ -10,12 +10,14 @@ count series h0.  Expanding in the markers u_k gives joint binomial moments
 sum_w prod_k C(N_{2k}, j_k); one binomial inversion, on exact integers,
 turns those into occupancy counts (for k <= 2 closed forms give the counts
 directly).  Every marked moment, single-multiplicity or mixed, is a
-coefficient of `Engine._accumulate_resolvent`, one walk per query: it starts
-from every u_{k2} u_{k3} |right(k2, k3)> at once, and <left(k)| is the exit
-row of the step for u_k.  Its state is y[s], s = rho + t, of dimension
-kmax - 1, stepped by the matrices W(k) that Q(k) (of rank k - 1) factors by.
-Everything here was validated coefficient-by-coefficient against
-exhaustive walk enumeration.
+coefficient of `Engine._accumulate_resolvent`, one walk per query.  The walk
+runs on the state y[s], s < kmax - 1: it starts from every u_{k2} u_{k3}
+`start_row(k2, k3)` at once, is stepped for u_k by W(k) (`reduced_terms`,
+assembled by `transfer_operator`) and leaves through the exit row
+`left_row(k)`.  W(k) is the transfer operator Q(k) on the index set (rho, t)
+reduced to s = rho + t, the one transfer form built here; Q(k) has rank
+k - 1 and factors through it.  Everything here was validated
+coefficient-by-coefficient against exhaustive walk enumeration.
 
 Building blocks (cache = BaseSeriesCache):
 
@@ -36,57 +38,34 @@ from .errors import DomainError, MarkerOverflow, NonUnit
 from .pseries import EXACT, TruncatedSeries, base_series
 
 
-def _tri_indices(kmax):
-    """Index pairs (rho, t) with rho + t <= kmax - 2."""
-    return [(r, t) for r in range(max(kmax - 1, 0))
-            for t in range(max(kmax - 1 - r, 0))]
-
-
-def transfer_terms(k, kmax=None):
-    """The weights of Q(k): {(row, col): (terms, den)}, each entry being
-
-        sum over (power, w, (i, j)) in terms of w (1 - A)^power chain_block(i, j),
-
-    divided by den.  Rows with rho + t >= k - 1 vanish identically and are
-    left out, and so are columns with tt > m0 = k - 2 - rho - t.  The row
-    enters only through m0 and the factor (-1)^rho / rho!, so Q(k) has rank
-    at most k - 1 (see `reduced_terms`)."""
-    kmax = kmax or k
-    idx = _tri_indices(kmax)
-    out = {}
-    for (rho, t) in idx:
-        m0 = k - 2 - rho - t
-        if m0 < 0:
-            continue
-        for (rhot, tt) in idx:
-            m = m0 - tt
-            if m < 0:
-                continue
-            terms = [(m - eta,
-                      Fraction(factorial(k - 1) * (-1) ** (rho + eta),
-                               factorial(eta) * factorial(m - eta)),
-                      (tt + 1, rhot + eta + 2 * tt + 2))
-                     for eta in range(m + 1)]
-            out[((rho, t), (rhot, tt))] = (
-                terms, factorial(tt) * factorial(tt + 1) * factorial(rho))
-    return out
-
-
 def reduced_terms(k, kmax=None):
     """The weights of W(k): {(s, s'): {(power, (i, j)): w}}, entry (s, s')
-    being the sum of w (1 - A)^power chain_block(i, j).  Row (rho, t) of Q(k)
-    is (-1)^rho / rho! row (0, s), s = rho + t, so Q(k) keeps the form
-    v[(rho, t)] = (-1)^rho / rho! y[s] and acts on y as W(k): W(k)[s, s']
-    sums (-1)^rho' / rho'! Q(k)[(0, s), (rho', t')] over rho' + t' = s'."""
+    being the sum of w (1 - A)^power chain_block(i, j), for s < min(k, kmax)
+    - 1 and s' < kmax - 1.
+
+    W(k) is the transfer operator Q(k) on the index set (rho, t), rho + t <=
+    kmax - 2, reduced to s = rho + t.  Row (rho, t) of Q(k) is (-1)^rho /
+    rho! row (0, s), so Q(k) keeps the form v[(rho, t)] = (-1)^rho / rho!
+    y[s], and W(k)[s, s'] sums (-1)^rho' / rho'! Q(k)[(0, s), (rho', t')]
+    over rho' + t' = s'.  That column (rho', t') lives for t' <= m0 = k - 2
+    - s, and with m = m0 - t' it carries (-1)^(rho' + eta) (k-1)! / (rho'!
+    t'! (t'+1)! eta! (m-eta)!) on (1 - A)^(m - eta) chain_block(t' + 1,
+    rho' + eta + 2t' + 2), eta = 0..m.  Each (power, (i, j)) occurs once in
+    an entry, since i fixes t' and then j fixes eta."""
+    kmax = kmax or k
+    f = factorial(k - 1)
     cells = {}
-    for ((rho, t), (rhot, tt)), (terms, den) in transfer_terms(k, kmax).items():
-        if rho:
-            continue
-        cell = cells.setdefault((t, rhot + tt), {})
-        col = Fraction((-1) ** rhot, factorial(rhot) * den)
-        for power, w, ij in terms:
-            key, x = (power, ij), col * w
-            cell[key] = cell[key] + x if key in cell else x
+    for s in range(min(k, kmax) - 1):
+        m0 = k - 2 - s
+        for s2 in range(kmax - 1):
+            cell = cells[(s, s2)] = {}
+            for rhot in range(max(s2 - m0, 0), s2 + 1):
+                tt, m = s2 - rhot, m0 - s2 + rhot
+                den = factorial(rhot) * factorial(tt) * factorial(tt + 1)
+                for eta in range(m + 1):
+                    cell[(m - eta, (tt + 1, rhot + eta + 2 * tt + 2))] = Fraction(
+                        (-1) ** (rhot + eta) * f,
+                        den * factorial(eta) * factorial(m - eta))
     return cells
 
 
@@ -215,54 +194,49 @@ class Engine:
 
     # -- resolvent pieces ------------------------------------------------------
 
-    def left_vector(self, k, kmax=None):
-        """Boundary vector contracted from the left; lives at t = 0.
+    def left_row(self, k, kmax=None):
+        """The exit row L_k[s], s < kmax - 1: the walk's state y[s] leaves
+        through it as sum_s L_k[s] y[s], the step for u_k that ends the walk.
 
-        The components do not vanish for rho >= k - 1; dropping them breaks
-        oracle equivalence for mixed multiplicity sets.
+            L_k[s] = -(1/s!) sum_l C(k-1, l) (1 - A)^l pair_block(s + 1, k - l)
+
+        Its entries do not vanish for s >= k - 1; dropping them breaks oracle
+        equivalence for mixed multiplicity sets.
         """
         kmax = kmax or k
         out = {}
-        for (rho, t) in _tri_indices(kmax):
-            if t != 0:
-                continue
-            s = TruncatedSeries.zero(self.K, self.backend)
+        for s in range(kmax - 1):
+            acc = TruncatedSeries.zero(self.K, self.backend)
             for l in range(k):
-                term = self._one_minus_A_pow(l) * self.pair_block(rho + 1, k - l)
-                s = s + term.scaled(comb(k - 1, l))
-            if rho % 2 == 0:
-                s = -s
-            if not s.is_zero():
-                out[(rho, t)] = s
+                term = self._one_minus_A_pow(l) * self.pair_block(s + 1, k - l)
+                acc = acc + term.scaled(comb(k - 1, l))
+            if not acc.is_zero():
+                out[s] = acc.scaled(Fraction(-1, factorial(s)))
         return out
 
-    def right_vector(self, k1, k2, kmax=None):
-        """Boundary vector contracted from the right; zero once the
-        factorial argument k1 - 2 - rho - t goes negative."""
-        kmax = kmax or max(k1, k2)
+    def start_row(self, k1, k2):
+        """The walk's start from u_{k1} u_{k2}, for s <= k1 - 2:
+
+            y0[s] = -(k1-1)! / (k1-2-s)! term_pair(k1 - 1 - s, k2)
+        """
         out = {}
-        for (rho, t) in _tri_indices(kmax):
-            m = k1 - 2 - rho - t
-            if m < 0:
-                continue
-            w = Fraction((-1) ** (rho + 1) * factorial(k1 - 1),
-                         factorial(rho) * factorial(m))
-            s = self.term_pair(k1 - 1 - rho - t, k2).scaled(w)
-            if not s.is_zero():
-                out[(rho, t)] = s
+        for s in range(k1 - 1):
+            w = Fraction(-factorial(k1 - 1), factorial(k1 - 2 - s))
+            y = self.term_pair(k1 - 1 - s, k2).scaled(w)
+            if not y.is_zero():
+                out[s] = y
         return out
 
     def transfer_operator(self, k, kmax=None):
-        """Q(k) on the (rho, t) index set as {(p, q): nonzero series}."""
+        """W(k) of `reduced_terms` as {(s, s'): nonzero series}."""
         entries = {}
-        for key, (terms, den) in transfer_terms(k, kmax).items():
-            s = TruncatedSeries.zero(self.K, self.backend)
-            for power, w, (i, j) in terms:
-                term = self._one_minus_A_pow(power) * self.chain_block(i, j)
-                s = s + term.scaled(w)
-            s = s.scaled(Fraction(1, den))
-            if not s.is_zero():
-                entries[key] = s
+        for key, cell in reduced_terms(k, kmax).items():
+            entry = TruncatedSeries.zero(self.K, self.backend)
+            for (power, ij), w in cell.items():
+                term = self._one_minus_A_pow(power) * self.chain_block(*ij)
+                entry = entry + term.scaled(w)
+            if not entry.is_zero():
+                entries[key] = entry
         return entries
 
     # -- joint generating function ----------------------------------------------
@@ -295,15 +269,14 @@ class Engine:
     def _accumulate_resolvent(self, ms):
         """Add sum over k1,k2,k3 of u-weighted <left| resolvent |right> to ms.
 
-        The walk runs on y[s], s = rho + t < kmax - 1: every state is
-        v[(rho, t)] = (-1)^rho / rho! y[s] (`reduced_terms`), and so is
-        |right(k2, k3)>.  The step for u_k is W(k), one product per
-        (power, i, j) of an entry, with the exit row L_k[s] = (-1)^s / s!
-        left(k)[(s, 0)].  One walk: the start y0[s] = right(k2, k3)[(0, s)]
-        sums u_{k2} u_{k3} over every pair, so starts on one (index,
-        exponent) are added before any product.  An exit lands in ms only on
-        an admissible monomial, and a move is kept only while one more
-        marker (its exit) still lands on one.
+        The walk runs on y[s], s < kmax - 1, the transfer state reduced to
+        s = rho + t (`reduced_terms`).  The step for u_k is W(k), one product
+        per (power, i, j) of an entry, with the exit row `left_row(k)`.  One
+        walk: the start y0 sums u_{k2} u_{k3} `start_row(k2, k3)` over every
+        pair, so starts on one (index, exponent) are added before any
+        product.  An exit lands in ms only on an admissible monomial, and a
+        move is kept only while one more marker (its exit) still lands on
+        one.
         """
         tracked = ms.markers
         kmax = max(tracked)
@@ -313,24 +286,15 @@ class Engine:
             for i3, k3 in enumerate(tracked):
                 e0 = _plus_one(_plus_one(zero_e, i2), i3)
                 if ms._extendable(e0):
-                    for (rho, p), s in self.right_vector(k2, k3, kmax).items():
-                        if rho == 0:
-                            dst = y.setdefault(p, {})
-                            dst[e0] = dst[e0] + s if e0 in dst else s
+                    for p, s in self.start_row(k2, k3).items():
+                        dst = y.setdefault(p, {})
+                        dst[e0] = dst[e0] + s if e0 in dst else s
         if not y:  # no start can reach an admissible exponent: nothing to add
             return
-        steps = []  # the step for u_k: the exit row L_k plus W(k)
-        for k in tracked:
-            step = [((None, s), v.scaled(Fraction((-1) ** s, factorial(s))))
-                    for (s, _t), v in self.left_vector(k, kmax).items()]
-            for key, cell in reduced_terms(k, kmax).items():
-                entry = TruncatedSeries.zero(self.K, self.backend)
-                for (power, ij), w in cell.items():
-                    term = self._one_minus_A_pow(power) * self.chain_block(*ij)
-                    entry = entry + term.scaled(w)
-                if not entry.is_zero():
-                    step.append((key, entry))
-            steps.append(step)
+        # the step for u_k: the exit row L_k, then W(k)
+        steps = [[((None, s), v) for s, v in self.left_row(k, kmax).items()]
+                 + list(self.transfer_operator(k, kmax).items())
+                 for k in tracked]
         for _depth in range(sum(ms.bounds) + 2):
             if not y:
                 break
@@ -359,7 +323,8 @@ class Engine:
 
         These are the u_k^j coefficients of joint_genfun((k,), (jmax,)), so
         z d/dz is already applied.  For j >= 3 the series is
-        <left(k)| Q(k)^{j-3} |right(k,k)> under z d/dz.
+        L_k W(k)^{j-3} y0 under z d/dz, with L_k = `left_row(k)` and y0 =
+        `start_row(k, k)`.
         """
         gf = self.joint_genfun((k,), (jmax,))
         zero = TruncatedSeries.zero(self.K, self.backend)

@@ -1,0 +1,35 @@
+"""The package runs on numpy and the standard library alone.
+
+mpmath and scipy are test extras, and sympy is not declared at all; an
+import of any of them, or of anything else, under src/walkrange would make
+the installed package fail where they are missing.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import walkrange
+
+PACKAGE = Path(walkrange.__file__).resolve().parent
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "walkrange"}
+
+
+def _imported_roots(tree):
+    """(line, top-level module) of every absolute import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    bad = [(path.name, line, root)
+           for path in sources
+           for line, root in _imported_roots(ast.parse(path.read_text()))
+           if root not in ALLOWED]
+    assert bad == []

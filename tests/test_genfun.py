@@ -93,24 +93,106 @@ def test_term_pair_moments_match_oracle(eng12):
 
 
 # -- transfer operator structure ----------------------------------------------
+#
+# The dense transfer operator Q(k) on the index set (rho, t), rho + t <=
+# kmax - 2, and its boundary vectors <left(k)| and |right(k1, k2)>, written
+# here from their formulas and not from genfun's weights: the reference that
+# the s-indexed W(k), exit row and start row of genfun are checked against.
+
+def _dense_index(kmax):
+    return [(r, t) for r in range(max(kmax - 1, 0))
+            for t in range(max(kmax - 1 - r, 0))]
+
+
+def _dense_weights(k, kmax=None):
+    """Q(k) as {(row, col): {(power, (i, j)): w}}.  Entry ((rho, t), (rho',
+    t')) lives for m = k - 2 - rho - t - t' >= 0 and carries (k-1)!
+    (-1)^(rho + eta) / (rho! t'! (t'+1)! eta! (m-eta)!) on (1 - A)^(m - eta)
+    chain_block(t' + 1, rho' + eta + 2t' + 2), eta = 0..m."""
+    kmax = kmax or k
+    idx = _dense_index(kmax)
+    out = {}
+    for (rho, t) in idx:
+        for (rhot, tt) in idx:
+            m = k - 2 - rho - t - tt
+            if m < 0:
+                continue
+            den = factorial(rho) * factorial(tt) * factorial(tt + 1)
+            out[((rho, t), (rhot, tt))] = {
+                (m - eta, (tt + 1, rhot + eta + 2 * tt + 2)): Fraction(
+                    factorial(k - 1) * (-1) ** (rho + eta),
+                    den * factorial(eta) * factorial(m - eta))
+                for eta in range(m + 1)}
+    return out
+
+
+def _dense_q(eng, k, kmax=None):
+    """Q(k) as {(row, col): nonzero series}."""
+    out = {}
+    for key, weights in _dense_weights(k, kmax).items():
+        s = TruncatedSeries.zero(eng.K, eng.backend)
+        for (power, (i, j)), w in weights.items():
+            term = eng.cache.one_minus_A.pow(power) * eng.chain_block(i, j)
+            s = s + term.scaled(w)
+        if not s.is_zero():
+            out[key] = s
+    return out
+
+
+def _dense_left(eng, k, kmax=None):
+    """<left(k)|, at t = 0: (-1)^(rho + 1) sum_l C(k-1, l) (1 - A)^l
+    pair_block(rho + 1, k - l)."""
+    kmax = kmax or k
+    out = {}
+    for (rho, t) in _dense_index(kmax):
+        if t != 0:
+            continue
+        s = TruncatedSeries.zero(eng.K, eng.backend)
+        for l in range(k):
+            term = eng.cache.one_minus_A.pow(l) * eng.pair_block(rho + 1, k - l)
+            s = s + term.scaled(comb(k - 1, l))
+        if not s.is_zero():
+            out[(rho, t)] = s.scaled((-1) ** (rho + 1))
+    return out
+
+
+def _dense_right(eng, k1, k2, kmax=None):
+    """|right(k1, k2)>: (-1)^(rho + 1) (k1-1)! / (rho! m!) term_pair(m + 1,
+    k2), m = k1 - 2 - rho - t >= 0."""
+    kmax = kmax or max(k1, k2)
+    out = {}
+    for (rho, t) in _dense_index(kmax):
+        m = k1 - 2 - rho - t
+        if m < 0:
+            continue
+        w = Fraction((-1) ** (rho + 1) * factorial(k1 - 1),
+                     factorial(rho) * factorial(m))
+        s = eng.term_pair(m + 1, k2).scaled(w)
+        if not s.is_zero():
+            out[(rho, t)] = s
+    return out
+
 
 def test_transfer_operator_row_vanishing(eng12):
     for k in (2, 3, 4):
-        q = eng12.transfer_operator(k, kmax=5)
+        q = _dense_q(eng12, k, kmax=5)
         for (p, _qq) in q:
             assert p[0] + p[1] < k - 1
+        # W(k) keeps only the rows s = rho + t that Q(k) keeps
+        assert all(s < k - 1 for (s, _s2) in eng12.transfer_operator(k, kmax=5))
 
 
 def test_transfer_operator_no_constant_term(eng12):
-    q = eng12.transfer_operator(3)
-    for s in q.values():
-        assert s.coeffs[0] == 0 and s.coeffs[1] == 0
+    for q in (_dense_q(eng12, 3), eng12.transfer_operator(3)):
+        for s in q.values():
+            assert s.coeffs[0] == 0 and s.coeffs[1] == 0
 
 
 def test_transfer_operator_k2_entry(eng12):
-    q = eng12.transfer_operator(2)
+    q = _dense_q(eng12, 2)
     assert set(q) == {((0, 0), (0, 0))}
     assert q[((0, 0), (0, 0))] == eng12.chain_block(1, 2)
+    assert eng12.transfer_operator(2) == {(0, 0): eng12.chain_block(1, 2)}
 
 
 def _apply(q, vec):
@@ -124,7 +206,7 @@ def _apply(q, vec):
 
 def test_transfer_powers_vanish_on_excluded_rows(eng12):
     k = 3
-    q = eng12.transfer_operator(k, kmax=5)
+    q = _dense_q(eng12, k, kmax=5)
     vec = {qq: TruncatedSeries.one(12, EXACT) for (_p, qq) in q}
     out = _apply(q, vec)
     for _ in range(3):
@@ -132,6 +214,45 @@ def test_transfer_powers_vanish_on_excluded_rows(eng12):
             if p[0] + p[1] >= k - 1:
                 assert s.is_zero()
         out = _apply(q, out)
+
+
+def test_reduced_terms_are_the_dense_operator_reduced_on_s():
+    # row (rho, t) of Q(k) is (-1)^rho / rho! row (0, rho + t), so Q(k)
+    # acts on v[(rho, t)] = (-1)^rho / rho! y[s] as W(k) acts on y, with
+    # W(k)[s, s'] = sum over rho' + t' = s' of (-1)^rho' / rho'! Q(k)[(0, s),
+    # (rho', t')]; genfun writes W(k) directly
+    for k in range(2, 15):
+        for kmax in (k - 1, k, k + 1, k + 3):
+            dense = _dense_weights(k, kmax)
+            want = {}
+            for ((rho, t), (rhot, tt)), weights in dense.items():
+                if k <= 8:
+                    head = dense[((0, rho + t), (rhot, tt))]
+                    sign = Fraction((-1) ** rho, factorial(rho))
+                    assert weights == {key: sign * w for key, w in head.items()}
+                if rho:
+                    continue
+                cell = want.setdefault((t, rhot + tt), {})
+                col = Fraction((-1) ** rhot, factorial(rhot))
+                for key, w in weights.items():
+                    cell[key] = cell.get(key, 0) + col * w
+            got = genfun.reduced_terms(k, kmax)
+            assert got == want, (k, kmax)
+            assert all(type(w) is Fraction
+                       for cell in got.values() for w in cell.values())
+
+
+def test_exit_and_start_rows_are_the_rekeyed_dense_vectors(eng12):
+    # L_k[s] = (-1)^s / s! <left(k)|(s, 0)>, y0[s] = |right(k1, k2)>(0, s)
+    for k in range(1, 7):
+        for kmax in range(1, 7):
+            want = {s: v.scaled(Fraction((-1) ** s, factorial(s)))
+                    for (s, _t), v in _dense_left(eng12, k, kmax).items()}
+            assert eng12.left_row(k, kmax) == want, (k, kmax)
+        for k2 in range(1, 7):
+            want = {s: v for (rho, s), v in _dense_right(eng12, k, k2, 6).items()
+                    if rho == 0}
+            assert eng12.start_row(k, k2) == want, (k, k2)
 
 
 def test_walk_equals_the_dense_transfer_operator():
@@ -142,8 +263,8 @@ def test_walk_equals_the_dense_transfer_operator():
     for k in (3, 4, 5):
         jmax = 2 * eng.K // k
         got = eng.binomial_moment_series(k, jmax)
-        q, left = eng.transfer_operator(k), eng.left_vector(k)
-        vec = eng.right_vector(k, k)
+        q, left = _dense_q(eng, k), _dense_left(eng, k)
+        vec = _dense_right(eng, k, k)
         for j in range(3, jmax + 1):
             want = TruncatedSeries.zero(eng.K, EXACT)
             for p, s in left.items():
@@ -155,12 +276,29 @@ def test_walk_equals_the_dense_transfer_operator():
 
 def test_left_vector_lives_at_t_zero(eng12):
     for k in (1, 2, 3):
-        lv = eng12.left_vector(k, kmax=4)
+        lv = _dense_left(eng12, k, kmax=4)
         assert all(t == 0 for (_r, t) in lv)
 
 
 def test_right_vector_zero_for_first_argument_one(eng12):
-    assert eng12.right_vector(1, 2, kmax=4) == {}
+    assert _dense_right(eng12, 1, 2, kmax=4) == {}
+    assert eng12.start_row(1, 2) == {}
+
+
+def test_walk_calls_the_transfer_operator(monkeypatch):
+    # the benchmark's layer trace times Engine.transfer_operator: the walk
+    # assembles each W(k) through it, once per tracked multiplicity
+    calls = 0
+    transfer_operator = Engine.transfer_operator
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return transfer_operator(self, *args)
+
+    monkeypatch.setattr(Engine, "transfer_operator", counting)
+    Engine(40).distribution(20, 3, 5)
+    assert calls == 1
 
 
 # -- joint generating function -------------------------------------------------
@@ -421,9 +559,10 @@ def test_walk_without_a_start_builds_no_steps(monkeypatch):
     # for k > 2n no start exponent is extendable, so the walk returns
     # before it assembles W(k), which grows with k
     def no_steps(*args):
-        raise AssertionError("reduced_terms called for a walk with no start")
+        raise AssertionError("a step built for a walk with no start")
 
-    monkeypatch.setattr(genfun, "reduced_terms", no_steps)
+    monkeypatch.setattr(Engine, "transfer_operator", no_steps)
+    monkeypatch.setattr(Engine, "left_row", no_steps)
     assert Engine(10).distribution(5, 40, 3) == ({0: 252}, 0)
     assert Engine(10).mixed_moment({30: 3}, 5) == 0
 
