@@ -26,7 +26,8 @@ class MarkerOverflow(WalkrangeError):
 
 
 class IllConditioned(WalkrangeError):
-    """A rate fit produced residuals above tolerance."""
+    """A float result failed its accuracy check: a rate fit, a division or
+    an eigenvalue computation left residuals above tolerance."""
 
 
 class DomainError(WalkrangeError):

@@ -10,7 +10,10 @@ count series h0.  Expanding in the markers u_k gives joint binomial moments
 sum_w prod_k C(N_{2k}, j_k); one binomial inversion, on exact integers,
 turns those into occupancy counts (for k <= 2 closed forms give the counts
 directly).  Every marked moment, single-multiplicity or mixed, is a
-coefficient of `Engine._accumulate_resolvent`, one walk per query.  The walk
+coefficient of `Engine._accumulate_resolvent`, one walk per query.  Count
+queries (`distribution`, `joint_counts`, `mixed_moment`) give the walk the
+target order 2n: each exit then adds one coefficient, a dot product, and
+only `joint_genfun` keeps whole series.  The walk
 runs on the state y[s], s < kmax - 1: it starts from every u_{k2} u_{k3}
 `start_row(k2, k3)` at once, is stepped for u_k by W(k) (`reduced_terms`,
 assembled by `transfer_operator`) and leaves through the exit row
@@ -84,17 +87,27 @@ class MarkedSeries:
     Exponent vectors are bounded per marker and by the total weight cap
     sum_i k_i * e_i <= K: a walk of length 2n has sum_k 2k N_{2k} = 4n, so
     heavier monomials cannot contribute below order K.
+
+    With a target order N, each coefficient is kept as its scalar [z^N]
+    only: `add_product` then reads [z^N] of a product as one dot product
+    and forms no series, and the weight cap is N, since walks of length N
+    have sum_k k N_{2k} = N.  With a target monomial, every other monomial
+    is dropped.
     """
 
-    __slots__ = ("markers", "bounds", "K", "terms")
+    __slots__ = ("markers", "bounds", "K", "order", "target", "terms")
 
-    def __init__(self, markers, bounds, K):
+    def __init__(self, markers, bounds, K, order=None, target=None):
         self.markers = tuple(markers)
         self.bounds = tuple(bounds)
-        self.K = K
+        self.K = K if order is None else min(K, order)
+        self.order = order
+        self.target = None if target is None else tuple(target)
         self.terms = {}
 
     def _admissible(self, e):
+        if self.target is not None and e != self.target:
+            return False
         if any(x > b for x, b in zip(e, self.bounds)):
             return False
         return sum(k * x for k, x in zip(self.markers, e)) <= self.K
@@ -108,12 +121,19 @@ class MarkedSeries:
                    for k, x, b in zip(self.markers, e, self.bounds))
 
     def add_term(self, e, series):
-        if not self._admissible(e) or series.is_zero():
+        if self._admissible(e):
+            self._add(e, series if self.order is None else series[self.order])
+
+    def add_product(self, e, a, b):
+        """Add a * b on e; at a target order only its [z^N], a dot product."""
+        if self._admissible(e):
+            self._add(e, a * b if self.order is None
+                      else a.mul_coefficient(b, self.order))
+
+    def _add(self, e, c):
+        if c.is_zero() if self.order is None else not c:
             return
-        if e in self.terms:
-            self.terms[e] = self.terms[e] + series
-        else:
-            self.terms[e] = series
+        self.terms[e] = self.terms[e] + c if e in self.terms else c
 
     def coefficient(self, e):
         return self.terms.get(tuple(e))
@@ -253,17 +273,35 @@ class Engine:
         tracked = tuple(sorted(tracked))
         if bounds is None:
             bounds = tuple(self.K // k for k in tracked)
-        ms = MarkedSeries(tracked, bounds, self.K)
-        zero_e = (0,) * len(tracked)
-        for i1, k1 in enumerate(tracked):
+        ms = self._marked(MarkedSeries(tracked, bounds, self.K))
+        for e, s in ms.terms.items():
+            ms.terms[e] = s.zddz()
+        ms.add_term((0,) * len(tracked), self.cache.h0)
+        return ms
+
+    def joint_moments(self, n, tracked, bounds):
+        """{e: sum_w prod_k C(N_{2k}(w), e_k)} over closed walks of length
+        2n >= 2, exact backend: the [z^{2n}] coefficients of
+        `joint_genfun(tracked, bounds)`, with tracked sorted, read at the
+        target order 2n without building their series.  Zero moments may be
+        left out."""
+        if self.backend != EXACT:
+            raise ValueError("joint_moments requires the exact backend")
+        ms = self._marked(MarkedSeries(tracked, bounds, self.K, order=2 * n))
+        out = {e: _as_int(2 * n * c) for e, c in ms.terms.items()}
+        out[(0,) * len(tracked)] = comb(2 * n, n)
+        return out
+
+    def _marked(self, ms):
+        """ms plus its single and pair terms and the resolvent walk, before
+        z d/dz."""
+        zero_e = (0,) * len(ms.markers)
+        for i1, k1 in enumerate(ms.markers):
             ms.add_term(_plus_one(zero_e, i1), self.term_single(k1))
-            for i2, k2 in enumerate(tracked):
+            for i2, k2 in enumerate(ms.markers):
                 ms.add_term(_plus_one(_plus_one(zero_e, i1), i2),
                             self.term_pair(k1, k2))
         self._accumulate_resolvent(ms)
-        for e, s in ms.terms.items():
-            ms.terms[e] = s.zddz()
-        ms.add_term(zero_e, self.cache.h0)
         return ms
 
     def _accumulate_resolvent(self, ms):
@@ -276,7 +314,8 @@ class Engine:
         pair, so starts on one (index, exponent) are added before any
         product.  An exit lands in ms only on an admissible monomial, and a
         move is kept only while one more marker (its exit) still lands on
-        one.
+        one.  At a target order N of ms an exit adds the scalar [z^N] of
+        <left| y, one dot product, and only the moves are series products.
         """
         tracked = ms.markers
         kmax = max(tracked)
@@ -287,6 +326,8 @@ class Engine:
                 e0 = _plus_one(_plus_one(zero_e, i2), i3)
                 if ms._extendable(e0):
                     for p, s in self.start_row(k2, k3).items():
+                        if ms.order is not None:  # no move needs more orders
+                            s = s.project(ms.order)
                         dst = y.setdefault(p, {})
                         dst[e0] = dst[e0] + s if e0 in dst else s
         if not y:  # no start can reach an admissible exponent: nothing to add
@@ -304,8 +345,7 @@ class Engine:
                     for e, s in y.get(q, {}).items():
                         ee = _plus_one(e, ik)
                         if p is None:
-                            if ms._admissible(ee):
-                                ms.add_term(ee, qs * s)
+                            ms.add_product(ee, qs, s)
                         elif ms._extendable(ee):
                             term = qs * s
                             if not term.is_zero():
@@ -345,9 +385,8 @@ class Engine:
             counts = {l: int(l == l0) for l in range(min(l_max, l0) + 1)}
             return counts, 1 - sum(counts.values())
         jmax = (2 * n) // k
-        ms = self.binomial_moment_series(k, jmax)
-        inv = _binomial_inversion(
-            {(j,): _as_int(self.cache.count_at(s, n)) for j, s in enumerate(ms)})
+        moments = self.joint_moments(n, (k,), (jmax,))
+        inv = _binomial_inversion(moments)
         counts = {l: inv.get((l,), 0) for l in range(min(l_max, jmax) + 1)}
         total = comb(2 * n, n)
         tail = total - sum(counts.values())
@@ -361,8 +400,8 @@ class Engine:
                         f"dual-route mismatch at k=1, l={l}: {c} != {want}")
         elif k == 2:
             ms2 = self.doublepoint_moment_series(jmax)
-            if any(self.cache.count_at(a, n) != self.cache.count_at(b, n)
-                   for a, b in zip(ms, ms2)):
+            if any(moments.get((j,), 0) != self.cache.count_at(s, n)
+                   for j, s in enumerate(ms2)):
                 raise AssertionError("dual-route mismatch at k=2")
         return counts, tail
 
@@ -471,6 +510,8 @@ class Engine:
         """
         if self.backend != EXACT:
             raise ValueError("mixed_moment requires the exact backend")
+        if 2 * n > self.K:
+            raise ValueError("truncation order too small for this length")
         spec = {k: m for k, m in sorted(spec.items()) if m > 0}
         r = sum(spec.values())
         if r == 0:
@@ -484,11 +525,11 @@ class Engine:
             k1, k2 = ks[0], ks[-1]
             series = self.term_pair(k1, k2).scaled(2 - (1 if k1 == k2 else 0))
         else:
-            ms = MarkedSeries(ks, spec.values(), self.K)
+            # only the spec's own monomial, read at z^{2n}
+            depths = tuple(spec.values())
+            ms = MarkedSeries(ks, depths, self.K, order=2 * n, target=depths)
             self._accumulate_resolvent(ms)
-            series = ms.coefficient(spec.values())
-            if series is None:
-                return 0
+            return _as_int(2 * n * ms.terms.get(depths, 0))
         return _as_int(self.cache.count_at(series.zddz(), n))
 
 
@@ -533,9 +574,8 @@ def joint_counts(engine: Engine, n, tracked):
         return {tuple(_empty_walk_count(k) for k in tracked): 1}
     if not tracked:
         return {(): comb(2 * n, n)}
-    gf = engine.joint_genfun(tracked, tuple((2 * n) // k for k in tracked))
-    vals = _binomial_inversion({e: _as_int(engine.cache.count_at(s, n))
-                                for e, s in gf.terms.items()})
+    vals = _binomial_inversion(engine.joint_moments(
+        n, tracked, tuple((2 * n) // k for k in tracked)))
     return {l: vals[l] for l in sorted(vals) if vals[l]}
 
 

@@ -13,14 +13,23 @@ scalar enters the coefficient field and in how a coefficient is read:
   integer, the two are multiplied once (CPython's Karatsuba) and the low
   K+1 slots are read back.  Only the window that reaches order K is
   packed: past the valuations va and vb, a[va..K-vb] and b[vb..K-va],
-  whose product is written from order va + vb on;
+  whose product is written from order va + vb on.  Each slot is as wide as
+  the product's coefficients need: with alpha_i, beta_j the bit lengths of
+  the windows' entries and n their length, every product coefficient is
+  below n 2^X, X = max_i(alpha_i - g i) + max_j(beta_j - g j) + g (n - 1)
+  for any slope g >= 0, and the least X over g = 0..4 sizes the slot
+  (`_slot_bytes`).  Walk series grow about 2 bits per z^2 slot, where g = 2
+  needs about half the width of g = 0, the largest coefficients' bits;
 - float: a read-only, finite float64 array with den == 1, multiplied by
   numpy convolution (FFT from _FFT_THRESHOLD on), whose error is relative
   to the operands' norms: float series need bounded coefficients.
 
 Division is a Newton iteration on the product and log integrates z a'/a
 (Brent & Kung, "Fast algorithms for manipulating formal power series",
-J. ACM 1978).  Base series:
+J. ACM 1978).  A float quotient whose coefficients grow past what FFT
+products resolve fails the residual check of the inverse and raises
+IllConditioned.  `mul_coefficient` reads one coefficient of a product as
+a dot product, without the product.  Base series:
 
     A  = sqrt(1 - 4 z^2)            (square-root factor of the walk kernel)
     B  = 2z / (1 + A)               (z times the Catalan generating function)
@@ -44,7 +53,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import BackendMismatch, DivByNonUnit, NonFiniteCoefficient
+from .errors import (BackendMismatch, DivByNonUnit, IllConditioned,
+                     NonFiniteCoefficient)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -60,6 +70,14 @@ _ROW_BLOCK = 64
 
 # the scale s of every float cache
 _FLOAT_SCALE = 0.5
+
+# Kronecker slot widths: the slopes tried, in bits per slot, and the window
+# size from which they are tried at all (`_slot_bytes`)
+_SLOPES = np.arange(5)[:, None]
+_SLOPE_MIN_SLOTS = 16
+
+# largest l1 norm of x * divisor - 1 a float inverse x may leave
+_DIV_RESIDUAL = 1e-9
 
 
 def choose_backend(K, override=None):
@@ -81,15 +99,48 @@ def _valuation(v):
     return next((i for i, x in enumerate(v) if x), len(v))
 
 
+def _slot_bytes(a, b):
+    """Bytes nb per Kronecker slot for the windows a and b, n = len(a) =
+    len(b): every coefficient c_m, m < n, of their product has |c_m| <
+    2^(w-1) at the slot width w = 8 nb.
+
+    Let alpha_i and beta_j be the bit lengths of a_i and b_j, so |a_i| <
+    2^alpha_i.  For a slope g >= 0 put A_g = max_i (alpha_i - g i) and B_g =
+    max_j (beta_j - g j).  Then |a_i b_j| < 2^(A_g + B_g + g (i + j)), and
+    c_m is a sum of at most n such terms with i + j = m <= n - 1, so
+
+        |c_m| < n 2^(A_g + B_g + g (n - 1))    for every g >= 0.
+
+    With X the least of these exponents over the slopes in _SLOPES, n 2^X
+    < 2^(X + bits(n)), so w >= X + bits(n) + 1 suffices.  g = 0 is the
+    plain bound by the largest entries, bits(max|a|) + bits(max|b|), so w
+    is never wider than that bound sizes it.  Walk series grow about 2 bits
+    per y = z^2 slot, where the g = 0 bound is about twice the width of any
+    product coefficient.  Windows under _SLOPE_MIN_SLOTS slots
+    take g = 0 alone: the search costs more there than it saves."""
+    n = len(a)
+    if n < _SLOPE_MIN_SLOTS:
+        x = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    else:
+        steps = _SLOPES * np.arange(n)
+        al = np.fromiter(map(int.bit_length, a), np.int64, n) - steps
+        be = np.fromiter(map(int.bit_length, b), np.int64, n) - steps
+        x = int((al.max(1) + be.max(1) + _SLOPES[:, 0] * (n - 1)).min())
+    return (x + n.bit_length() + 8) // 8
+
+
 def _kronecker(a, b, K):
     """Coefficients 0..K of the product of the integer vectors a and b.
 
     Only the window that reaches order K is packed: with valuations va, vb,
     a[va .. K-vb] and b[vb .. K-va], whose product lands from slot va + vb
-    on.  Slots are w = 8*nb bits, so every product coefficient has
-    |c| < 2^(w-1); adding 2^(w-1) per low slot modulo 2^(w n) makes it read
-    back as plain bytes, and the mask drops the (possibly negative) slots
-    above K."""
+    on.  Slots are w = 8*nb bits (`_slot_bytes`), so every product
+    coefficient below slot n has |c| < 2^(w-1); adding 2^(w-1) per low slot
+    modulo 2^(w n) makes it read back as plain bytes, and the mask drops the
+    (possibly negative, possibly wider) slots above K, whose terms are
+    multiples of 2^(w n).  Each operand entry fits a slot as well, since
+    X >= alpha_i + beta_0 > alpha_i in `_slot_bytes`: it is packed as the
+    plain bytes of x + 2^(w-1), and the same bias is taken off again."""
     # series in z^2 only (all walk series are) multiply as series in y = z^2
     s = 1 if any(a[1: K + 1: 2]) or any(b[1: K + 1: 2]) else 2
     a, b = a[: K + 1: s], b[: K + 1: s]
@@ -99,19 +150,17 @@ def _kronecker(a, b, K):
     if n <= 0:
         return out
     a, b = a[va: va + n], b[vb: vb + n]
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + n.bit_length() + 2)
-    nb = (bits + 7) // 8
+    nb = _slot_bytes(a, b)
+    half = 1 << (8 * nb - 1)
+    # half in every slot
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
     def pack(v):
-        pos = b"".join((x if x > 0 else 0).to_bytes(nb, "little") for x in v)
-        neg = b"".join((-x if x < 0 else 0).to_bytes(nb, "little") for x in v)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        return int.from_bytes(b"".join((x + half).to_bytes(nb, "little")
+                                       for x in v), "little") - bias
 
-    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
     low = (pack(a) * pack(b) + bias) & ((1 << (8 * nb * n)) - 1)
     buf = low.to_bytes(nb * n, "little")
-    half = 1 << (8 * nb - 1)
     out[s * (va + vb):: s] = [int.from_bytes(buf[i: i + nb], "little") - half
                               for i in range(0, nb * n, nb)]
     return out
@@ -274,8 +323,20 @@ class TruncatedSeries:
         return TruncatedSeries(kernel(self.nums, other.nums, K), self.backend, K,
                                self.den * other.den)
 
+    def mul_coefficient(self, other, m):
+        """[z^m] (self * other), read as one dot product of numerators with
+        no series product: sum_i nums[i] other.nums[m - i] / (den other.den)."""
+        K = self._binop_check(other)
+        if not 0 <= m <= K:
+            return Fraction(0) if self.backend == EXACT else 0.0
+        a, b = self.nums[: m + 1], other.nums[m:: -1]
+        if self.backend == FLOAT:
+            return float(np.dot(a, b))
+        return Fraction(sum(map(operator.mul, a, b)), self.den * other.den)
+
     def __truediv__(self, other):
-        """Division by a unit (nonzero constant term)."""
+        """Division by a unit (nonzero constant term).  On the float backend
+        it raises IllConditioned when the inverse fails its residual check."""
         K = self._binop_check(other)
         b0 = other[0]
         if b0 == 0:
@@ -285,6 +346,16 @@ class TruncatedSeries:
         while x.K < K:
             x = TruncatedSeries(x.nums, self.backend, min(2 * x.K + 1, K), x.den)
             x = x.scaled(2) - x * x * other
+        if self.backend == FLOAT:
+            # x other = 1 + d gives x - 1/other = d / other, so the l1 error
+            # of x relative to |1/other|_1 is at most |d|_1; FFT products
+            # err relative to |x| |other|, which a growing x makes show in d
+            d = np.abs((x * other - TruncatedSeries.one(K, FLOAT)).nums).sum()
+            if not d <= _DIV_RESIDUAL:
+                raise IllConditioned(
+                    f"float division residual {d:.1e} over "
+                    f"{_DIV_RESIDUAL:.0e}: the quotient's coefficients grow "
+                    "past what float products resolve")
         return self * x
 
     def inverse(self):

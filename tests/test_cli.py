@@ -1,9 +1,12 @@
 """Command-line interface: schemas, formats, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -371,3 +374,15 @@ def test_float_dist_dp_matches_exact_backend(capsys, k):
         assert a["l"] == b["l"]
         assert a["probability"] == pytest.approx(b["probability"],
                                                  rel=1e-10, abs=1e-15)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # python -m walkrange from a checkout prints what cli.run prints
+    argv = ["dist", "--n", "5", "--k", "2", "--lmax", "3"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "walkrange", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert run(argv) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out

@@ -331,32 +331,65 @@ def test_joint_counts_match_oracle():
             assert got == want, (tracked, n)
 
 
-def test_joint_counts_share_the_resolvent_walk(monkeypatch):
-    # starts on one (index, exponent) are summed before any product, and
-    # the walk runs on the s = rho + t state: one walk for all start pairs
-    # does at most 5,410 exact products here, where the same walk on the
-    # (rho, t) state did 8,371 and a walk per (k2, k3) start pair 24,250
-    eng = Engine(24, backend=EXACT)
-    products = 0
+def _count_products(monkeypatch):
+    """Patch TruncatedSeries.__mul__ to count calls; returns the counter."""
+    calls = [0]
     mul = TruncatedSeries.__mul__
 
     def counting_mul(self, other):
-        nonlocal products
-        products += 1
+        calls[0] += 1
         return mul(self, other)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    return calls
+
+
+def test_joint_counts_share_the_resolvent_walk(monkeypatch):
+    # starts on one (index, exponent) are summed before any product, the
+    # walk runs on the s = rho + t state and its exits read one coefficient:
+    # one walk for all start pairs does at most 3,000 exact products here,
+    # where it did 5,410 with series exits, 8,371 on the (rho, t) state and
+    # 24,250 as a walk per (k2, k3) start pair
+    eng = Engine(24, backend=EXACT)
+    products = _count_products(monkeypatch)
     joint_counts(eng, 12, (1, 2, 3, 4))
-    assert products <= 5410
+    assert products[0] <= 3000
+
+
+def test_distribution_exits_make_no_series_products(monkeypatch):
+    # 128 of the 429 products the walk made with series exits were exits
+    eng = Engine(200, backend=EXACT)
+    products = _count_products(monkeypatch)
+    counts, tail = eng.distribution(100, 3, 66)
+    assert products[0] <= 301
+    assert sum(counts.values()) + tail == comb(200, 100) and tail == 0
+
+
+@pytest.mark.parametrize("tracked,n", [((1,), 6), ((2,), 7), ((3,), 9),
+                                       ((1, 2), 6), ((1, 3), 5),
+                                       ((1, 2, 3, 4), 6), ((2, 5), 8)])
+def test_joint_moments_are_the_genfun_coefficients(tracked, n):
+    # the target-order walk reads the [z^{2n}] the series walk builds
+    eng = Engine(2 * n, backend=EXACT)
+    bounds = tuple(2 * n // k for k in tracked)
+    gf = eng.joint_genfun(tracked, bounds)
+    want = {e: eng.cache.count_at(s, n) for e, s in gf.terms.items()}
+    got = eng.joint_moments(n, tracked, bounds)
+    assert {e: c for e, c in got.items() if c} == \
+        {e: c for e, c in want.items() if c}
+    assert all(type(c) is int for c in got.values())
 
 
 def test_joint_counts_refuse_a_too_short_truncation():
     # 70 closed walks of length 8 need the series to order 8, as in
-    # Engine.distribution
+    # Engine.distribution; mixed_moment used to answer 0 there
     with pytest.raises(ValueError, match="truncation order too small"):
         joint_counts(Engine(6, backend=EXACT), 4, (1,))
     with pytest.raises(ValueError, match="truncation order too small"):
         Engine(6, backend=EXACT).distribution(4, 1, 2)
+    for spec in ({1: 1}, {1: 2}, {1: 3}):
+        with pytest.raises(ValueError, match="truncation order too small"):
+            Engine(6, backend=EXACT).mixed_moment(spec, 4)
 
 
 def test_joint_counts_with_nothing_tracked():
@@ -555,6 +588,27 @@ def test_mixed_moments_at_n20_with_spec_bounds():
         assert eng.cache.count_at(s, 20) == want, spec
 
 
+def test_mixed_moment_exits_only_onto_its_own_monomial(monkeypatch):
+    # the walk bounded by the spec passes every lower monomial, but exits
+    # only onto the spec's; values as pinned above and by the oracle
+    exits = []
+    add = genfun.MarkedSeries._add
+
+    def recording_add(self, e, c):
+        exits.append(e)
+        return add(self, e, c)
+
+    monkeypatch.setattr(genfun.MarkedSeries, "_add", recording_add)
+    eng = Engine(40, backend=EXACT)
+    for spec, n, want in (({1: 1, 2: 1, 3: 1, 4: 1}, 20, 183480760160),
+                          ({1: 2, 3: 1}, 20, 38519599360),
+                          ({3: 4}, 6, oracle_mixed_moment(6, 1, {3: 4})),
+                          ({2: 5}, 6, oracle_mixed_moment(6, 1, {2: 5}))):
+        exits.clear()
+        assert eng.mixed_moment(spec, n) == want, spec
+        assert exits and set(exits) == {tuple(spec.values())}, spec
+
+
 def test_walk_without_a_start_builds_no_steps(monkeypatch):
     # for k > 2n no start exponent is extendable, so the walk returns
     # before it assembles W(k), which grows with k
@@ -582,6 +636,8 @@ def test_exact_only_operations_reject_float_backend():
         eng.distribution(4, 2, 4)
     with pytest.raises(ValueError):
         eng.mixed_moment({1: 1}, 4)
+    with pytest.raises(ValueError):
+        eng.joint_moments(4, (1, 2), (8, 4))
 
 
 @pytest.mark.xfail(strict=True, reason="printed worked example for the "

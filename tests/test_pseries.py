@@ -7,9 +7,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from walkrange.errors import BackendMismatch, DivByNonUnit
-from walkrange.pseries import (EXACT, FLOAT, TruncatedSeries, base_series,
-                               choose_backend)
+from walkrange.errors import BackendMismatch, DivByNonUnit, IllConditioned
+from walkrange.pseries import (EXACT, FLOAT, TruncatedSeries, _slot_bytes,
+                               base_series, choose_backend)
 
 
 def frac_series(coeffs, K=None):
@@ -377,6 +377,106 @@ def test_kronecker_window_of_a_lone_top_coefficient(K):
         assert check_product(top, top, K, K).is_zero()
 
 
+def _signed(rng, bits, same_sign=False):
+    """A random integer of exactly `bits` bits (at least 1), random sign
+    unless `same_sign`; with same_sign it is the largest, 2^bits - 1."""
+    bits = max(bits, 1)
+    if same_sign:
+        return (1 << bits) - 1
+    return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+# operand windows of n slots whose first entry is nonzero, by bit profile
+_PROFILES = {
+    "decreasing": lambda rng, n: [_signed(rng, 400 - 7 * i) for i in range(n)],
+    "spike": lambda rng, n: [_signed(rng, 1000 if i == n // 2 else 20)
+                             for i in range(n)],
+    "growth40": lambda rng, n: [_signed(rng, 8 + 40 * i) for i in range(n)],
+    "alternating": lambda rng, n: [_signed(rng, 500 if i % 2 else 3)
+                                   for i in range(n)],
+    "walk": lambda rng, n: [_signed(rng, 10 + 2 * i) for i in range(n)],
+    "walk-extreme": lambda rng, n: [_signed(rng, 10 + 2 * i, True)
+                                    for i in range(n)],
+}
+
+
+def _int_schoolbook(a, b):
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 5, 15, 16, 40])
+@pytest.mark.parametrize("pa", sorted(_PROFILES))
+def test_slot_width_holds_every_product_coefficient(pa, n):
+    # w = 8 nb is never wider than the largest-coefficient width the slots
+    # were once sized by, and every coefficient below slot n fits a signed
+    # slot; "walk-extreme" (every entry 2^bits - 1) makes the bound tight
+    import random
+    rng = random.Random(f"{pa}/{n}")
+    for pb in sorted(_PROFILES):
+        a, b = _PROFILES[pa](rng, n), _PROFILES[pb](rng, n)
+        nb = _slot_bytes(a, b)
+        once = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                + n.bit_length() + 2 + 7) // 8
+        assert nb <= once, (pa, pb)
+        if n >= 16:  # the least bound over slopes 0..4, by plain loops
+            x = min(max(v.bit_length() - g * i for i, v in enumerate(a))
+                    + max(v.bit_length() - g * i for i, v in enumerate(b))
+                    + g * (n - 1) for g in range(5))
+            assert nb == (x + n.bit_length() + 8) // 8, (pa, pb)
+        half = 1 << (8 * nb - 1)
+        assert all(abs(c) < half for c in _int_schoolbook(a, b)), (pa, pb)
+
+
+def test_slot_width_follows_walk_growth():
+    # at 2 bits per slot the slope g = 2 halves the width of the g = 0 bound
+    import random
+    rng = random.Random(3)
+    a, b = _PROFILES["walk"](rng, 60), _PROFILES["walk"](rng, 60)
+    once = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + 60 .bit_length() + 2 + 7) // 8
+    assert _slot_bytes(a, b) <= 0.6 * once
+
+
+@pytest.mark.parametrize("K", [20, 41, 70])
+def test_kronecker_product_of_profiles_matches_schoolbook(K):
+    # each profile as the window of a series past its valuation, on the
+    # z^2 route (even orders only) and on the mixed-parity route
+    import random
+    rng = random.Random(K)
+    names = sorted(_PROFILES)
+    for pa in names:
+        for pb in names:
+            for even in (False, True):
+                s = 2 if even else 1
+                va, vb = rng.randrange(3), rng.randrange(3)
+                ca, cb = [0] * (K + 1), [0] * (K + 1)
+                ca[s * va:: s] = _PROFILES[pa](rng, len(ca[s * va:: s]))
+                cb[s * vb:: s] = _PROFILES[pb](rng, len(cb[s * vb:: s]))
+                check_product(ca, cb, K, K)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_mul_coefficient_is_the_product_coefficient(backend):
+    import random
+    rng = random.Random(11)
+    K = 30
+    ca, cb = rand_rationals(rng, K + 1, bits=8), rand_rationals(rng, K + 1, bits=8)
+    if backend == FLOAT:
+        ca, cb = [float(c) for c in ca], [float(c) for c in cb]
+    a = TruncatedSeries(ca, backend, K)
+    b = TruncatedSeries(cb, backend, 20)
+    p = a * b
+    for m in range(21):
+        got = a.mul_coefficient(b, m)
+        assert got == p[m] if backend == EXACT else got == pytest.approx(p[m])
+    assert a.mul_coefficient(b, 21) == 0 and a.mul_coefficient(b, -1) == 0
+
+
 def test_canonical_after_every_exact_op():
     import random
     rng = random.Random(99)
@@ -504,3 +604,18 @@ def test_float_division_and_log_match_recurrences(K):
     for b in (u, v):
         close(b.inverse(), _float_div_loop(c.one.coeffs, b.coeffs))
         close(b.log(), _float_log_loop(b.coeffs))
+
+
+def test_float_division_raises_when_the_quotient_grows():
+    # v = 1 + r/2 has zeros inside the unit disk: at K = 600 its inverse
+    # grows to ~1e47 and FFT products cannot resolve it, so float division
+    # (and inverse and log through it) raises instead of answering
+    K = 600
+    c = base_series(K, FLOAT)
+    rng = np.random.default_rng(K)
+    r = TruncatedSeries(rng.uniform(-1, 1, K + 1) * 0.9 ** np.arange(K + 1),
+                        FLOAT)
+    v = c.one + r.scaled(0.5)
+    for op in (v.inverse, v.log, lambda: r / v):
+        with pytest.raises(IllConditioned, match="division residual"):
+            op()
