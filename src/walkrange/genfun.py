@@ -8,19 +8,20 @@ is assembled from single and pair terms and a transfer-operator resolvent
 for three or more markers; under z d/dz its unmarked term is the closed-walk
 count series h0.  Expanding in the markers u_k gives joint binomial moments
 sum_w prod_k C(N_{2k}, j_k); one binomial inversion, on exact integers,
-turns those into occupancy counts (for k <= 2 closed forms give the counts
-directly).  Every marked moment, single-multiplicity or mixed, is a
-coefficient of `Engine._accumulate_resolvent`, one walk per query.  Count
-queries (`distribution`, `joint_counts`, `mixed_moment`) give the walk the
-target order 2n: each exit then adds one coefficient, a dot product, and
-only `joint_genfun` keeps whole series.  The walk
-runs on the state y[s], s < kmax - 1: it starts from every u_{k2} u_{k3}
-`start_row(k2, k3)` at once, is stepped for u_k by W(k) (`reduced_terms`,
-assembled by `transfer_operator`) and leaves through the exit row
-`left_row(k)`.  W(k) is the transfer operator Q(k) on the index set (rho, t)
-reduced to s = rho + t, the one transfer form built here; Q(k) has rank
-k - 1 and factors through it.  Everything here was validated
-coefficient-by-coefficient against exhaustive walk enumeration.
+turns those into occupancy counts (for k <= 2 the closed forms are the float
+route and the exact route's check).  Every exact count is a coefficient at
+order 2n of `Engine._marked`: the single and pair terms plus one walk,
+`Engine._accumulate_resolvent`.  Count queries (`joint_counts`, its
+marginal `distribution`, and `mixed_moment`) give the walk the target order
+2n: each exit then adds one coefficient, a dot product, and only
+`joint_genfun` keeps whole series.  The walk runs on the state y[s], s <
+kmax - 1: it starts from every u_{k2} u_{k3} `start_row(k2, k3)` at once, is
+stepped for u_k by W(k) (`reduced_terms`, assembled by `transfer_operator`)
+and leaves through the exit row `left_row(k)`.  W(k) is the transfer
+operator Q(k) on the index set (rho, t) reduced to s = rho + t, the one
+transfer form built here; Q(k) has rank k - 1 and factors through it.
+Everything here was validated coefficient-by-coefficient against exhaustive
+walk enumeration.
 
 Building blocks (cache = BaseSeriesCache):
 
@@ -121,8 +122,9 @@ class MarkedSeries:
                    for k, x, b in zip(self.markers, e, self.bounds))
 
     def add_term(self, e, series):
-        if self._admissible(e):
-            self._add(e, series if self.order is None else series[self.order])
+        """Add series on e, which the caller has checked is admissible, so
+        that no term is built for a monomial that would drop it."""
+        self._add(e, series if self.order is None else series[self.order])
 
     def add_product(self, e, a, b):
         """Add a * b on e; at a target order only its [z^N], a dot product."""
@@ -297,10 +299,13 @@ class Engine:
         z d/dz."""
         zero_e = (0,) * len(ms.markers)
         for i1, k1 in enumerate(ms.markers):
-            ms.add_term(_plus_one(zero_e, i1), self.term_single(k1))
+            e1 = _plus_one(zero_e, i1)
+            if ms._admissible(e1):
+                ms.add_term(e1, self.term_single(k1))
             for i2, k2 in enumerate(ms.markers):
-                ms.add_term(_plus_one(_plus_one(zero_e, i1), i2),
-                            self.term_pair(k1, k2))
+                e2 = _plus_one(e1, i2)
+                if ms._admissible(e2):
+                    ms.add_term(e2, self.term_pair(k1, k2))
         self._accumulate_resolvent(ms)
         return ms
 
@@ -373,37 +378,23 @@ class Engine:
     def distribution(self, n, k, l_max):
         """Exact counts {l: #walks of length 2n with N_{2k} = l} plus tail.
 
-        Exact backend only; the two closed-form routes (k = 1 and k = 2) are
-        recomputed and asserted equal when applicable.
+        The k-marginal of `joint_counts(self, n, (k,))`, on rows l = 0 ..
+        min(l_max, max(2n // k, N_{2k} of the empty walk)).  For k <= 2 and
+        n >= 1 each count is asserted equal to [z^{2n}] of its closed-form
+        count series (`_closed_form_counts`), a second route.
         """
-        if self.backend != EXACT:
-            raise ValueError("distribution requires the exact backend")
-        if 2 * n > self.K:
-            raise ValueError("truncation order too small for this length")
-        if n == 0:
-            l0 = _empty_walk_count(k)
-            counts = {l: int(l == l0) for l in range(min(l_max, l0) + 1)}
-            return counts, 1 - sum(counts.values())
-        jmax = (2 * n) // k
-        moments = self.joint_moments(n, (k,), (jmax,))
-        inv = _binomial_inversion(moments)
-        counts = {l: inv.get((l,), 0) for l in range(min(l_max, jmax) + 1)}
-        total = comb(2 * n, n)
-        tail = total - sum(counts.values())
-        if k == 1:
-            s0, s1, s2 = self.singlepoint_series()
-            direct = [int(self.cache.count_at(s, n)) for s in (s0, s1, s2)]
+        joint = joint_counts(self, n, (k,))
+        top = min(l_max, max(2 * n // k, _empty_walk_count(k)))
+        counts = {l: joint.get((l,), 0) for l in range(top + 1)}
+        if n and k <= 2:  # the closed forms hold no empty walk
+            series = self._closed_form_counts(k, top)
             for l, c in counts.items():
-                want = direct[l] if l <= 2 else 0
+                want = (self.cache.count_at(series[l], n)
+                        if l < len(series) else 0)
                 if c != want:
                     raise AssertionError(
-                        f"dual-route mismatch at k=1, l={l}: {c} != {want}")
-        elif k == 2:
-            ms2 = self.doublepoint_moment_series(jmax)
-            if any(moments.get((j,), 0) != self.cache.count_at(s, n)
-                   for j, s in enumerate(ms2)):
-                raise AssertionError("dual-route mismatch at k=2")
-        return counts, tail
+                        f"dual-route mismatch at k={k}, l={l}: {c} != {want}")
+        return counts, comb(2 * n, n) - sum(counts.values())
 
     def probabilities(self, n, k, l_max):
         """Pr_n(N_{2k} = l) for l = 0..l_max; float k >= 3 raises DomainError.
@@ -426,12 +417,17 @@ class Engine:
             raise DomainError("float probabilities for k >= 3 come from "
                               "walks.local_time_probabilities")
         top = min(l_max, (2 * n) // k)  # N_{2k} <= 2n/k: the rest is 0.0
-        series = (self.singlepoint_series() if k == 1
-                  else self.doublepoint_count_series(top))
+        series = self._closed_form_counts(k, top)
         out = [self.cache.probability(s, n) for s in series[: top + 1]]
         return out + [0.0] * (l_max + 1 - len(out))
 
     # -- closed forms for k = 1 and k = 2 ----------------------------------------
+
+    def _closed_form_counts(self, k, l_max):
+        """Count series c_l, [z^{2n}] c_l = #walks with N_{2k} = l, for k <= 2:
+        l <= 2 for k = 1 (N_2 takes no other value), l <= l_max for k = 2."""
+        return (self.singlepoint_series() if k == 1
+                else self.doublepoint_count_series(l_max))
 
     def singlepoint_series(self):
         """Count series for walks with N_2 = 0, 1, 2 (the only occupancies)."""
@@ -504,33 +500,24 @@ class Engine:
     def mixed_moment(self, spec, n):
         """Exact sum over walks of length 2n of prod_k C(N_{2k}, m_k).
 
-        spec maps multiplicity k to binomial depth m_k, of any total depth
-        r = sum m_k.  Depths 1 and 2 are the single and pair terms; deeper
-        specs are read off the resolvent walk bounded by the spec itself.
+        spec maps multiplicity k to binomial depth m_k, of any total depth.
+        At every depth this is the spec's own monomial of `_marked`, read at
+        z^{2n} with the walk bounded by the spec: only the single and pair
+        terms on that monomial are built.
         """
         if self.backend != EXACT:
             raise ValueError("mixed_moment requires the exact backend")
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
         spec = {k: m for k, m in sorted(spec.items()) if m > 0}
-        r = sum(spec.values())
-        if r == 0:
+        if not spec:
             return comb(2 * n, n)
         if n == 0:
             return prod(comb(_empty_walk_count(k), m) for k, m in spec.items())
-        ks = list(spec)
-        if r == 1:
-            series = self.term_single(ks[0])
-        elif r == 2:
-            k1, k2 = ks[0], ks[-1]
-            series = self.term_pair(k1, k2).scaled(2 - (1 if k1 == k2 else 0))
-        else:
-            # only the spec's own monomial, read at z^{2n}
-            depths = tuple(spec.values())
-            ms = MarkedSeries(ks, depths, self.K, order=2 * n, target=depths)
-            self._accumulate_resolvent(ms)
-            return _as_int(2 * n * ms.terms.get(depths, 0))
-        return _as_int(self.cache.count_at(series.zddz(), n))
+        depths = tuple(spec.values())
+        ms = self._marked(MarkedSeries(spec, depths, self.K, order=2 * n,
+                                       target=depths))
+        return _as_int(2 * n * ms.terms.get(depths, 0))
 
 
 def _plus_one(e, i):

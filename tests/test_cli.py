@@ -1,5 +1,6 @@
 """Command-line interface: schemas, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -386,3 +387,23 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert run(argv) == 0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == capsys.readouterr().out
+
+
+# first 16 hex digits of the sha256 of each query's stdout: the exact count
+# queries print these bytes whichever way the engine reaches the counts
+_STDOUT_SHA256 = {
+    "dist --n 20 --k 1 --lmax 5": "1ab4523721506580",
+    "dist --n 39 --k 2 --lmax 10": "6d405dcd5fac3a7f",
+    "dist --n 40 --k 3 --lmax 26": "f1d1b76eb273fb1a",
+    "dist --n 0 --k 1 --lmax 5": "c50fa22fbc3b2661",
+    "moments --spec 2:1 --n 20": "e2fbc4103a21ad38",
+    "moments --spec 1:1,2:1 --n 20": "7f32f0bcb1980599",
+    "moments --spec 3:4 --n 40": "e69d87c30ff3a381",
+}
+
+
+@pytest.mark.parametrize("query", list(_STDOUT_SHA256))
+def test_exact_count_stdout_is_pinned(capsys, query):
+    assert run(query.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest()[:16] == _STDOUT_SHA256[query]

@@ -546,6 +546,52 @@ def test_doublepoint_count_series_equal_exact_counts():
             [counts.get(l, 0) for l in range(21)], n
 
 
+@pytest.mark.parametrize("k,closed_form,l",
+                         [(1, "singlepoint_series", 1),
+                          (2, "doublepoint_count_series", 3)])
+def test_distribution_checks_each_count_on_its_closed_form(monkeypatch, k,
+                                                           closed_form, l):
+    # one closed-form count off by one at z^{2n} fails the exact route
+    n = 5
+    eng = Engine(2 * n, backend=EXACT)
+    build = getattr(Engine, closed_form)
+
+    def off_by_one(self, *args):
+        series = list(build(self, *args))
+        series[l] = series[l] + self.cache.monomial(1, 2 * n)
+        return series
+
+    monkeypatch.setattr(Engine, closed_form, off_by_one)
+    with pytest.raises(AssertionError,
+                       match=f"dual-route mismatch at k={k}, l={l}:"):
+        eng.distribution(n, k, 2 * n)
+
+
+def test_distribution_checks_singlepoint_counts_past_two(monkeypatch):
+    # N_2 <= 2 on every closed walk: a count at l = 3 fails the check
+    counts_of = genfun.joint_counts
+
+    def one_more_walk(engine, n, tracked):
+        return {**counts_of(engine, n, tracked), (3,): 1}
+
+    monkeypatch.setattr(genfun, "joint_counts", one_more_walk)
+    with pytest.raises(AssertionError,
+                       match="dual-route mismatch at k=1, l=3: 1 != 0"):
+        Engine(10, backend=EXACT).distribution(5, 1, 10)
+
+
+def test_distribution_past_k2_consults_no_closed_form(monkeypatch):
+    def no_closed_form(*args):
+        raise AssertionError("a closed form consulted for k = 3")
+
+    monkeypatch.setattr(Engine, "singlepoint_series", no_closed_form)
+    monkeypatch.setattr(Engine, "doublepoint_count_series", no_closed_form)
+    counts, tail = Engine(12, backend=EXACT).distribution(6, 3, 12)
+    assert {l: c for l, c in counts.items() if c} == \
+        {l: c for (l,), c in oracle_counts(6, 1, (3,)).items()}
+    assert tail == 0
+
+
 # -- mixed moments ----------------------------------------------------------------
 
 def test_mixed_moment_examples():
@@ -590,7 +636,8 @@ def test_mixed_moments_at_n20_with_spec_bounds():
 
 def test_mixed_moment_exits_only_onto_its_own_monomial(monkeypatch):
     # the walk bounded by the spec passes every lower monomial, but exits
-    # only onto the spec's; values as pinned above and by the oracle
+    # only onto the spec's, and of the single and pair terms only those on
+    # the spec's monomial land; values as pinned above and by the oracle
     exits = []
     add = genfun.MarkedSeries._add
 
@@ -603,10 +650,24 @@ def test_mixed_moment_exits_only_onto_its_own_monomial(monkeypatch):
     for spec, n, want in (({1: 1, 2: 1, 3: 1, 4: 1}, 20, 183480760160),
                           ({1: 2, 3: 1}, 20, 38519599360),
                           ({3: 4}, 6, oracle_mixed_moment(6, 1, {3: 4})),
-                          ({2: 5}, 6, oracle_mixed_moment(6, 1, {2: 5}))):
+                          ({2: 5}, 6, oracle_mixed_moment(6, 1, {2: 5})),
+                          ({1: 1}, 6, oracle_mixed_moment(6, 1, {1: 1})),
+                          ({2: 2}, 6, oracle_mixed_moment(6, 1, {2: 2})),
+                          ({1: 1, 2: 1}, 6,
+                           oracle_mixed_moment(6, 1, {1: 1, 2: 1}))):
         exits.clear()
         assert eng.mixed_moment(spec, n) == want, spec
         assert exits and set(exits) == {tuple(spec.values())}, spec
+
+
+def test_mixed_moment_builds_no_term_off_its_monomial(monkeypatch):
+    # a single or pair term is built only on an admissible exponent: the
+    # depth-4 query builds none, at 41 exact products where it made 53
+    eng = Engine(198, backend=EXACT)
+    products = _count_products(monkeypatch)
+    assert eng.mixed_moment({3: 4}, 99) == \
+        3296043867370737743128245641313440727335752937800011874368
+    assert products[0] <= 41
 
 
 def test_walk_without_a_start_builds_no_steps(monkeypatch):
