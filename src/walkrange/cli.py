@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -186,6 +187,8 @@ def _cmd_moments(args):
 
 def _cmd_first_moment(args):
     n, k, d = args.n, args.k, args.d
+    if d == 2 and n < 2:  # the d = 2 asymptotics divide by log n
+        args.usage_error("argument --n: must be >= 2 with --d 2")
     digits = args.digits
     results = {"asymptotic": _sig(mom.asymptotic_first_moment(n, k, d), digits),
                "asymptotic_range": _sig(mom.asymptotic_range_moment(n, d), digits)}
@@ -203,7 +206,13 @@ def _cmd_first_moment(args):
 def _cmd_asymp(args):
     digits = args.digits
     if args.xi is not None:
-        val = asy.range_moment_limit(args.xi)
+        try:
+            val = asy.range_moment_limit(args.xi)
+        except OverflowError:  # Gamma(r/2) alone overflows
+            val = math.inf
+        if not math.isfinite(val):
+            args.usage_error("argument --xi: the float64 evaluation of xi(r) "
+                             "overflows; it holds up to r = 338")
         rep = _report("asymp", {"xi": args.xi}, {"xi": _sig(val, digits)},
                       {"digits": digits})
         return _emit(rep, args.format, [[args.xi, _sig(val, digits)]],
@@ -369,7 +378,7 @@ def build_parser():
     f.add_argument("--d", type=_int_from(1), required=True)
     f.add_argument("--k", type=_int_from(1), required=True)
     f.add_argument("--n", type=_int_from(1), required=True)
-    f.set_defaults(fn=_cmd_first_moment)
+    f.set_defaults(fn=_cmd_first_moment, usage_error=f.error)
 
     a = add_parser("asymp", help="asymptotic tables and limits")
     what = a.add_mutually_exclusive_group(required=True)

@@ -26,17 +26,20 @@ walk enumeration.
 Building blocks (cache = BaseSeriesCache):
 
     pair_block(i,j)  = (-1)^{i+j} A^{i+j} sum_f (1/f) C(f,i) C(f,j) tail_f
+                     = ((-1)^{i+j} / i) A^{i+j} sum_f C(f-1,i-1) C(f,j) tail_f
     chain_block(i,j) = A^j sum_{f>=max(1,j-i)} C(f+i-1, j-1) tail_f
 
-with tail_f = B^{2f}/(1 - B^{2f}).  The f-sums are cut at f = K//2, which is
-exact below order K because B^{2f} = O(z^{2f}).
+with tail_f = B^{2f}/(1 - B^{2f}); the second form of pair_block, from
+C(f,i)/f = C(f-1,i-1)/i for i, f >= 1, puts integer weights on every
+winding sum.  The f-sums are cut at f = K//2, which is exact below order K
+because B^{2f} = O(z^{2f}).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .errors import DomainError, MarkerOverflow, NonUnit
 from .pseries import EXACT, TruncatedSeries, base_series
@@ -150,44 +153,46 @@ class Engine:
         self.backend = self.cache.backend
         self._pair = {}
         self._chain = {}
-        self._oma_pow = [self.cache.one, self.cache.one_minus_A]
-        self._a_pow = [self.cache.one, self.cache.A]
+        self._pows = {}
         self._term_pair = {}
         self._dp_counts = []
 
     # -- building blocks -----------------------------------------------------
 
-    def _one_minus_A_pow(self, m):
-        while len(self._oma_pow) <= m:
-            self._oma_pow.append(self._oma_pow[-1] * self.cache.one_minus_A)
-        return self._oma_pow[m]
-
-    def _A_pow(self, m):
-        while len(self._a_pow) <= m:
-            self._a_pow.append(self._a_pow[-1] * self.cache.A)
-        return self._a_pow[m]
+    def _power(self, base, m):
+        """base^m for base A or 1 - A of the cache, each power built once."""
+        pows = self._pows.setdefault(base, [self.cache.one, base])
+        while len(pows) <= m:
+            pows.append(pows[-1] * base)
+        return pows[m]
 
     def pair_block(self, i, j):
-        """Symmetric block: two marked slots joined by f-fold winding sums."""
+        """Symmetric block: two marked slots joined by f-fold winding sums,
+        i, j >= 1.  With i <= j it is ((-1)^{i+j} / i) A^{i+j} times the
+        winding sum of the integer weights C(f-1, i-1) C(f, j)."""
         key = (min(i, j), max(i, j))
         if key not in self._pair:
             i0, j0 = key
-            if self.backend == EXACT:
-                weight = lambda f: Fraction(comb(f, i0) * comb(f, j0), f)
-            else:
-                weight = lambda f: comb(f, i0) * comb(f, j0) / f
-            s = self.cache.lambert_sum(weight) * self._A_pow(i0 + j0)
-            if (i0 + j0) % 2 == 1:
-                s = -s
-            self._pair[key] = s
+            s = self.cache.lambert_sum(lambda f: comb(f - 1, i0 - 1) * comb(f, j0))
+            self._pair[key] = (s.scaled(Fraction((-1) ** (i0 + j0), i0))
+                               * self._power(self.cache.A, i0 + j0))
         return self._pair[key]
 
     def chain_block(self, i, j):
         """One-sided block feeding the transfer operator; j >= i >= 1."""
         if (i, j) not in self._chain:
             weight = lambda f: comb(f + i - 1, j - 1)
-            self._chain[(i, j)] = self.cache.lambert_sum(weight) * self._A_pow(j)
+            self._chain[(i, j)] = (self.cache.lambert_sum(weight)
+                                   * self._power(self.cache.A, j))
         return self._chain[(i, j)]
+
+    def _weighted_sum(self, terms):
+        """sum of w (1 - A)^power block over the (w, power, block) of terms,
+        added in their order."""
+        acc = TruncatedSeries.zero(self.K, self.backend)
+        for w, power, block in terms:
+            acc = acc + (self._power(self.cache.one_minus_A, power) * block).scaled(w)
+        return acc
 
     # -- the explicit terms ---------------------------------------------------
 
@@ -198,20 +203,16 @@ class Engine:
         1/(1+h0)^k normalization, and the first-moment series of the walk
         ensemble only comes out right with it in place.
         """
-        return self._one_minus_A_pow(k).scaled(Fraction(1, k))
+        return self._power(self.cache.one_minus_A, k).scaled(Fraction(1, k))
 
     def term_pair(self, k1, k2):
         key = (min(k1, k2), max(k1, k2))
         if key not in self._term_pair:
             a, b = key
-            s = TruncatedSeries.zero(self.K, self.backend)
-            for l1 in range(a):
-                for l2 in range(b):
-                    w = comb(a - 1, l1) * comb(b - 1, l2)
-                    term = self._one_minus_A_pow(l1 + l2) * \
-                        self.pair_block(a - l1, b - l2)
-                    s = s + term.scaled(w)
-            self._term_pair[key] = s
+            self._term_pair[key] = self._weighted_sum(
+                (comb(a - 1, l1) * comb(b - 1, l2), l1 + l2,
+                 self.pair_block(a - l1, b - l2))
+                for l1 in range(a) for l2 in range(b))
         return self._term_pair[key]
 
     # -- resolvent pieces ------------------------------------------------------
@@ -228,10 +229,8 @@ class Engine:
         kmax = kmax or k
         out = {}
         for s in range(kmax - 1):
-            acc = TruncatedSeries.zero(self.K, self.backend)
-            for l in range(k):
-                term = self._one_minus_A_pow(l) * self.pair_block(s + 1, k - l)
-                acc = acc + term.scaled(comb(k - 1, l))
+            acc = self._weighted_sum((comb(k - 1, l), l, self.pair_block(s + 1, k - l))
+                                     for l in range(k))
             if not acc.is_zero():
                 out[s] = acc.scaled(Fraction(-1, factorial(s)))
         return out
@@ -243,8 +242,7 @@ class Engine:
         """
         out = {}
         for s in range(k1 - 1):
-            w = Fraction(-factorial(k1 - 1), factorial(k1 - 2 - s))
-            y = self.term_pair(k1 - 1 - s, k2).scaled(w)
+            y = self.term_pair(k1 - 1 - s, k2).scaled(-perm(k1 - 1, s + 1))
             if not y.is_zero():
                 out[s] = y
         return out
@@ -253,10 +251,8 @@ class Engine:
         """W(k) of `reduced_terms` as {(s, s'): nonzero series}."""
         entries = {}
         for key, cell in reduced_terms(k, kmax).items():
-            entry = TruncatedSeries.zero(self.K, self.backend)
-            for (power, ij), w in cell.items():
-                term = self._one_minus_A_pow(power) * self.chain_block(*ij)
-                entry = entry + term.scaled(w)
+            entry = self._weighted_sum((w, power, self.chain_block(*ij))
+                                       for (power, ij), w in cell.items())
             if not entry.is_zero():
                 entries[key] = entry
         return entries

@@ -35,7 +35,8 @@ a dot product, without the product.  Base series:
     B  = 2z / (1 + A)               (z times the Catalan generating function)
     h0 = (1 - A) / A                (closed-walk count series, empty walk removed)
 
-with the geometric tails B^{2f}/(1 - B^{2f}) and weighted sums over them.
+with the geometric tails B^{2f}/(1 - B^{2f}) and integer-weighted sums over
+them.
 B-powers have the ballot-number closed form [z^m] B^j = (j/m) C(m, (m-j)/2),
 so the cache needs no division and its exact series are integer vectors.
 The backend fixes the scale s of a cache, which stores s^m times the true
@@ -414,6 +415,7 @@ class BaseSeriesCache:
         self.scale = 1 if backend == EXACT else _FLOAT_SCALE
         self._even_rows = None          # float backend: matrix of B^{2F} rows
         self._even_rows_exact = {}      # exact backend: F -> integer row
+        self._central = {}              # float backend: n -> C(2n, n) s^{2n}
         half = K // 2
 
         if backend == EXACT:
@@ -443,11 +445,11 @@ class BaseSeriesCache:
 
     # -- scaffolding ---------------------------------------------------------
 
-    def _even(self, vals, den=1):
-        """The series sum_i (vals[i] / den) z^(2i), i <= K//2."""
+    def _even(self, vals):
+        """The series sum_i vals[i] z^(2i), i <= K//2."""
         nums = [0] * (self.K + 1) if self.backend == EXACT else np.zeros(self.K + 1)
         nums[::2] = vals
-        return TruncatedSeries(nums, self.backend, self.K, den)
+        return TruncatedSeries(nums, self.backend, self.K, 1)
 
     def monomial(self, c, m):
         """c * z^m as a series at this cache's scale."""
@@ -549,32 +551,30 @@ class BaseSeriesCache:
         return self.lambert_sum(lambda g: int(g == f))
 
     def lambert_sum(self, weight):
-        """sum_f weight(f) * B^{2f}/(1 - B^{2f}) with f cut at K//2.
+        """sum_f weight(f) * B^{2f}/(1 - B^{2f}) with f cut at K//2, for
+        integer weights (any other weight raises TypeError).
 
         Computed through the divisor rearrangement
-        sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}; the exact
-        backend adds integer ballot rows times weights over one denominator.
+        sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}: the divisor
+        sums are integers, which weigh the integer ballot rows (exact) or
+        the rows of the float table.
         """
         rows = self._ensure_even_rows()
         # float rows past the stored table are zero and need no weights
         top = self.K // 2 if rows is None else len(rows) - 1
-        acc_w = [None] * (top + 1)
+        acc_w = [0] * (top + 1)
         for f in range(1, top + 1):
-            wf = weight(f)
-            if wf == 0:
-                continue
-            for F in range(f, top + 1, f):
-                acc_w[F] = wf if acc_w[F] is None else acc_w[F] + wf
+            wf = operator.index(weight(f))
+            if wf:
+                for F in range(f, top + 1, f):
+                    acc_w[F] += wf
         if rows is not None:
-            return self._even(np.array([0.0 if w is None else float(w)
-                                        for w in acc_w]) @ rows)
-        ws = [(F, Fraction(w)) for F, w in enumerate(acc_w) if w]
-        den = math.lcm(*(w.denominator for _, w in ws))
+            return self._even(np.array(acc_w, dtype=np.float64) @ rows)
         acc = [0] * (top + 1)
-        for F, w in ws:
-            iw = w.numerator * (den // w.denominator)
-            acc[F:] = [x + iw * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
-        return self._even(acc, den)
+        for F, w in enumerate(acc_w):
+            if w:
+                acc[F:] = [x + w * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
+        return self._even(acc)
 
     # -- lattice visit series -----------------------------------------------
 
@@ -597,8 +597,9 @@ class BaseSeriesCache:
         """[z^{2n}] series / C(2n,n), scale-free."""
         if self.backend == EXACT:
             return series[2 * n] / comb(2 * n, n)
-        # C(2n, n) s^{2n} at s = 1/2, rounded once
-        return float(series[2 * n]) / float(Fraction(comb(2 * n, n), 4 ** n))
+        if n not in self._central:  # C(2n, n) s^{2n} at s = 1/2, rounded once
+            self._central[n] = float(Fraction(comb(2 * n, n), 4 ** n))
+        return float(series[2 * n]) / self._central[n]
 
 
 def base_series(K, backend=None):

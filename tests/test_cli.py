@@ -106,6 +106,13 @@ def test_asymp_xi(capsys):
     assert rep["results"]["xi"] == pytest.approx(1.047198, abs=1e-5)
 
 
+def test_asymp_xi_is_finite_json_up_to_338(capsys):
+    # the last r before the float64 evaluation of xi(r) overflows
+    rc, rep, out = run_json(capsys, ["asymp", "--xi", "338"])
+    assert rc == 0 and "Infinity" not in out
+    assert rep["results"]["xi"] == pytest.approx(2.75845e223, rel=1e-5)
+
+
 def test_asymp_table1(capsys):
     rc, rep, _ = run_json(capsys, ["asymp", "--table", "1", "--lmax", "3"])
     assert rc == 0
@@ -250,6 +257,9 @@ def test_argument_errors_exit_two(capsys):
     ["range-dist", "--n", "3", "--mmax", "-1"],
     ["verify", "--n-max", "-1"],
     ["dist", "--n", "4", "--k", "1", "--lmax", "2", "--digits", "0"],
+    ["first-moment", "--d", "2", "--k", "1", "--n", "1"],
+    ["asymp", "--xi", "339"],
+    ["asymp", "--xi", "344"],
 ], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
         "moments-spec-malformed", "moments-spec-k0", "range-dist-n-neg",
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
@@ -258,7 +268,8 @@ def test_argument_errors_exit_two(capsys):
         "asymp-table2-kmax-over-cap", "asymp-table2-digits-over-cap",
         "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table2-n-small",
         "asymp-table-and-xi", "range-dist-mmax-neg",
-        "verify-n-max-neg", "digits0"])
+        "verify-n-max-neg", "digits0", "first-moment-d2-n1",
+        "asymp-xi-infinite", "asymp-xi-gamma-overflow"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -402,8 +413,24 @@ _STDOUT_SHA256 = {
 }
 
 
+# the float series route of k <= 2: table 1 extrapolates its l <= 2 limits
+# from float engines up to n = 2000, and dist reads the float count series
+_FLOAT_STDOUT_SHA256 = {
+    "asymp --table 1": "4560fef454fce273",
+    "dist --n 600 --k 2 --lmax 20 --backend float": "c82a38a85bad3e66",
+}
+
+
+def _stdout_sha256(capsys, query):
+    assert run(query.split()) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("query", list(_STDOUT_SHA256))
 def test_exact_count_stdout_is_pinned(capsys, query):
-    assert run(query.split()) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest()[:16] == _STDOUT_SHA256[query]
+    assert _stdout_sha256(capsys, query) == _STDOUT_SHA256[query]
+
+
+@pytest.mark.parametrize("query", list(_FLOAT_STDOUT_SHA256))
+def test_float_series_stdout_is_pinned(capsys, query):
+    assert _stdout_sha256(capsys, query) == _FLOAT_STDOUT_SHA256[query]

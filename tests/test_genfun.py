@@ -3,13 +3,14 @@
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from walkrange import genfun
 from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_distribution,
                               range_moment, vertex_factor)
-from walkrange.pseries import EXACT, TruncatedSeries, base_series
+from walkrange.pseries import EXACT, FLOAT, TruncatedSeries, base_series
 from walkrange.walks import (local_time_distribution,
                              local_time_probabilities, oracle_counts,
                              oracle_mixed_moment)
@@ -38,6 +39,49 @@ def test_pair_block_low_order_vanishing(eng12):
 def test_pair_block_symmetry(eng12):
     assert eng12.pair_block(2, 1) == eng12.pair_block(1, 2)
     assert eng12.pair_block(3, 1) == eng12.pair_block(1, 3)
+
+
+@pytest.mark.parametrize("backend, K", [(EXACT, 40), (FLOAT, 600)])
+def test_pair_block_is_its_definition(backend, K):
+    # (-1)^{i+j} A^{i+j} sum_f C(f,i) C(f,j)/f tail_f with Fraction weights,
+    # f by f, on tail_f = sum_{m >= 1} B^{2fm}; floats agree to rounding on
+    # the scale of the winding sum before its cancelling product with A^{i+j}
+    eng = Engine(K, backend=backend)
+    c = eng.cache
+    tails = {f: sum((c.b_even_power(f * m) for m in range(1, K // (2 * f) + 1)),
+                    c.zero())
+             for f in range(1, K // 2 + 1)}
+    for i in range(1, 5):
+        for j in range(1, 5):
+            wsum = sum((t.scaled(Fraction(comb(f, i) * comb(f, j), f))
+                        for f, t in tails.items()), c.zero())
+            a_pow = c.A.pow(i + j)
+            want = wsum.scaled((-1) ** (i + j)) * a_pow
+            got = eng.pair_block(i, j)
+            if backend == EXACT:
+                assert got == want, (i, j)
+            else:
+                scale = np.abs(wsum.nums).max() * np.abs(a_pow.nums).sum()
+                assert np.abs(got.nums - want.nums).max() <= 1e-14 * scale, (i, j)
+
+
+def test_pair_block_makes_no_fraction_addition(monkeypatch):
+    # the winding sums of pair_block run on integer weights
+    calls = 0
+    add = Fraction.__add__
+
+    def counting_add(a, b):
+        nonlocal calls
+        calls += 1
+        return add(a, b)
+
+    monkeypatch.setattr(Fraction, "__add__", counting_add)
+    monkeypatch.setattr(Fraction, "__radd__", counting_add)
+    eng = Engine(198, backend=EXACT)
+    for i in range(1, 4):
+        for j in range(i, 6):
+            eng.pair_block(i, j)
+    assert calls == 0
 
 
 def test_chain_block_first_values(eng12):

@@ -135,6 +135,15 @@ def test_divisor_sum_identity():
         assert lam == direct
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(3, 1), 1.0],
+                         ids=["fraction", "integral-fraction", "float"])
+def test_lambert_sum_takes_integer_weights_only(backend, w):
+    c = base_series(40, backend)
+    with pytest.raises(TypeError):
+        c.lambert_sum(lambda f: w)
+
+
 def test_point_visit_series():
     c = base_series(6)
     assert c.point_visits_series(0) == c.h0
@@ -488,7 +497,7 @@ def test_canonical_after_every_exact_op():
                a.pow(3), a.project(5), TruncatedSeries.monomial(Fraction(4, 6), 3, K, EXACT)]
     c = base_series(40)
     results += [c.A, c.inv_A, c.B, c.h0, c.one_minus_A, c.tail(3), c.b_even_power(4),
-                c.lambert_sum(lambda f: Fraction(comb(f, 2), f)), c.point_visits_series(3)]
+                c.lambert_sum(lambda f: comb(f - 1, 1) * comb(f, 2)), c.point_visits_series(3)]
     for s in results:
         assert_canonical(s)
     assert (a - a).den == 1 and (a - a).is_zero()
