@@ -14,6 +14,9 @@ import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
+                     Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from math import comb
 
 from . import asymptotics as asy
@@ -31,8 +34,44 @@ def _sig(x, digits):
 
     Exact probabilities come in as count / total: int / int true division
     is correctly rounded, so it gives float(Fraction(count, total)) without
-    reducing the fraction."""
+    reducing the fraction (`_quotients` does the same for Decimals)."""
     return float(f"%.{digits}g" % float(x))
+
+
+# Decimal integer arithmetic that raises rather than rounds
+_EXACT_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                         traps=[Inexact, Rounded, InvalidOperation,
+                                DivisionByZero, Overflow])
+
+
+def _directed(prec):
+    """Floor and ceiling contexts with `prec` digits."""
+    return [Context(prec=prec, rounding=r, Emax=MAX_EMAX, Emin=MIN_EMIN)
+            for r in (ROUND_FLOOR, ROUND_CEILING)]
+
+
+def _quotients(total):
+    """c -> float(c / total) for Decimal integers c >= 0 and total > 0.
+
+    Correctly rounded, so bit-identical to int / int.  The floor and the
+    ceiling of the quotient bracket it; rounding to nearest is monotone, so
+    when both round to one float, that float is the answer, and otherwise
+    the precision doubles.  The 25-digit bracket multiplies by the rounded
+    reciprocals of total.  Wider ones divide, so a quotient that is exactly
+    a tie between two floats is reached exactly and rounds half to even."""
+    lo, hi = _directed(25)
+    inv_lo, inv_hi = lo.divide(1, total), hi.divide(1, total)
+
+    def quotient(c):
+        a, b = float(lo.multiply(c, inv_lo)), float(hi.multiply(c, inv_hi))
+        prec = 25
+        while a != b:
+            prec *= 2
+            wide_lo, wide_hi = _directed(prec)
+            a = float(wide_lo.divide(c, total))
+            b = float(wide_hi.divide(c, total))
+        return a
+    return quotient
 
 
 def _report(command, parameters, results, provenance=None):
@@ -97,11 +136,15 @@ def _cmd_dist(args):
 
 def _cmd_range_dist(args):
     n = args.n
-    hist = range_distribution(n, args.mmax)
-    total = comb(2 * n, n)
-    tail = total - sum(hist.values())
+    # Decimal counts, since str() of an int is quadratic in its length
+    with localcontext(_EXACT_DECIMAL):
+        total = Decimal(comb(2 * n, n))
+        hist = range_distribution(n, args.mmax, total=total)
+        tail = total - sum(hist.values())
+    quotient = _quotients(total)
     digits = args.digits
-    rows = [[n, m, c, _sig(c / total, digits)] for m, c in sorted(hist.items())]
+    rows = [[n, m, c, _sig(quotient(c), digits)]
+            for m, c in sorted(hist.items())]
     results = {
         "distribution": [{"m": m, "count": str(c), "probability": pr}
                          for _, m, c, pr in rows],

@@ -566,7 +566,7 @@ def joint_counts(engine: Engine, n, tracked):
 # the range of a walk
 # ---------------------------------------------------------------------------
 
-def range_distribution(n, m_max=None):
+def range_distribution(n, m_max=None, *, total=None):
     """Exact counts {m: #closed walks of length 2n with range m}.
 
     Coefficient extraction of z d/dz applied to the (sign-corrected)
@@ -574,31 +574,28 @@ def range_distribution(n, m_max=None):
     displayed combination yields negated counts, so the bracket enters with a
     minus sign here.  Ballot numbers make the coefficients closed-form:
     [z^{2n}] of z d/dz log(1 - B^{2t}) is -2t sum_j C(2n, n - tj).
+
+    `total` seeds the recurrence with C(2n, n), an int by default.  Only
+    + - * // reach it, so a `decimal.Decimal` seed under an exact context
+    (prec=MAX_PREC, trapping Inexact and Rounded) gives the same counts as
+    Decimals, whose `str()` takes linear time (an int's takes quadratic).
     """
     top = n + 1
     if m_max is None:
         m_max = top
+    if total is None:
+        total = comb(2 * n, n)
     if n == 0:
         # the empty walk visits the origin alone
-        return {1: 1} if m_max >= 1 else {}
+        return {1: total} if m_max >= 1 else {}
 
     # row[i] = C(2n, n - i), built once by the multiplicative recurrence
-    row = [0] * (n + 1)
-    row[0] = comb(2 * n, n)
+    row = [total]
     for i in range(1, n + 1):
-        row[i] = row[i - 1] * (n - i + 1) // (n + i)
+        row.append(row[i - 1] * (n - i + 1) // (n + i))
 
-    def s_sum(t):
-        tot = 0
-        j = 1
-        while t * j <= n:
-            tot += row[t * j]
-            j += 1
-        return tot
-
-    svals = [0] * (min(m_max, top) + 3)
-    for t in range(1, len(svals)):
-        svals[t] = s_sum(t)
+    # svals[t] = sum_{j >= 1} C(2n, n - tj)
+    svals = [0] + [sum(row[t::t]) for t in range(1, min(m_max, top) + 3)]
 
     out = {}
     for m in range(2, min(m_max, top) + 1):

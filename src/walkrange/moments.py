@@ -24,22 +24,11 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError
-from .pseries import BaseSeriesCache, TruncatedSeries
 
 
 # ---------------------------------------------------------------------------
-# d = 1 moment series
+# d = 1 closed forms
 # ---------------------------------------------------------------------------
-
-def range_moment_series(cache: BaseSeriesCache):
-    """Series whose [z^{2n}] coefficient is sum_w ran(w) at length 2n.
-
-    z d/dz of -(1/2) log(1 - 4z^2); the coefficient at z^{2n} is just 4^n
-    ((4 s^2)^n at the cache's scale s), so the series is written down directly."""
-    r = 4 * cache.scale ** 2
-    return TruncatedSeries([r ** (m // 2) if m and m % 2 == 0 else 0
-                            for m in range(cache.K + 1)], cache.backend, cache.K)
-
 
 def first_moment_exact(n, k):
     """sum_w N_{2k}(w) over closed 1-d walks of length 2n, in closed form.

@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from decimal import (Context, Decimal, Inexact, InvalidOperation, Rounded,
+                     localcontext)
 from fractions import Fraction
-from math import comb
+from math import comb, nextafter
 from pathlib import Path
 
 import pytest
 
 from walkrange import walks
-from walkrange.cli import _sig, run
+from walkrange.cli import _directed, _quotients, _sig, run
 from walkrange.genfun import range_distribution
 from walkrange.walks import local_time_probabilities
 
@@ -352,6 +354,63 @@ def test_range_dist_probabilities_are_rounded_exact_ratios(capsys):
     assert got == want
 
 
+def test_range_dist_large_n_is_consistent(capsys):
+    n = 3000
+    rc, rep, _ = run_json(capsys, ["range-dist", "--n", str(n)])
+    assert rc == 0
+    res = rep["results"]
+    counts = {r["m"]: int(r["count"]) for r in res["distribution"]}
+    assert res["tail_count"] == "0"
+    assert sum(counts.values()) == int(res["total"]) == comb(2 * n, n)
+    # E(ran) = 4^n / C(2n, n)
+    assert sum(m * c for m, c in counts.items()) == 4 ** n
+
+
+def test_range_dist_ignores_the_ambient_decimal_context(capsys):
+    # every Decimal operation of range-dist names its own context, so a
+    # one-digit context that traps rounding changes nothing
+    argv = ["range-dist", "--n", "300"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    with localcontext(Context(prec=1, traps=[Inexact, Rounded,
+                                             InvalidOperation])):
+        assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def _quotient(c, total):
+    return _quotients(Decimal(total))(Decimal(c))
+
+
+def test_decimal_quotient_is_int_true_division():
+    n = 2000
+    total = comb(2 * n, n)
+    counts = range_distribution(n).values()
+    want = [c / total for c in counts]
+    assert [_quotient(c, total) for c in counts] == want
+    assert 0.0 in want                                      # underflow
+    assert any(0 < x < sys.float_info.min for x in want)    # subnormals
+    assert _quotient(total, total) == 1.0
+
+
+def test_decimal_quotient_widens_near_a_tie():
+    # M = p/q is the midpoint between 0.1 and the next double; c / total
+    # lies about 1e-40 / q from it, relatively, which 25 or 50 digits
+    # cannot see
+    up = nextafter(0.1, 1.0)
+    mid = (Fraction(0.1) + Fraction(up)) / 2
+    p, q = mid.numerator, mid.denominator
+    for c, total, want in ((p * 10 ** 40, q * 10 ** 40 + 1, 0.1),
+                           (p * 10 ** 40, q * 10 ** 40 - 1, up)):
+        for prec in (25, 50):
+            lo, hi = _directed(prec)
+            assert float(lo.divide(c, total)) != float(hi.divide(c, total))
+        assert _quotient(c, total) == c / total == want
+    # an exact tie, whose denominator 3q has no finite decimal reciprocal,
+    # rounds half to even, as int / int does
+    assert _quotient(3 * p, 3 * q) == p / q == 0.1
+
+
 def test_exact_dist_probabilities_are_rounded_exact_ratios(capsys):
     n = 40
     rc, rep, _ = run_json(capsys, ["dist", "--n", str(n), "--k", "2",
@@ -410,6 +469,10 @@ _STDOUT_SHA256 = {
     "moments --spec 2:1 --n 20": "e2fbc4103a21ad38",
     "moments --spec 1:1,2:1 --n 20": "7f32f0bcb1980599",
     "moments --spec 3:4 --n 40": "e69d87c30ff3a381",
+    "range-dist --n 400": "37cce586e596893e",
+    "range-dist --n 1500 --digits 12": "73c6a27f36fe29c8",
+    "range-dist --n 3000 --mmax 40": "a835a1da517d2a14",
+    "range-dist --n 200 --format csv": "3b226156061992b3",
 }
 
 

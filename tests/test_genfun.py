@@ -1,5 +1,6 @@
 """The d=1 joint-distribution engine against the enumeration oracle."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from walkrange import genfun
+from walkrange.cli import _EXACT_DECIMAL
 from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_distribution,
                               range_moment, vertex_factor)
@@ -777,6 +779,20 @@ def test_range_distribution_matches_oracle():
                 oracle_counts(n, 1, (), include_range=True).items()}
         assert hist == want
         assert sum(hist.values()) == comb(2 * n, n)
+
+
+def test_range_distribution_counts_in_the_seed_type():
+    # ints by default; a Decimal seed under an exact context gives the same
+    # counts as Decimals
+    for n in range(51):
+        hist = range_distribution(n)
+        assert all(type(c) is int for c in hist.values())
+        for m_max in (None, 1, n // 2):
+            with localcontext(_EXACT_DECIMAL):
+                dec = range_distribution(
+                    n, m_max, total=Decimal(comb(2 * n, n)))
+            assert all(type(c) is Decimal for c in dec.values())
+            assert dec == range_distribution(n, m_max)
 
 
 def range_count_series(cache, m):
