@@ -33,13 +33,34 @@ with tail_f = B^{2f}/(1 - B^{2f}); the second form of pair_block, from
 C(f,i)/f = C(f-1,i-1)/i for i, f >= 1, puts integer weights on every
 winding sum.  The f-sums are cut at f = K//2, which is exact below order K
 because B^{2f} = O(z^{2f}).
+
+Those weights are integer-valued polynomials in f, so every block lies on
+the binomial Lambert basis
+
+    Lambda_r = sum_f C(f, r) tail_f:
+
+    C(f+i-1, j-1)       = sum_r C(i-1, j-1-r) C(f, r)      (Vandermonde),
+    C(f-1, i-1) C(f, j) = sum_r c_r C(f, r),
+
+with c_r the r-th forward difference of the left side at f = 0.  Each
+factor (1 - A)^p A^m reduces by A^2 = 1 - 4z^2 to a(z^2) + b(z^2) A, so
+every entry of term_pair, left_row, start_row and W(k) is
+
+    sum_r a_r(z^2) Lambda_r + b_r(z^2) A Lambda_r.
+
+Exact engines build the entries this way (`_basis_table`, integer tables
+built once per process): one Lambert pass per Lambda_r, one product per A
+Lambda_r, and shift-and-add.  Float engines keep the product route, the
+sum of w (1 - A)^p block, whose order of operations fixes their bits; the
+float accuracy of the basis is not measured.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from functools import cache
+from math import comb, factorial, lcm, perm, prod
 
 from .errors import DomainError, MarkerOverflow, NonUnit
 from .pseries import EXACT, TruncatedSeries, base_series
@@ -74,6 +95,119 @@ def reduced_terms(k, kmax=None):
                         (-1) ** (rhot + eta) * f,
                         den * factorial(eta) * factorial(m - eta))
     return cells
+
+
+def _block_terms(kind, k, kmax):
+    """One block table as {key: (scale, terms)}: its entry at key is scale
+    (None for 1) times the sum of w (1 - A)^power block(i, j) over the (w,
+    power, block, i, j) of terms, block "pair" (`Engine.pair_block`) or
+    "chain" (`Engine.chain_block`).  The kinds:
+
+        "pair", k <= kmax:  term_pair(k, kmax), under the key None;
+        "left":             the exit row left_row(k, kmax), keyed by s;
+        "transfer":         W(k) of `reduced_terms(k, kmax)`, keyed by (s, s')."""
+    if kind == "pair":
+        return {None: (None, [(comb(k - 1, l1) * comb(kmax - 1, l2), l1 + l2,
+                                "pair", k - l1, kmax - l2)
+                               for l1 in range(k) for l2 in range(kmax)])}
+    if kind == "left":
+        return {s: (Fraction(-1, factorial(s)),
+                    [(comb(k - 1, l), l, "pair", s + 1, k - l) for l in range(k)])
+                for s in range(kmax - 1)}
+    return {key: (None, [(w, power, "chain", i, j)
+                         for (power, (i, j)), w in cell.items()])
+            for key, cell in reduced_terms(k, kmax).items()}
+
+
+def _pair_weights(i, j):
+    """{r: c_r}, i <= j, with C(f-1, i-1) C(f, j) = sum_r c_r C(f, r) for
+    every f >= 0: c_r is the r-th forward difference of the left side at f
+    = 0, an integer, and c_r = 0 unless j <= r <= i + j - 1."""
+    vals = [comb(f - 1, i - 1) * comb(f, j) if f else 0 for f in range(i + j)]
+    diffs = ((r, sum((-1) ** (r - f) * comb(r, f) * vals[f] for f in range(r + 1)))
+             for r in range(j, i + j))
+    return {r: c for r, c in diffs if c}
+
+
+def _chain_weights(i, j):
+    """{r: C(i-1, j-1-r)}, j >= i: C(f+i-1, j-1) = sum_r C(i-1, j-1-r) C(f, r)
+    (Vandermonde)."""
+    return {r: comb(i - 1, j - 1 - r) for r in range(max(0, j - i), j)}
+
+
+def _trim(p):
+    """The polynomial p without its trailing zero coefficients."""
+    p = tuple(p)
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _poly_sub(p, q):
+    """p - q for polynomials given as coefficient tuples."""
+    n = max(len(p), len(q))
+    return _trim(x - y for x, y in zip(p + (0,) * (n - len(p)),
+                                       q + (0,) * (n - len(q))))
+
+
+def _times_a2(p):
+    """p(y) (1 - 4y): a polynomial in y = z^2 times A^2."""
+    return _poly_sub(p, (0,) + tuple(4 * x for x in p))
+
+
+@cache
+def _a_form(power, m):
+    """(a, b) with (1 - A)^power A^m = a(y) + b(y) A, y = z^2: integer
+    coefficient tuples, reduced by A^2 = 1 - 4y."""
+    if m:  # A (a + b A) = b (1 - 4y) + a A
+        a, b = _a_form(power, m - 1)
+        return _times_a2(b), a
+    if power:  # (1 - A) (a + b A) = a - b (1 - 4y) + (b - a) A
+        a, b = _a_form(power - 1, 0)
+        return _poly_sub(a, _times_a2(b)), _poly_sub(b, a)
+    return (1,), ()
+
+
+@cache
+def _basis_table(kind, k, kmax):
+    """`_block_terms(kind, k, kmax)` on the binomial Lambert basis Lambda_r
+    = sum_f C(f, r) tail_f, as {key: (den, ((r, a_r, b_r), ...))}: the
+    entry is (1/den) sum_r (a_r(z^2) Lambda_r + b_r(z^2) A Lambda_r), with
+    integer coefficient tuples a_r, b_r.
+
+    A term w (1 - A)^power block(i, j) is q (1 - A)^power A^m sum_r c_r
+    Lambda_r: chain_block(i, j) has q = w, m = j and the c_r of
+    `_chain_weights`; pair_block(i, j), i <= j, has q = (-1)^{i+j} w / i, m =
+    i + j and the c_r of `_pair_weights`.  (1 - A)^power A^m is `_a_form`.
+    The table does not depend on the truncation order, so one process
+    builds it once."""
+    table = {}
+    for key, (scale, terms) in _block_terms(kind, k, kmax).items():
+        parts = []
+        for w, power, block, i, j in terms:
+            if block == "pair":
+                i, j = min(i, j), max(i, j)
+                q, m = Fraction((-1) ** (i + j) * w, i), i + j
+                weights = _pair_weights(i, j)
+            else:
+                q, m, weights = Fraction(w), j, _chain_weights(i, j)
+            if scale is not None:
+                q *= scale
+            parts.append((q, _a_form(power, m), weights))
+        den = lcm(*(q.denominator for q, _, _ in parts))
+        coeffs = {}
+        for q, ab, weights in parts:
+            num = q.numerator * (den // q.denominator)
+            for r, c in weights.items():
+                acc = coeffs.setdefault(r, ([], []))
+                for out, poly in zip(acc, ab):
+                    out.extend([0] * (len(poly) - len(out)))
+                    for d, x in enumerate(poly):
+                        out[d] += num * c * x
+        table[key] = (den, tuple((r, _trim(a), _trim(b))
+                                 for r, (a, b) in sorted(coeffs.items())
+                                 if any(a) or any(b)))
+    return table
 
 
 def _as_int(x):
@@ -154,6 +288,7 @@ class Engine:
         self._pair = {}
         self._chain = {}
         self._pows = {}
+        self._basis = {}
         self._term_pair = {}
         self._dp_counts = []
 
@@ -194,6 +329,50 @@ class Engine:
             acc = acc + (self._power(self.cache.one_minus_A, power) * block).scaled(w)
         return acc
 
+    def _basis_series(self, r, times_a):
+        """Lambda_r = sum_f C(f, r) tail_f, or A Lambda_r with times_a: one
+        Lambert pass per r and one product per A Lambda_r, each made once."""
+        key = (r, times_a)
+        if key not in self._basis:
+            self._basis[key] = (self.cache.A * self._basis_series(r, False)
+                                if times_a else
+                                self.cache.lambert_sum(lambda f: comb(f, r)))
+        return self._basis[key]
+
+    def _on_basis(self, den, coeffs):
+        """(1/den) sum_r (a_r(z^2) Lambda_r + b_r(z^2) A Lambda_r) over the
+        (r, a_r, b_r) of coeffs: shift-and-add on the even coefficients."""
+        acc = [0] * (self.K // 2 + 1)
+        for r, a, b in coeffs:
+            for times_a, poly in ((False, a), (True, b)):
+                if not poly:
+                    continue
+                vec = self._basis_series(r, times_a).nums[::2]
+                for d, c in enumerate(poly):
+                    if c:
+                        acc[d:] = [x + c * v for x, v in zip(acc[d:], vec)]
+        nums = [0] * (self.K + 1)
+        nums[::2] = acc
+        return TruncatedSeries(nums, EXACT, self.K, den)
+
+    def _entries(self, kind, k, kmax):
+        """{key: series} of the block table `_block_terms(kind, k, kmax)`.
+
+        Exact engines read each entry off the binomial Lambert basis
+        (`_basis_table`); float engines add its weighted blocks in their
+        order, which fixes their bits.  The one place the block layer
+        branches on the backend."""
+        if self.backend == EXACT:
+            return {key: self._on_basis(*entry)
+                    for key, entry in _basis_table(kind, k, kmax).items()}
+        blocks = {"pair": self.pair_block, "chain": self.chain_block}
+        out = {}
+        for key, (scale, terms) in _block_terms(kind, k, kmax).items():
+            s = self._weighted_sum((w, power, blocks[block](i, j))
+                                   for w, power, block, i, j in terms)
+            out[key] = s if scale is None else s.scaled(scale)
+        return out
+
     # -- the explicit terms ---------------------------------------------------
 
     def term_single(self, k):
@@ -206,13 +385,11 @@ class Engine:
         return self._power(self.cache.one_minus_A, k).scaled(Fraction(1, k))
 
     def term_pair(self, k1, k2):
+        """sum_{l1 < a, l2 < b} C(a-1, l1) C(b-1, l2) (1 - A)^{l1 + l2}
+        pair_block(a - l1, b - l2), (a, b) = (k1, k2) sorted."""
         key = (min(k1, k2), max(k1, k2))
         if key not in self._term_pair:
-            a, b = key
-            self._term_pair[key] = self._weighted_sum(
-                (comb(a - 1, l1) * comb(b - 1, l2), l1 + l2,
-                 self.pair_block(a - l1, b - l2))
-                for l1 in range(a) for l2 in range(b))
+            self._term_pair[key] = self._entries("pair", *key)[None]
         return self._term_pair[key]
 
     # -- resolvent pieces ------------------------------------------------------
@@ -226,14 +403,8 @@ class Engine:
         Its entries do not vanish for s >= k - 1; dropping them breaks oracle
         equivalence for mixed multiplicity sets.
         """
-        kmax = kmax or k
-        out = {}
-        for s in range(kmax - 1):
-            acc = self._weighted_sum((comb(k - 1, l), l, self.pair_block(s + 1, k - l))
-                                     for l in range(k))
-            if not acc.is_zero():
-                out[s] = acc.scaled(Fraction(-1, factorial(s)))
-        return out
+        return {s: v for s, v in self._entries("left", k, kmax or k).items()
+                if not v.is_zero()}
 
     def start_row(self, k1, k2):
         """The walk's start from u_{k1} u_{k2}, for s <= k1 - 2:
@@ -249,13 +420,8 @@ class Engine:
 
     def transfer_operator(self, k, kmax=None):
         """W(k) of `reduced_terms` as {(s, s'): nonzero series}."""
-        entries = {}
-        for key, cell in reduced_terms(k, kmax).items():
-            entry = self._weighted_sum((w, power, self.chain_block(*ij))
-                                       for (power, ij), w in cell.items())
-            if not entry.is_zero():
-                entries[key] = entry
-        return entries
+        return {key: v for key, v in self._entries("transfer", k, kmax or k).items()
+                if not v.is_zero()}
 
     # -- joint generating function ----------------------------------------------
 

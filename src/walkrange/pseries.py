@@ -488,27 +488,34 @@ class BaseSeriesCache:
             return None
         if self._even_rows is None:
             half = self.K // 2
+            work = np.empty(_ROW_BLOCK * (half + 1))
+            keep = np.empty(_ROW_BLOCK * (half + 1), dtype=bool)
             # first all-zero row, by bisection: row F + 1 underflows where F does
+            probe = np.zeros((1, half + 1))
             lo, hi = 1, half + 1
             while lo < hi:
                 mid = (lo + hi) // 2
-                if self._even_rows_block(mid, mid + 1).any():
+                probe.fill(0.0)
+                self._even_rows_block(mid, mid + 1, probe[:, mid:], work, keep)
+                if probe.any():
                     lo = mid + 1
                 else:
                     hi = mid
             rows = np.zeros((lo, half + 1))
             for F0 in range(1, lo, _ROW_BLOCK):
                 F1 = min(F0 + _ROW_BLOCK, lo)
-                rows[F0:F1, F0:] = self._even_rows_block(F0, F1)
+                self._even_rows_block(F0, F1, rows[F0:F1, F0:], work, keep)
             self._even_rows = rows
         return self._even_rows
 
-    def _even_rows_block(self, F0, F1):
-        """Rows F0..F1-1 of the float table, columns n' = F0..K//2.
+    def _even_rows_block(self, F0, F1, out, work, keep):
+        """Write rows F0..F1-1 of the float table, columns n' = F0..K//2,
+        into the zeroed out; work and keep are scratch buffers of at least
+        as many entries as out.
 
         Row F is exp of the running sum, from n' = F on, of log s^{2F} and
         the log ratios of successive ballot numbers times s^2; entries with
-        logs below -745 are zero.  Each row of the block is zero up to its
+        logs below -745 stay zero.  Each row of the block is zero up to its
         own n' = F, and the cumsum along axis 1 adds in the same order as a
         cumsum of that row alone, so a row does not depend on its block."""
         half = self.K // 2
@@ -516,32 +523,50 @@ class BaseSeriesCache:
         F = np.arange(F0, F1, dtype=np.float64)[:, None]
         col = np.arange(F0, half + 1, dtype=np.float64)  # n' of each column
         npr = col - 1                                    # ratio from n' - 1 to n'
+        logs = work[: out.size].reshape(out.shape)
+        kept = keep[: out.size].reshape(out.shape)
+        # col (col - F) (col + F), as col^2 - F^2 times col: integers, exact
+        # in float64 while col^3 < 2^53
+        np.subtract(col * col, F * F, out=logs)
+        logs *= col
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (npr + 1) * (npr + 1 - F) * (npr + 1 + F)
             np.log(logs, out=logs)
             np.subtract(np.log(npr * (2 * npr + 1) * (2 * npr + 2)), logs,
                         out=logs)
         logs += ls2
-        logs = np.where(col > F, logs, np.where(col == F, F * ls2, 0.0))
+        for i, row in enumerate(logs):  # row F = F0 + i starts at column i
+            row[:i] = 0.0
+            row[i] = (F0 + i) * ls2
         logs.cumsum(axis=1, out=logs)
-        keep = (logs > -745.0) & (col >= F)
+        np.greater(logs, -745.0, out=kept)
+        for i, row in enumerate(kept):
+            row[:i] = False
         # exp only where kept: results that underflow cost ~50x a normal exp
-        return np.where(keep, np.exp(np.where(keep, logs, 0.0)), 0.0)
+        np.exp(logs, out=out, where=kept)
 
     def _even_row(self, F):
         """row[n'] = [z^{2n'}] (scaled B)^{2F}: ballot integers (exact) or a
-        row of the float table (zero past the stored rows)."""
+        row of the float table (zero past the stored rows).
+
+        The exact row is b_n' = F C(2n', n'-F) / n' from b_F = 1 by
+        C(2n+2, n+1-F) = C(2n, n-F) (2n+1) (2n+2) / ((n+1-F) (n+1+F)), that
+        is b_{n+1} = b_n 2n (2n+1) / ((n+1-F) (n+1+F)), an exact division."""
         if self.backend == FLOAT:
             rows = self._ensure_even_rows()
             return rows[F] if F < len(rows) else 0.0
         if F not in self._even_rows_exact:
-            self._even_rows_exact[F] = [
-                F * comb(2 * n, n - F) // n if n >= F else 0
-                for n in range(self.K // 2 + 1)]
+            row = [0] * (self.K // 2 + 1)
+            b = 1
+            for n in range(F, len(row)):
+                row[n] = b
+                b = b * 2 * n * (2 * n + 1) // ((n + 1 - F) * (n + 1 + F))
+            self._even_rows_exact[F] = row
         return self._even_rows_exact[F]
 
     def b_even_power(self, F):
         """(scaled B)^{2F} as a series."""
+        if F == 0:
+            return self.one
         if 2 * F > self.K:
             return self.zero()
         return self._even(self._even_row(F))

@@ -2,7 +2,7 @@
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from walkrange.cli import _EXACT_DECIMAL
 from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_distribution,
                               range_moment, vertex_factor)
-from walkrange.pseries import EXACT, FLOAT, TruncatedSeries, base_series
+from walkrange.pseries import (EXACT, FLOAT, BaseSeriesCache, TruncatedSeries,
+                               base_series)
 from walkrange.walks import (local_time_distribution,
                              local_time_probabilities, oracle_counts,
                              oracle_mixed_moment)
@@ -104,6 +105,71 @@ def test_chain_block_leading_order_bound(eng12):
 def test_chain_equals_pair_at_order_two(eng12):
     # the k = 2 coincidence: the (1,2) chain block is the (1,1) pair block
     assert eng12.chain_block(1, 2) == eng12.pair_block(1, 1)
+
+
+def _product_route(eng, k, kmax):
+    """term_pair(k, kmax), left_row(k, kmax), start_row(k, kmax) and
+    transfer_operator(k, kmax) as weighted sums of pair and chain blocks,
+    each series a product (1 - A)^power block: the route of float engines."""
+    ws, pb, cb = eng._weighted_sum, eng.pair_block, eng.chain_block
+
+    def nonzero(d):
+        return {key: v for key, v in d.items() if not v.is_zero()}
+
+    def term_pair(a, b):
+        return ws((comb(a - 1, l1) * comb(b - 1, l2), l1 + l2, pb(a - l1, b - l2))
+                  for l1 in range(a) for l2 in range(b))
+
+    left = nonzero({s: ws((comb(k - 1, l), l, pb(s + 1, k - l)) for l in range(k))
+                    .scaled(Fraction(-1, factorial(s))) for s in range(kmax - 1)})
+    start = nonzero({s: term_pair(k - 1 - s, kmax).scaled(-perm(k - 1, s + 1))
+                     for s in range(k - 1)})
+    transfer = nonzero({key: ws((w, power, cb(i, j))
+                                for (power, (i, j)), w in cell.items())
+                        for key, cell in genfun.reduced_terms(k, kmax).items()})
+    return term_pair(k, kmax), left, start, transfer
+
+
+@pytest.mark.parametrize("K, kbig", [(4, 6), (18, 6), (40, 6), (200, 5)])
+def test_exact_blocks_on_the_basis_equal_the_product_route(K, kbig):
+    # exact engines build these entries as sum_r a_r Lambda_r + b_r A Lambda_r
+    eng = Engine(K, backend=EXACT)
+    for k in range(1, kbig + 1):
+        for kmax in (k, k + 2):
+            want = _product_route(eng, k, kmax)
+            got = (eng.term_pair(k, kmax), eng.left_row(k, kmax),
+                   eng.start_row(k, kmax), eng.transfer_operator(k, kmax))
+            assert got == want, (K, k, kmax)
+
+
+def test_basis_tables_are_the_winding_weights():
+    # the integer identities behind `genfun._basis_table`
+    for j in range(1, 9):
+        for i in range(1, j + 1):
+            pair, chain = genfun._pair_weights(i, j), genfun._chain_weights(i, j)
+            for f in range(1, 61):
+                assert sum(c * comb(f, r) for r, c in pair.items()) == \
+                    comb(f - 1, i - 1) * comb(f, j), (i, j, f)
+                assert sum(c * comb(f, r) for r, c in chain.items()) == \
+                    comb(f + i - 1, j - 1), (i, j, f)
+    # (1 - A)^power A^m = a(y) + b(y) A at y = (1 - A^2) / 4, for any number A
+    for t in (Fraction(1, 3), Fraction(-5, 7), Fraction(9, 2)):
+        y = (1 - t * t) / 4
+        for power in range(9):
+            for m in range(9):
+                a, b = genfun._a_form(power, m)
+                value = sum(c * y ** d for d, c in enumerate(a)) + \
+                    t * sum(c * y ** d for d, c in enumerate(b))
+                assert value == (1 - t) ** power * t ** m, (t, power, m)
+
+
+def test_float_blocks_take_the_product_route():
+    # float engines keep the weighted sums of their blocks, bit for bit
+    eng = Engine(600, backend=FLOAT)
+    for k, kmax in ((2, 2), (3, 3), (3, 5)):
+        got = (eng.term_pair(k, kmax), eng.left_row(k, kmax),
+               eng.start_row(k, kmax), eng.transfer_operator(k, kmax))
+        assert got == _product_route(eng, k, kmax), (k, kmax)
 
 
 def test_unmarked_term_is_the_closed_walk_count_series():
@@ -402,12 +468,30 @@ def test_joint_counts_share_the_resolvent_walk(monkeypatch):
     assert products[0] <= 3000
 
 
+def _count_lambert_passes(monkeypatch):
+    """Patch BaseSeriesCache.lambert_sum to count calls; returns the counter."""
+    calls = [0]
+    lambert_sum = BaseSeriesCache.lambert_sum
+
+    def counting(self, weight):
+        calls[0] += 1
+        return lambert_sum(self, weight)
+
+    monkeypatch.setattr(BaseSeriesCache, "lambert_sum", counting)
+    return calls
+
+
 def test_distribution_exits_make_no_series_products(monkeypatch):
-    # 128 of the 429 products the walk made with series exits were exits
+    # 128 of the 429 products the walk made with series exits were exits;
+    # on the binomial Lambert basis the blocks make one Lambert pass per
+    # Lambda_r and one product per A Lambda_r, r = 1..5: the walk made 301
+    # products and 10 passes with a pass and products per block
     eng = Engine(200, backend=EXACT)
     products = _count_products(monkeypatch)
+    passes = _count_lambert_passes(monkeypatch)
     counts, tail = eng.distribution(100, 3, 66)
-    assert products[0] <= 301
+    assert products[0] <= 258
+    assert passes[0] <= 5
     assert sum(counts.values()) + tail == comb(200, 100) and tail == 0
 
 
@@ -708,12 +792,15 @@ def test_mixed_moment_exits_only_onto_its_own_monomial(monkeypatch):
 
 def test_mixed_moment_builds_no_term_off_its_monomial(monkeypatch):
     # a single or pair term is built only on an admissible exponent: the
-    # depth-4 query builds none, at 41 exact products where it made 53
+    # depth-4 query builds none, at 41 exact products where it made 53, and
+    # 8 once its blocks (4 Lambert passes, not 9) sit on the Lambda_r basis
     eng = Engine(198, backend=EXACT)
     products = _count_products(monkeypatch)
+    passes = _count_lambert_passes(monkeypatch)
     assert eng.mixed_moment({3: 4}, 99) == \
         3296043867370737743128245641313440727335752937800011874368
-    assert products[0] <= 41
+    assert products[0] <= 8
+    assert passes[0] <= 4
 
 
 def test_walk_without_a_start_builds_no_steps(monkeypatch):

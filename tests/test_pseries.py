@@ -209,6 +209,22 @@ def test_ballot_powers_match_direct_products():
         acc = acc * b2
 
 
+@pytest.mark.parametrize("K", [0, 1, 2, 15, 200])
+def test_exact_ballot_rows_are_the_closed_form(K):
+    # the recurrence gives every row the list of F C(2n, n-F) / n, n >= F
+    c = base_series(K, EXACT)
+    for F in range(1, K // 2 + 1):
+        assert c._even_row(F) == [F * comb(2 * n, n - F) // n if n >= F else 0
+                                  for n in range(K // 2 + 1)], F
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_b_even_power_zero_is_one(backend):
+    # B^0 = 1 on both backends: not the zero series, and no division by n = 0
+    c = base_series(12, backend)
+    assert c.b_even_power(0) == c.one
+
+
 def test_ring_laws_on_random_series():
     import random
     rng = random.Random(20240)
@@ -524,32 +540,35 @@ def test_exact_division_and_log_match_recurrences():
 
 
 def _even_rows_per_row(K, scale):
-    """The former float B^{2F} table: a dense (K/2+1)^2 array, one row at a time."""
+    """The former float B^{2F} table, one row F = 0..K/2 at a time."""
     half = K // 2
-    rows = np.zeros((half + 1, half + 1))
     ls2 = 2.0 * math.log(float(scale))
     np_ = np.arange(1, half + 1, dtype=np.float64)
+    yield np.zeros(half + 1)
     for F in range(1, half + 1):
+        row = np.zeros(half + 1)
         npr = np_[F - 1: half - 1]
         ratios = np.log(npr * (2 * npr + 1) * (2 * npr + 2)) - \
             np.log((npr + 1) * (npr + 1 - F) * (npr + 1 + F))
         logs = np.concatenate(([F * ls2], ratios + ls2)).cumsum()
-        rows[F, F:] = np.where(logs > -745.0, np.exp(logs), 0.0)
-    return rows
+        row[F:] = np.where(logs > -745.0, np.exp(logs), 0.0)
+        yield row
 
 
 @pytest.mark.parametrize("K,scale", [
     (2, Fraction(1, 2)), (10, Fraction(1, 2)), (101, Fraction(1, 2)),
-    (1922, Fraction(1, 2)), (4000, Fraction(1, 2))])
+    (1922, Fraction(1, 2)), (4000, Fraction(1, 2)), (7828, Fraction(1, 2))])
 def test_float_even_rows_equal_per_row_table(K, scale):
     c = base_series(K, FLOAT)
     assert c.scale == scale
     rows = c._ensure_even_rows()
-    ref = _even_rows_per_row(K, scale)
     kept = len(rows)
     assert rows.shape == (kept, K // 2 + 1)
-    assert np.array_equal(rows.view(np.int64), ref[:kept].view(np.int64))
-    assert not ref[kept:].any()
+    for F, ref in enumerate(_even_rows_per_row(K, scale)):
+        if F < kept:
+            assert np.array_equal(rows[F].view(np.int64), ref.view(np.int64)), F
+        else:
+            assert not ref.any(), F
     if K >= 1922:
         assert kept < K // 2          # rows that underflow are not stored
 
