@@ -48,11 +48,11 @@ every entry of term_pair, left_row, start_row and W(k) is
 
     sum_r a_r(z^2) Lambda_r + b_r(z^2) A Lambda_r.
 
-Exact engines build the entries this way (`_basis_table`, integer tables
-built once per process): one Lambert pass per Lambda_r, one product per A
-Lambda_r, and shift-and-add.  Float engines keep the product route, the
-sum of w (1 - A)^p block, whose order of operations fixes their bits; the
-float accuracy of the basis is not measured.
+The entries are built this way only (`_basis_table`, integer tables built
+once per process): one Lambert pass per Lambda_r, one product per A
+Lambda_r, and shift-and-add.  The walk is exact-only; float engines serve
+the k <= 2 closed forms, which take their pair terms from pair_block, so the
+exact k = 2 check shares no table with the walk.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def reduced_terms(k, kmax=None):
 
 
 def _block_terms(kind, k, kmax):
-    """One block table as {key: (scale, terms)}: its entry at key is scale
-    (None for 1) times the sum of w (1 - A)^power block(i, j) over the (w,
+    """One block table as {key: (scale, terms)}, read by `_basis_table`: its
+    entry at key is scale (None for 1) times the sum of w (1 - A)^power block(i, j) over the (w,
     power, block, i, j) of terms, block "pair" (`Engine.pair_block`) or
     "chain" (`Engine.chain_block`).  The kinds:
 
@@ -314,20 +314,15 @@ class Engine:
         return self._pair[key]
 
     def chain_block(self, i, j):
-        """One-sided block feeding the transfer operator; j >= i >= 1."""
+        """One-sided block feeding the transfer operator; j >= i >= 1.  No
+        route calls it (W(k) is read off the basis); it stays for the layer
+        trace, `test_block_limits_at_the_singular_point` and the derivation
+        in `asymptotics.limit_transfer_matrix`."""
         if (i, j) not in self._chain:
             weight = lambda f: comb(f + i - 1, j - 1)
             self._chain[(i, j)] = (self.cache.lambert_sum(weight)
                                    * self._power(self.cache.A, j))
         return self._chain[(i, j)]
-
-    def _weighted_sum(self, terms):
-        """sum of w (1 - A)^power block over the (w, power, block) of terms,
-        added in their order."""
-        acc = TruncatedSeries.zero(self.K, self.backend)
-        for w, power, block in terms:
-            acc = acc + (self._power(self.cache.one_minus_A, power) * block).scaled(w)
-        return acc
 
     def _basis_series(self, r, times_a):
         """Lambda_r = sum_f C(f, r) tail_f, or A Lambda_r with times_a: one
@@ -356,22 +351,13 @@ class Engine:
         return TruncatedSeries(nums, EXACT, self.K, den)
 
     def _entries(self, kind, k, kmax):
-        """{key: series} of the block table `_block_terms(kind, k, kmax)`.
-
-        Exact engines read each entry off the binomial Lambert basis
-        (`_basis_table`); float engines add its weighted blocks in their
-        order, which fixes their bits.  The one place the block layer
-        branches on the backend."""
-        if self.backend == EXACT:
-            return {key: self._on_basis(*entry)
-                    for key, entry in _basis_table(kind, k, kmax).items()}
-        blocks = {"pair": self.pair_block, "chain": self.chain_block}
-        out = {}
-        for key, (scale, terms) in _block_terms(kind, k, kmax).items():
-            s = self._weighted_sum((w, power, blocks[block](i, j))
-                                   for w, power, block, i, j in terms)
-            out[key] = s if scale is None else s.scaled(scale)
-        return out
+        """{key: series} of the block table `_block_terms(kind, k, kmax)`,
+        each entry read off the binomial Lambert basis (`_basis_table`).  The
+        walk's entries are exact-only: a float engine raises ValueError."""
+        if self.backend != EXACT:
+            raise ValueError("the resolvent walk requires the exact backend")
+        return {key: self._on_basis(*entry)
+                for key, entry in _basis_table(kind, k, kmax).items()}
 
     # -- the explicit terms ---------------------------------------------------
 
@@ -434,6 +420,8 @@ class Engine:
         log(2 / (1 + A)) before z d/dz and the closed-walk count series h0
         after it, since z d/dz log(2 / (1 + A)) = (1 - A) / A.
         """
+        if self.backend != EXACT:
+            raise ValueError("joint_genfun requires the exact backend")
         tracked = tuple(sorted(tracked))
         if bounds is None:
             bounds = tuple(self.K // k for k in tracked)
@@ -603,12 +591,18 @@ class Engine:
     def _doublepoint_terms(self):
         """(h0, a, b, S^2, g) of the k = 2 marked function
         h0 + u a + u^2 b + z d/dz [u^3 S^2 / (1 - u g)], where a = 4z^2 h0,
-        b = T(2,2)', g = pair_block(1,1), S = (1 - A) g + pair_block(1,2)."""
+        b = T(2,2)', g = pair_block(1,1), S = (1 - A) g + pair_block(1,2).
+
+        T(2,2) = sum_{l1,l2<2} (1 - A)^{l1+l2} pair_block(2 - l1, 2 - l2) is
+        summed here, not read off the walk's basis table, in the order (and
+        with the (1 - A)^0 product) that fixes the float bits."""
         g = self.pair_block(1, 1)
         s = self.cache.one_minus_A * g + self.pair_block(1, 2)
+        t22 = sum((self._power(self.cache.one_minus_A, l1 + l2)
+                   * self.pair_block(2 - l1, 2 - l2)
+                   for l1 in range(2) for l2 in range(2)), self.cache.zero())
         h0 = self.cache.h0
-        return (h0, self.cache.monomial(4, 2) * h0, self.term_pair(2, 2).zddz(),
-                s.pow(2), g)
+        return h0, self.cache.monomial(4, 2) * h0, t22.zddz(), s.pow(2), g
 
     def doublepoint_moment_series(self, jmax):
         """Closed-form M_j for k = 2: z d/dz [S^2 g^(j-3)] for j >= 3."""
@@ -643,19 +637,6 @@ class Engine:
             out.append(tail[0].zddz())
             tail[0] = tail[0] * tail[1]
         return out[: l_max + 1]
-
-    def first_moment(self, k, n):
-        """E_n(N_{2k}): exact Fraction on the exact backend, else float."""
-        return self.cache.probability(self.term_single(k).zddz(), n)
-
-    def product_moment(self, k1, k2, n):
-        """E_n(N_{2k1} N_{2k2}); uses N^2 = N + 2 C(N,2) on the diagonal."""
-        if k1 == k2:
-            m1 = self.cache.probability(self.term_single(k1).zddz(), n)
-            m2 = self.cache.probability(self.term_pair(k1, k1).zddz(), n)
-            return m1 + 2 * m2
-        s = self.term_pair(k1, k2).zddz()
-        return 2 * self.cache.probability(s, n)
 
     # -- mixed moments --------------------------------------------------------------
 

@@ -130,13 +130,19 @@ def test_criterion_5_second_moment_limits(float_engine_4000):
              for (k1, k2), v in printed.items())
     # (100,101): the independently verified value of the printed formula
     ok &= abs(asy.second_moment_limit(100, 101) - 0.4706162) <= 5e-6
-    # exact float-series covariances at n = 2000 approach the limits
+    # exact float-series covariances at n = 2000 approach the limits; the
+    # pair terms are T(1,1) = g and T(1,2) = pair_block(1,2) + (1 - A) g with
+    # g = pair_block(1,1), and N^2 = N + 2 C(N, 2) on the diagonal
     eng = float_engine_4000
     n = 2000
-    cov11 = (eng.product_moment(1, 1, n)
-             - eng.first_moment(1, n) * eng.first_moment(1, n))
-    cov12 = (eng.product_moment(1, 2, n)
-             - eng.first_moment(1, n) * eng.first_moment(2, n))
+
+    def mean(series):
+        return eng.cache.probability(series.zddz(), n)
+
+    m1, m2 = mean(eng.term_single(1)), mean(eng.term_single(2))
+    g = eng.pair_block(1, 1)
+    cov11 = m1 + 2 * mean(g) - m1 * m1
+    cov12 = 2 * mean(eng.pair_block(1, 2) + eng.cache.one_minus_A * g) - m1 * m2
     d11 = abs(cov11 - asy.second_moment_limit(1, 1))
     d12 = abs(cov12 - asy.second_moment_limit(1, 2))
     ok &= d11 <= 1e-2 and d12 <= 1e-2

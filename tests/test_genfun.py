@@ -110,8 +110,12 @@ def test_chain_equals_pair_at_order_two(eng12):
 def _product_route(eng, k, kmax):
     """term_pair(k, kmax), left_row(k, kmax), start_row(k, kmax) and
     transfer_operator(k, kmax) as weighted sums of pair and chain blocks,
-    each series a product (1 - A)^power block: the route of float engines."""
-    ws, pb, cb = eng._weighted_sum, eng.pair_block, eng.chain_block
+    each series a product (1 - A)^power block, from their formulas."""
+    pb, cb, one_minus_a = eng.pair_block, eng.chain_block, eng.cache.one_minus_A
+
+    def ws(terms):
+        return sum(((one_minus_a.pow(power) * block).scaled(w)
+                    for w, power, block in terms), eng.cache.zero())
 
     def nonzero(d):
         return {key: v for key, v in d.items() if not v.is_zero()}
@@ -161,15 +165,6 @@ def test_basis_tables_are_the_winding_weights():
                 value = sum(c * y ** d for d, c in enumerate(a)) + \
                     t * sum(c * y ** d for d, c in enumerate(b))
                 assert value == (1 - t) ** power * t ** m, (t, power, m)
-
-
-def test_float_blocks_take_the_product_route():
-    # float engines keep the weighted sums of their blocks, bit for bit
-    eng = Engine(600, backend=FLOAT)
-    for k, kmax in ((2, 2), (3, 3), (3, 5)):
-        got = (eng.term_pair(k, kmax), eng.left_row(k, kmax),
-               eng.start_row(k, kmax), eng.transfer_operator(k, kmax))
-        assert got == _product_route(eng, k, kmax), (k, kmax)
 
 
 def test_unmarked_term_is_the_closed_walk_count_series():
@@ -832,6 +827,28 @@ def test_exact_only_operations_reject_float_backend():
         eng.mixed_moment({1: 1}, 4)
     with pytest.raises(ValueError):
         eng.joint_moments(4, (1, 2), (8, 4))
+    # the walk and its entries are exact-only too
+    for call in (lambda: eng.term_pair(2, 2), lambda: eng.left_row(2),
+                 lambda: eng.start_row(3, 3), lambda: eng.transfer_operator(3),
+                 lambda: eng.joint_genfun((1,), (1,)),
+                 lambda: eng.binomial_moment_series(2, 2)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_k2_check_does_not_read_the_walk_basis(monkeypatch):
+    # a wrong T(2,2) table in the walk must trip the k = 2 dual-route check
+    basis_table = genfun._basis_table
+
+    def broken(kind, k, kmax):
+        table = basis_table(kind, k, kmax)
+        if (kind, k, kmax) != ("pair", 2, 2):
+            return table
+        return {key: (2 * den, coeffs) for key, (den, coeffs) in table.items()}
+
+    monkeypatch.setattr(genfun, "_basis_table", broken)
+    with pytest.raises(AssertionError, match="dual-route mismatch"):
+        Engine(24, backend="exact").distribution(12, 2, 12)
 
 
 @pytest.mark.xfail(strict=True, reason="printed worked example for the "
