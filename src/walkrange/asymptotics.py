@@ -358,11 +358,19 @@ def second_moment_limit(k1, k2):
 
 
 def range_moment_limit(r):
-    """xi(r) = r (r-1) zeta(r) Gamma(r/2) pi^{-r/2}: limit of E(ran^r)/E(ran)^r."""
+    """xi(r) = r (r-1) zeta(r) Gamma(r/2) pi^{-r/2}: limit of E(ran^r)/E(ran)^r.
+
+    Evaluated through the duplication formula
+    Gamma(r/2) = 2^{r/2-1} Gamma(r/4) Gamma(r/4 + 1/2) / sqrt(pi), with half
+    of pi^{-r/2} on each Gamma factor, so no partial product overflows while
+    xi(r) is a finite float64 (up to r = 432).
+    """
     if r < 2:
         raise DomainError("range moment limits start at r = 2")
-    return (r * (r - 1) * zeta(r) * math.gamma(r / 2.0)
-            * math.pi ** (-r / 2.0))
+    q = math.pi ** (-r / 4.0)
+    return (r * (r - 1) * zeta(r) * (math.gamma(r / 4.0) * q)
+            * (math.gamma(r / 4.0 + 0.5) * q)
+            * 2.0 ** (r / 2.0 - 1) / math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------------------

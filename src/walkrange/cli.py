@@ -251,11 +251,11 @@ def _cmd_asymp(args):
     if args.xi is not None:
         try:
             val = asy.range_moment_limit(args.xi)
-        except OverflowError:  # Gamma(r/2) alone overflows
+        except OverflowError:  # Gamma(r/4 + 1/2) alone overflows
             val = math.inf
         if not math.isfinite(val):
-            args.usage_error("argument --xi: the float64 evaluation of xi(r) "
-                             "overflows; it holds up to r = 338")
+            args.usage_error("argument --xi: xi(r) overflows float64; it is "
+                             "finite up to r = 432")
         rep = _report("asymp", {"xi": args.xi}, {"xi": _sig(val, digits)},
                       {"digits": digits})
         return _emit(rep, args.format, [[args.xi, _sig(val, digits)]],

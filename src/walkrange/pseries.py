@@ -582,7 +582,10 @@ class BaseSeriesCache:
         Computed through the divisor rearrangement
         sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}: the divisor
         sums are integers, which weigh the integer ballot rows (exact) or
-        the rows of the float table.
+        the rows of the float table.  The float sum is one matrix-vector
+        product over the whole table, and its last bits depend on the
+        table's shape (splitting its columns changed them);
+        `test_float_k2_probabilities_bit_for_bit` pins those bits.
         """
         rows = self._ensure_even_rows()
         # float rows past the stored table are zero and need no weights
@@ -600,17 +603,6 @@ class BaseSeriesCache:
             if w:
                 acc[F:] = [x + w * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
         return self._even(acc)
-
-    # -- lattice visit series -----------------------------------------------
-
-    def point_visits_series(self, p):
-        """Counting series h(p,1,z) for walks from 0 to p, empty walk removed.
-
-        Equals B^{|p|} / A - [p == 0].
-        """
-        if p == 0:
-            return self.h0
-        return self.inv_A * self._b_power(abs(p))
 
     # -- coefficient extraction ----------------------------------------------
 

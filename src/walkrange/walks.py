@@ -101,14 +101,21 @@ def profile(w: Walk) -> RangeProfile:
 # with one row per walk holding the codes of its points p_1 .. p_2n, so each
 # point q occurs k(q) times in its row: an interior visit adds 2 to the
 # multiplicity, and p_2n = p_0 stands for the origin's two endpoint halves.
-# Step sequences grow breadth-first in numpy, and a prefix farther (in L1)
-# from the origin than the steps it has left is dropped; a prefix that is
-# kept can always close, since its distance and the steps left have the same
-# parity.  Each step keeps only the new point codes and the row each one
-# extends, and a finished block is read back through those links.  The search
-# is split by a step prefix so that no subtree grown at once has more than
-# _BLOCK_LEAVES unpruned leaves: the arrays of a block do not grow with n,
-# and the prefix frontier has fewer than 2d (2d)^(2n) / _BLOCK_LEAVES rows.
+# Only the walks whose first step is +e1 are grown.  A signed permutation of
+# the axes is an isometry of Z^d fixing the origin: it maps closed walks of
+# length 2n one to one onto closed walks and keeps every point's visit
+# count, so it keeps every N_{2k} and ran.  These isometries act
+# transitively on the 2d unit steps, so the walks of each first step have
+# the same joint tally, and `oracle_counts` weighs the +e1 walks by 2d.
+# Step sequences grow breadth-first in numpy from p_1 = +e1, and a prefix
+# farther (in L1) from the origin than the steps it has left is dropped; a
+# prefix that is kept can always close, since its distance and the steps
+# left have the same parity.  Each step keeps only the new point codes and
+# the row each one extends, and a finished block is read back through those
+# links.  The search is split by a step prefix so that no subtree grown at
+# once has more than _BLOCK_LEAVES unpruned leaves: the arrays of a block do
+# not grow with n, and a split search's prefix frontier has fewer than
+# (2d)^(2n) / _BLOCK_LEAVES rows, of the (2d)^(2n-1) unpruned leaves.
 # A block costs a fixed number of numpy calls whatever its size (one `grow`
 # per step, one histogram, one tally), and at small n those calls, not the
 # arithmetic, set the time.  2^13 leaves make 4x fewer of them than 2^11,
@@ -118,7 +125,8 @@ _BLOCK_LEAVES = 2 ** 13
 
 
 def _point_blocks(n, d):
-    """Point codes p_1 .. p_2n of every closed walk of length 2n, in blocks."""
+    """Point codes p_1 .. p_2n of every closed walk of length 2n whose first
+    step is +e1 (so p_1 has code 1), in blocks; all of them for n = 0."""
     if n == 0:
         # the empty walk: its one point, the origin, has multiplicity 2
         yield np.zeros((1, 1), dtype=np.int64)
@@ -136,13 +144,14 @@ def _point_blocks(n, d):
         keep = np.flatnonzero(np.abs(new).sum(axis=1) <= left)
         return new[keep], (code[:, None] + deltas).ravel()[keep], keep // fan
 
-    depth = 0
+    depth = 1
     while fan ** (length - depth) > _BLOCK_LEAVES:
         depth += 1
     pos = np.zeros((1, d), dtype=np.int64)
-    code = np.zeros(1, dtype=np.int64)
-    prefix = []
-    for t in range(depth):
+    pos[0, 0] = 1
+    code = np.ones(1, dtype=np.int64)
+    prefix = [(code, np.zeros(1, dtype=np.intp))]
+    for t in range(1, depth):
         pos, code, parent = grow(pos, code, length - t - 1)
         prefix.append((code, parent))
     group = _BLOCK_LEAVES // fan ** (length - depth)
@@ -185,9 +194,15 @@ def oracle_counts(n, d, tracked=(), include_range=False,
 
     Returns a Counter keyed by the tuple of N_{2k} for k in `tracked`,
     extended with ran(w) when include_range is set; keys and counts are
-    Python ints, and with no key column every walk counts under ().  Raises
-    BudgetExceeded past `budget` walks of all directions, or when point codes
-    in signed base 2n + 1 would pass int64.
+    Python ints, and with no key column every walk counts under ().
+
+    For n >= 1 only the walks whose first step is +e1 are enumerated, and
+    each of their tallies counts 2d times, since the signed axis
+    permutations carry them onto the walks of every other first step (see
+    the comment above `_BLOCK_LEAVES`).  Raises BudgetExceeded when the
+    (2d)^(2n) step sequences of all directions pass `budget`, although only
+    (2d)^(2n-1) are grown, or when point codes in signed base 2n + 1 would
+    pass int64.
     """
     tracked = tuple(tracked)
     if n < 0 or d < 1 or any(k < 1 for k in tracked):
@@ -203,6 +218,9 @@ def oracle_counts(n, d, tracked=(), include_range=False,
     out = Counter()
     for points in _point_blocks(n, d):
         out.update(_block_counts(points, width, tracked, include_range))
+    if n:  # one first step of the 2d grown, each with the same tally
+        for key in out:
+            out[key] *= 2 * d
     return out
 
 

@@ -280,6 +280,17 @@ def test_range_moment_limits():
         range_moment_limit(1)
 
 
+def test_range_moment_limit_against_mpmath_up_to_the_float64_limit():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for r in (2, 3, 50, 338, 339, 400, 432):
+            want = (r * (r - 1) * mp.zeta(r) * mp.gamma(mp.mpf(r) / 2)
+                    * mp.pi ** (-mp.mpf(r) / 2))
+            assert range_moment_limit(r) == pytest.approx(float(want),
+                                                          rel=2e-14), r
+    assert math.isinf(range_moment_limit(433))
+
+
 def test_richardson_polynomial_sequence():
     ns = [40, 80, 160, 320]
     vals = [3 + 2 / n + 5 / n ** 2 - 1 / n ** 3 for n in ns]

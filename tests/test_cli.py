@@ -108,11 +108,11 @@ def test_asymp_xi(capsys):
     assert rep["results"]["xi"] == pytest.approx(1.047198, abs=1e-5)
 
 
-def test_asymp_xi_is_finite_json_up_to_338(capsys):
-    # the last r before the float64 evaluation of xi(r) overflows
-    rc, rep, out = run_json(capsys, ["asymp", "--xi", "338"])
+def test_asymp_xi_is_finite_json_up_to_432(capsys):
+    # the last r before xi(r) itself passes float64
+    rc, rep, out = run_json(capsys, ["asymp", "--xi", "432"])
     assert rc == 0 and "Infinity" not in out
-    assert rep["results"]["xi"] == pytest.approx(2.75845e223, rel=1e-5)
+    assert rep["results"]["xi"] == pytest.approx(3.56469e307, rel=1e-5)
 
 
 def test_asymp_table1(capsys):
@@ -260,8 +260,8 @@ def test_argument_errors_exit_two(capsys):
     ["verify", "--n-max", "-1"],
     ["dist", "--n", "4", "--k", "1", "--lmax", "2", "--digits", "0"],
     ["first-moment", "--d", "2", "--k", "1", "--n", "1"],
-    ["asymp", "--xi", "339"],
-    ["asymp", "--xi", "344"],
+    ["asymp", "--xi", "433"],
+    ["asymp", "--xi", "700"],
 ], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
         "moments-spec-malformed", "moments-spec-k0", "range-dist-n-neg",
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
@@ -473,6 +473,9 @@ _STDOUT_SHA256 = {
     "range-dist --n 1500 --digits 12": "73c6a27f36fe29c8",
     "range-dist --n 3000 --mmax 40": "a835a1da517d2a14",
     "range-dist --n 200 --format csv": "3b226156061992b3",
+    "oracle --n 5 --d 2 --track 2,3 --range": "950120d218a0aae6",
+    "oracle --n 3 --d 3 --track 1,2 --range": "14c3d61402c1fa31",
+    "verify --n-max 7": "2928c0cf9e36a49d",
 }
 
 

@@ -98,20 +98,24 @@ def test_oracle_d2_walk_totals():
 
 
 # every closed walk, one profile() each: the reference the block enumerator
-# must reproduce (d=1 up to n=7, d=2 up to n=4, d=3 up to n=2); d=1 n=7 and
-# d=2 n=4 are the sizes that take several default-size blocks
+# must reproduce (d=1 up to n=7, d=2 up to n=4, d=3 up to n=2); d=2 n=4 is
+# the size that takes several default-size blocks
 _ONE_BLOCK_SIZES = [(n, 1) for n in range(1, 7)] + [(1, 2), (2, 2), (3, 2),
                                                     (1, 3), (2, 3)]
 _BRUTE_SIZES = _ONE_BLOCK_SIZES + [(7, 1), (4, 2)]
 _TRACKED_SETS = [(), (1,), (2,), (1, 3), (3, 1, 2), (2, 2), (7,)]
 
 
-def _brute_profiles(n, d):
+def _brute_walks(n, d):
     steps = [s for a in range(1, d + 1) for s in (a, -a)]
     for seq in itertools.product(steps, repeat=2 * n):
         w = Walk(d, seq)
         if w.is_closed():
-            yield profile(w)
+            yield w
+
+
+def _brute_profiles(n, d):
+    return map(profile, _brute_walks(n, d))
 
 
 @pytest.fixture(scope="module")
@@ -149,19 +153,36 @@ def test_oracle_counts_do_not_depend_on_block_size(brute, monkeypatch,
 
 
 @pytest.mark.parametrize("n,d,leaves,one_block", [
-    (5, 1, None, True), (7, 1, None, False), (4, 2, None, False),
+    (5, 1, None, True), (8, 1, None, False), (4, 2, None, False),
     (3, 2, 40, False), (2, 3, 6, False)])
 def test_point_blocks_stay_within_the_block_size(monkeypatch, n, d, leaves,
                                                  one_block):
     if leaves is not None:
         monkeypatch.setattr(walks, "_BLOCK_LEAVES", leaves)
-    sizes = [len(b) for b in walks._point_blocks(n, d)]
+    blocks = list(walks._point_blocks(n, d))
+    sizes = [len(b) for b in blocks]
     assert (len(sizes) == 1) == one_block
     assert max(sizes) <= walks._BLOCK_LEAVES
-    # closed walks with j_i steps each way on axis i: (2n)! / prod (j_i!)^2
+    # every row is a walk whose first step is +e1, the point of code 1
+    assert all((b[:, 0] == 1).all() for b in blocks)
+    # closed walks with j_i steps each way on axis i: (2n)! / prod (j_i!)^2,
+    # of which one in 2d starts with +e1
     assert sum(sizes) == sum(
         math.factorial(2 * n) // math.prod(math.factorial(j) ** 2 for j in js)
-        for js in itertools.product(range(n + 1), repeat=d) if sum(js) == n)
+        for js in itertools.product(range(n + 1), repeat=d)
+        if sum(js) == n) // (2 * d)
+
+
+# the 2d weight of `oracle_counts`: on the unreduced reference, the walks of
+# each first step have the same joint tally of visit counts and range
+@pytest.mark.parametrize("n,d", _ONE_BLOCK_SIZES)
+def test_every_first_step_has_the_same_tally(n, d):
+    tallies = {s: Counter() for a in range(1, d + 1) for s in (a, -a)}
+    for w in _brute_walks(n, d):
+        p = profile(w)
+        tallies[w.steps[0]][
+            tuple(p.count(k) for k in range(1, 2 * n + 1)) + (p.range_,)] += 1
+    assert all(t == tallies[1] for t in tallies.values())
 
 
 def test_oracle_mixed_moment_matches_brute_force():
