@@ -17,7 +17,7 @@ from .genfun import (Engine, joint_counts, range_distribution, range_moment,
 from .moments import (asymptotic_first_moment, asymptotic_range_moment,
                       first_moment_exact, green, mean_point_count, mean_range)
 from .pseries import (EXACT, FLOAT, BaseSeriesCache, TruncatedSeries,
-                      base_series, choose_backend)
+                      choose_backend)
 from .walks import (RangeProfile, Walk, multiplicity, oracle_counts, profile,
                     sample_moments)
 from .asymptotics import (bernoulli, doublepoint_tail, em_expansion,
@@ -35,8 +35,7 @@ __all__ = [
     "vertex_factor",
     "asymptotic_first_moment", "asymptotic_range_moment",
     "first_moment_exact", "green", "mean_point_count", "mean_range",
-    "EXACT", "FLOAT", "BaseSeriesCache", "TruncatedSeries", "base_series",
-    "choose_backend",
+    "EXACT", "FLOAT", "BaseSeriesCache", "TruncatedSeries", "choose_backend",
     "RangeProfile", "Walk", "multiplicity", "oracle_counts", "profile",
     "sample_moments",
     "bernoulli", "doublepoint_tail", "em_expansion",

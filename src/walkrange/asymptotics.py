@@ -31,7 +31,7 @@ import numpy as np
 
 from . import walks
 from .errors import DomainError, IllConditioned
-from .genfun import reduced_terms
+from .genfun import Engine, reduced_terms
 from .pseries import EXACT, TruncatedSeries
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,6 @@ def _probability_table(k, ns, l_max, engine=None):
     k >= 3 loses digits to cancellation at large truncation orders.  One DP
     pass up to max(ns) reads off every n in ns.
     """
-    from .genfun import Engine
-
     nmax = max(ns)
     if k <= 2:
         if engine is None:

@@ -306,7 +306,7 @@ def _cmd_asymp(args):
                       {"digits": digits, "route": "transfer-operator-limit"})
         return _emit(rep, args.format, rows, ["k", "rates..."])
     kmax = args.kmax
-    ks = list(range(1, kmax + 1)) + [100]
+    ks = sorted(set(range(1, kmax + 1)) | {100})
     entries, rows = [], []
     for i, k1 in enumerate(ks):
         for k2 in ks[i:]:

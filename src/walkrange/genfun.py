@@ -63,7 +63,7 @@ from functools import cache
 from math import comb, factorial, lcm, perm, prod
 
 from .errors import DomainError, MarkerOverflow, NonUnit
-from .pseries import EXACT, TruncatedSeries, base_series
+from .pseries import EXACT, BaseSeriesCache, TruncatedSeries
 
 
 def reduced_terms(k, kmax=None):
@@ -98,24 +98,24 @@ def reduced_terms(k, kmax=None):
 
 
 def _block_terms(kind, k, kmax):
-    """One block table as {key: (scale, terms)}, read by `_basis_table`: its
-    entry at key is scale (None for 1) times the sum of w (1 - A)^power block(i, j) over the (w,
-    power, block, i, j) of terms, block "pair" (`Engine.pair_block`) or
+    """One block table as {key: terms}, read by `_basis_table`: its entry at
+    key is the sum of w (1 - A)^power block(i, j) over the (w, power, block,
+    i, j) of terms, w rational, block "pair" (`Engine.pair_block`) or
     "chain" (`Engine.chain_block`).  The kinds:
 
         "pair", k <= kmax:  term_pair(k, kmax), under the key None;
         "left":             the exit row left_row(k, kmax), keyed by s;
         "transfer":         W(k) of `reduced_terms(k, kmax)`, keyed by (s, s')."""
     if kind == "pair":
-        return {None: (None, [(comb(k - 1, l1) * comb(kmax - 1, l2), l1 + l2,
-                                "pair", k - l1, kmax - l2)
-                               for l1 in range(k) for l2 in range(kmax)])}
+        return {None: [(comb(k - 1, l1) * comb(kmax - 1, l2), l1 + l2,
+                        "pair", k - l1, kmax - l2)
+                       for l1 in range(k) for l2 in range(kmax)]}
     if kind == "left":
-        return {s: (Fraction(-1, factorial(s)),
-                    [(comb(k - 1, l), l, "pair", s + 1, k - l) for l in range(k)])
+        return {s: [(Fraction(-comb(k - 1, l), factorial(s)), l, "pair",
+                     s + 1, k - l) for l in range(k)]
                 for s in range(kmax - 1)}
-    return {key: (None, [(w, power, "chain", i, j)
-                         for (power, (i, j)), w in cell.items()])
+    return {key: [(w, power, "chain", i, j)
+                  for (power, (i, j)), w in cell.items()]
             for key, cell in reduced_terms(k, kmax).items()}
 
 
@@ -182,7 +182,7 @@ def _basis_table(kind, k, kmax):
     The table does not depend on the truncation order, so one process
     builds it once."""
     table = {}
-    for key, (scale, terms) in _block_terms(kind, k, kmax).items():
+    for key, terms in _block_terms(kind, k, kmax).items():
         parts = []
         for w, power, block, i, j in terms:
             if block == "pair":
@@ -191,8 +191,6 @@ def _basis_table(kind, k, kmax):
                 weights = _pair_weights(i, j)
             else:
                 q, m, weights = Fraction(w), j, _chain_weights(i, j)
-            if scale is not None:
-                q *= scale
             parts.append((q, _a_form(power, m), weights))
         den = lcm(*(q.denominator for q, _, _ in parts))
         coeffs = {}
@@ -282,7 +280,7 @@ class Engine:
     """Joint-distribution calculator at one truncation order and backend."""
 
     def __init__(self, K, backend=None):
-        self.cache = base_series(K, backend)
+        self.cache = BaseSeriesCache(K, backend)
         self.K = self.cache.K
         self.backend = self.cache.backend
         self._pair = {}
@@ -296,7 +294,7 @@ class Engine:
 
     def _power(self, base, m):
         """base^m for base A or 1 - A of the cache, each power built once."""
-        pows = self._pows.setdefault(base, [self.cache.one, base])
+        pows = self._pows.setdefault(id(base), [self.cache.one, base])
         while len(pows) <= m:
             pows.append(pows[-1] * base)
         return pows[m]
@@ -420,8 +418,6 @@ class Engine:
         log(2 / (1 + A)) before z d/dz and the closed-walk count series h0
         after it, since z d/dz log(2 / (1 + A)) = (1 - A) / A.
         """
-        if self.backend != EXACT:
-            raise ValueError("joint_genfun requires the exact backend")
         tracked = tuple(sorted(tracked))
         if bounds is None:
             bounds = tuple(self.K // k for k in tracked)
@@ -437,8 +433,6 @@ class Engine:
         `joint_genfun(tracked, bounds)`, with tracked sorted, read at the
         target order 2n without building their series.  Zero moments may be
         left out."""
-        if self.backend != EXACT:
-            raise ValueError("joint_moments requires the exact backend")
         ms = self._marked(MarkedSeries(tracked, bounds, self.K, order=2 * n))
         out = {e: _as_int(2 * n * c) for e, c in ms.terms.items()}
         out[(0,) * len(tracked)] = comb(2 * n, n)
@@ -446,7 +440,9 @@ class Engine:
 
     def _marked(self, ms):
         """ms plus its single and pair terms and the resolvent walk, before
-        z d/dz."""
+        z d/dz; exact-only, as the walk is."""
+        if self.backend != EXACT:
+            raise ValueError("the marked series require the exact backend")
         zero_e = (0,) * len(ms.markers)
         for i1, k1 in enumerate(ms.markers):
             e1 = _plus_one(zero_e, i1)
@@ -539,8 +535,7 @@ class Engine:
         if n and k <= 2:  # the closed forms hold no empty walk
             series = self._closed_form_counts(k, top)
             for l, c in counts.items():
-                want = (self.cache.count_at(series[l], n)
-                        if l < len(series) else 0)
+                want = series[l][2 * n] if l < len(series) else 0
                 if c != want:
                     raise AssertionError(
                         f"dual-route mismatch at k={k}, l={l}: {c} != {want}")
@@ -648,8 +643,6 @@ class Engine:
         z^{2n} with the walk bounded by the spec: only the single and pair
         terms on that monomial are built.
         """
-        if self.backend != EXACT:
-            raise ValueError("mixed_moment requires the exact backend")
         if 2 * n > self.K:
             raise ValueError("truncation order too small for this length")
         spec = {k: m for k, m in sorted(spec.items()) if m > 0}
@@ -695,8 +688,6 @@ def _binomial_inversion(moments):
 
 def joint_counts(engine: Engine, n, tracked):
     """Exact joint occupancy counts {(N_{2k})_k: #walks} at length 2n."""
-    if engine.backend != EXACT:
-        raise ValueError("joint_counts requires the exact backend")
     if 2 * n > engine.K:
         raise ValueError("truncation order too small for this length")
     tracked = tuple(sorted(tracked))
@@ -765,10 +756,6 @@ def range_moment(n, r, hist=None):
 # vertex factors
 # ---------------------------------------------------------------------------
 
-def _is_series(w):
-    return isinstance(w, TruncatedSeries)
-
-
 def vertex_factor(q, k, w):
     """Closed-form vertex factor; w may be a number or a TruncatedSeries.
 
@@ -777,7 +764,7 @@ def vertex_factor(q, k, w):
     """
     if q < 0 or k < 1:
         raise ValueError("need q >= 0 and k >= 1")
-    if _is_series(w):
+    if isinstance(w, TruncatedSeries):
         one = TruncatedSeries.one(w.K, w.backend)
         onew = one + w
         if onew[0] == 0:

@@ -32,13 +32,13 @@ IllConditioned.  `mul_coefficient` reads one coefficient of a product as
 a dot product, without the product.  Base series:
 
     A  = sqrt(1 - 4 z^2)            (square-root factor of the walk kernel)
-    B  = 2z / (1 + A)               (z times the Catalan generating function)
     h0 = (1 - A) / A                (closed-walk count series, empty walk removed)
 
-with the geometric tails B^{2f}/(1 - B^{2f}) and integer-weighted sums over
-them.
-B-powers have the ballot-number closed form [z^m] B^j = (j/m) C(m, (m-j)/2),
-so the cache needs no division and its exact series are integer vectors.
+and the integer-weighted sums over the geometric tails B^{2f}/(1 - B^{2f}),
+with B = 2z / (1 + A) (z times the Catalan generating function).  B enters
+only through its even powers, whose ballot-number closed form [z^{2n}]
+B^{2F} = (F/n) C(2n, n - F) needs no series division, so the cache's exact
+series are integer vectors.
 The backend fixes the scale s of a cache, which stores s^m times the true
 coefficients: s = 1 on the exact backend, s = 1/2 on the float backend,
 where it cancels the 4^n growth of the walk counts and keeps every
@@ -64,6 +64,7 @@ FLOAT = "float"
 # not override the backend get floats instead.
 EXACT_ORDER_LIMIT = 512
 
+# below this length products convolve directly, keeping exact zeros zero
 _FFT_THRESHOLD = 384
 
 # rows of the float B^{2F} table built per numpy pass
@@ -277,9 +278,6 @@ class TruncatedSeries:
                 and self.den == other.den
                 and bool(np.array_equal(self.nums, other.nums)))
 
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         head = ", ".join(str(self[m]) for m in range(min(6, self.K + 1)))
         tail = ", ..." if self.K >= 6 else ""
@@ -401,7 +399,8 @@ def _catalan(m):
 
 
 class BaseSeriesCache:
-    """Holds A, B, h0 and the B-power/geometric-tail machinery at one order.
+    """Holds A, h0 and the even B-powers behind the geometric tails at one
+    order.
 
     All stored series share one (K, backend) and the backend's `scale`
     (1 exact, 1/2 float).  Immutable once built; the lazy caches are
@@ -441,7 +440,6 @@ class BaseSeriesCache:
         self.one = TruncatedSeries.one(K, backend)
         self.one_minus_A = self.one - self.A
         self.h0 = self.inv_A - self.one
-        self.B = self._b_power(1)
 
     # -- scaffolding ---------------------------------------------------------
 
@@ -457,23 +455,6 @@ class BaseSeriesCache:
 
     def zero(self):
         return TruncatedSeries.zero(self.K, self.backend)
-
-    def _b_power(self, j):
-        """B^j via the ballot closed form [z^m] B^j = (j/m) C(m,(m-j)/2)."""
-        K = self.K
-        if self.backend == EXACT:
-            return TruncatedSeries([j * comb(m, (m - j) // 2) // m if m >= j and
-                                    (m - j) % 2 == 0 else 0 for m in range(K + 1)],
-                                   EXACT, K, 1)
-        out = np.zeros(K + 1)
-        ls = math.log(self.scale)
-        for m in range(j, K + 1):
-            if (m - j) % 2 == 0:
-                h = (m - j) // 2
-                lg = (math.log(j / m) + math.lgamma(m + 1) - math.lgamma(h + 1)
-                      - math.lgamma(m - h + 1) + m * ls)
-                out[m] = math.exp(lg) if lg > -745 else 0.0
-        return TruncatedSeries(out, FLOAT, K)
 
     # -- B^{2F} rows ---------------------------------------------------------
 
@@ -571,10 +552,6 @@ class BaseSeriesCache:
             return self.zero()
         return self._even(self._even_row(F))
 
-    def tail(self, f):
-        """Geometric tail B^{2f} / (1 - B^{2f}) = sum_j B^{2fj}."""
-        return self.lambert_sum(lambda g: int(g == f))
-
     def lambert_sum(self, weight):
         """sum_f weight(f) * B^{2f}/(1 - B^{2f}) with f cut at K//2, for
         integer weights (any other weight raises TypeError).
@@ -606,10 +583,6 @@ class BaseSeriesCache:
 
     # -- coefficient extraction ----------------------------------------------
 
-    def count_at(self, series, n):
-        """True [z^{2n}] coefficient: the stored one over s^{2n}."""
-        return series[2 * n] / self.scale ** (2 * n)
-
     def probability(self, series, n):
         """[z^{2n}] series / C(2n,n), scale-free."""
         if self.backend == EXACT:
@@ -617,12 +590,3 @@ class BaseSeriesCache:
         if n not in self._central:  # C(2n, n) s^{2n} at s = 1/2, rounded once
             self._central[n] = float(Fraction(comb(2 * n, n), 4 ** n))
         return float(series[2 * n]) / self._central[n]
-
-
-def base_series(K, backend=None):
-    """Build the base-series cache (A, B, h0, tails) at truncation order K.
-
-    The backend fixes the scale: exact caches store the true coefficients,
-    float caches 2^{-m} times them, which stays finite at any order.
-    """
-    return BaseSeriesCache(K, backend)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from walkrange import asymptotics as asy
 from walkrange import walks
 from walkrange.cli import _directed, _quotients, _sig, run
 from walkrange.genfun import range_distribution
@@ -133,6 +134,20 @@ def test_asymp_table3_small(capsys):
            for e in rep["results"]["covariances"]}
     assert ent[(1, 1)] == pytest.approx(0.5, abs=1e-8)
     assert ent[(1, 2)] == pytest.approx(-0.08877, abs=5e-6)
+
+
+def test_asymp_table3_lists_each_pair_once(capsys, monkeypatch):
+    # k = 100 joins 1..kmax once, also when kmax reaches it; a cheap stub
+    # stands in for the covariance limits
+    monkeypatch.setattr(asy, "second_moment_limit", lambda k1, k2: 0.25)
+    for kmax in (99, 100, 101):
+        rc, rep, _ = run_json(capsys, ["asymp", "--table", "3",
+                                       "--kmax", str(kmax)])
+        assert rc == 0
+        pairs = [(e["k1"], e["k2"]) for e in rep["results"]["covariances"]]
+        ks = set(range(1, kmax + 1)) | {100}
+        assert all(a <= b and {a, b} <= ks for a, b in pairs)
+        assert len(set(pairs)) == len(pairs) == len(ks) * (len(ks) + 1) // 2
 
 
 # stdout of `asymp --table 2 --kmax 5 --n 600`: the eigenvalue rates of the
@@ -480,10 +495,16 @@ _STDOUT_SHA256 = {
 
 
 # the float series route of k <= 2: table 1 extrapolates its l <= 2 limits
-# from float engines up to n = 2000, and dist reads the float count series
+# from float engines up to n = 2000, and dist reads the float count series;
+# and table 3, the float covariance limits
 _FLOAT_STDOUT_SHA256 = {
     "asymp --table 1": "4560fef454fce273",
     "dist --n 600 --k 2 --lmax 20 --backend float": "c82a38a85bad3e66",
+    # below _FFT_THRESHOLD the direct convolution prints exact zeros here,
+    # where FFT products leave -5.8e-17 (n = 2) and 8.3e-21 (n = 9)
+    "dist --n 2 --k 2 --lmax 20 --backend float": "f019c0c4135c40e0",
+    "dist --n 9 --k 2 --lmax 20 --backend float": "e138fc30a9cc40bf",
+    "asymp --table 3 --kmax 8": "6feb1bcce88db165",
 }
 
 

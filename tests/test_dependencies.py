@@ -33,3 +33,11 @@ def test_src_imports_only_numpy_and_the_standard_library():
            for line, root in _imported_roots(ast.parse(path.read_text()))
            if root not in ALLOWED]
     assert bad == []
+
+
+def test_every_public_name_resolves():
+    # `from walkrange import *` raises on a name left in __all__ whose
+    # import was dropped
+    missing = [name for name in walkrange.__all__
+               if not hasattr(walkrange, name)]
+    assert missing == []

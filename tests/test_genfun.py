@@ -12,8 +12,7 @@ from walkrange.cli import _EXACT_DECIMAL
 from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_distribution,
                               range_moment, vertex_factor)
-from walkrange.pseries import (EXACT, FLOAT, BaseSeriesCache, TruncatedSeries,
-                               base_series)
+from walkrange.pseries import EXACT, FLOAT, BaseSeriesCache, TruncatedSeries
 from walkrange.walks import (local_time_distribution,
                              local_time_probabilities, oracle_counts,
                              oracle_mixed_moment)
@@ -170,7 +169,7 @@ def test_basis_tables_are_the_winding_weights():
 def test_unmarked_term_is_the_closed_walk_count_series():
     # joint_genfun puts h0 where z d/dz log(2 / (1 + A)) stands
     for K in (12, 60):
-        cache = base_series(K, backend=EXACT)
+        cache = BaseSeriesCache(K, backend=EXACT)
         half = (cache.one + cache.A).scaled(Fraction(1, 2))
         assert -half.log().zddz() == cache.h0
         assert [cache.h0.coeffs[2 * n] for n in range(1, K // 2 + 1)] == \
@@ -498,7 +497,7 @@ def test_joint_moments_are_the_genfun_coefficients(tracked, n):
     eng = Engine(2 * n, backend=EXACT)
     bounds = tuple(2 * n // k for k in tracked)
     gf = eng.joint_genfun(tracked, bounds)
-    want = {e: eng.cache.count_at(s, n) for e, s in gf.terms.items()}
+    want = {e: s[2 * n] for e, s in gf.terms.items()}
     got = eng.joint_moments(n, tracked, bounds)
     assert {e: c for e, c in got.items() if c} == \
         {e: c for e, c in want.items() if c}
@@ -587,8 +586,7 @@ def test_marker_substitution_identity():
     n, k = 6, 2
     eng = Engine(2 * n, backend=EXACT)
     jmax = 2 * n // k
-    moments = [eng.cache.count_at(s, n)
-               for s in eng.binomial_moment_series(k, jmax)]
+    moments = [s[2 * n] for s in eng.binomial_moment_series(k, jmax)]
     counts, _ = eng.distribution(n, k, jmax)
     poly = [Fraction(0)] * (jmax + 1)
     for j, m in enumerate(moments):
@@ -642,6 +640,21 @@ def test_float_k2_probabilities_match_crossing_dp_to_l40(n):
         assert abs(g - d) <= (3e-6 if l <= 2 else 1e-7) * d, l
 
 
+@pytest.mark.xfail(strict=True, reason="the float k = 2 series loses the "
+                   "top rows to cancellation: Pr(N_4 = 300) reads -1.08e-179 "
+                   "where the count is 0 (ROADMAP item 9)")
+def test_float_k2_probabilities_nonnegative_at_n300():
+    # what `walkrange dist --n 300 --k 2 --lmax 300` prints
+    assert min(Engine(600, backend="float").probabilities(300, 2, 300)) >= 0
+
+
+@pytest.mark.xfail(strict=True, reason="the float k = 2 series gives 19 "
+                   "negative probabilities at n = 600, all at l >= 538 "
+                   "(ROADMAP item 9)")
+def test_float_k2_probabilities_nonnegative_at_n600():
+    assert min(Engine(1200, backend="float").probabilities(600, 2, 600)) >= 0
+
+
 def test_doublepoint_count_series_built_once_per_engine(monkeypatch):
     # the n-independent series are kept: later calls extend or slice them,
     # with the values a fresh engine gives, and invert (1 + g) once
@@ -667,7 +680,7 @@ def test_doublepoint_count_series_equal_exact_counts():
     series = eng.doublepoint_count_series(20)
     for n in range(1, 21):
         counts, _ = eng.distribution(n, 2, n)
-        assert [eng.cache.count_at(s, n) for s in series] == \
+        assert [s[2 * n] for s in series] == \
             [counts.get(l, 0) for l in range(21)], n
 
 
@@ -756,7 +769,7 @@ def test_mixed_moments_at_n20_with_spec_bounds():
         assert eng.mixed_moment(spec, 20) == want, spec
         gf = eng.joint_genfun(tuple(spec))
         s = gf.coefficient(tuple(spec.values()))
-        assert eng.cache.count_at(s, 20) == want, spec
+        assert s[40] == want, spec
 
 
 def test_mixed_moment_exits_only_onto_its_own_monomial(monkeypatch):
@@ -914,7 +927,7 @@ def range_count_series(cache, m):
 
 
 def test_range_series_route_agrees_with_ballot_route():
-    cache = base_series(20, backend=EXACT)
+    cache = BaseSeriesCache(20, backend=EXACT)
     for n in range(1, 11):
         hist = range_distribution(n)
         for m in range(2, n + 2):
@@ -972,7 +985,7 @@ def test_vertex_factor_nonunit():
 
 
 def test_vertex_factor_series_argument():
-    cache = base_series(8, backend=EXACT)
+    cache = BaseSeriesCache(8, backend=EXACT)
     w = cache.h0
     got = vertex_factor(0, 2, w)
     want = (w / (cache.one + w)).pow(2).scaled(Fraction(1, 2))

@@ -13,8 +13,7 @@ from walkrange.moments import (asymptotic_first_moment,
                                escape_constant, first_moment_exact,
                                green, i0e,
                                mean_point_count, mean_range)
-from walkrange.pseries import (EXACT, BaseSeriesCache, TruncatedSeries,
-                               base_series)
+from walkrange.pseries import EXACT, BaseSeriesCache, TruncatedSeries
 from walkrange.walks import oracle_counts, oracle_mixed_moment
 
 
@@ -36,7 +35,7 @@ def test_first_moment_series_examples():
 
 
 def test_range_moment_series_examples():
-    c = base_series(4, backend=EXACT)
+    c = BaseSeriesCache(4, backend=EXACT)
     s = range_moment_series(c)
     assert s.coeffs == [0, 0, 4, 0, 16]
     assert s.coeffs[0] == 0
@@ -79,7 +78,7 @@ def test_mean_range_asymptotics():
 
 
 def test_green_d1_matches_series():
-    c = base_series(220, backend=EXACT)
+    c = BaseSeriesCache(220, backend=EXACT)
     z = 0.1
     series_val = sum(float(c.h0.coeffs[m]) * z ** m for m in range(221))
     assert green(1, z).value == pytest.approx(series_val, abs=1e-12)

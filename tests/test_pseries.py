@@ -8,12 +8,22 @@ import numpy as np
 import pytest
 
 from walkrange.errors import BackendMismatch, DivByNonUnit, IllConditioned
-from walkrange.pseries import (EXACT, FLOAT, TruncatedSeries, _slot_bytes,
-                               base_series, choose_backend)
+from walkrange.pseries import (EXACT, FLOAT, BaseSeriesCache, TruncatedSeries,
+                               _slot_bytes, choose_backend)
 
 
 def frac_series(coeffs, K=None):
     return TruncatedSeries(coeffs, EXACT, K)
+
+
+def b_power(c, j):
+    """B^j, j >= 1, at the order, backend and scale of the cache c, from the
+    ballot closed form [z^m] B^j = (j/m) C(m, (m-j)/2)."""
+    coeffs = [Fraction(j * comb(m, (m - j) // 2), m) * Fraction(c.scale) ** m
+              if m >= j and (m - j) % 2 == 0 else 0 for m in range(c.K + 1)]
+    if c.backend == FLOAT:
+        coeffs = [float(x) for x in coeffs]
+    return TruncatedSeries(coeffs, c.backend, c.K)
 
 
 def test_project_truncates_and_keeps_low_orders():
@@ -29,7 +39,7 @@ def test_project_identity_when_degree_below_order():
 
 def test_project_of_sqrt_kernel_series():
     # binomial series of sqrt(1-4z^2) cross-checked by squaring
-    c = base_series(10)
+    c = BaseSeriesCache(10)
     low = c.A.project(4)
     assert low.coeffs == [1, 0, -2, 0, -2]
     sq = c.A * c.A
@@ -49,7 +59,7 @@ def test_zddz_term_by_term():
 
 
 def test_mul_defining_identity_of_A_order8():
-    c = base_series(8)
+    c = BaseSeriesCache(8)
     assert (c.A * c.A).coeffs == [1, 0, -4, 0, 0, 0, 0, 0, 0]
 
 
@@ -71,7 +81,7 @@ def test_backend_mismatch_raises():
 
 def test_log_of_unit_gives_plain_term():
     # log(2/(1+A)) starts z^2 + (3/2) z^4; its z d/dz counts closed walks
-    c = base_series(4)
+    c = BaseSeriesCache(4)
     half = (c.one + c.A).scaled(Fraction(1, 2))
     t0 = -half.log()
     assert t0.coeffs == [0, 0, 1, 0, Fraction(3, 2)]
@@ -79,7 +89,7 @@ def test_log_of_unit_gives_plain_term():
 
 
 def test_division_inverse_roundtrip():
-    c = base_series(12)
+    c = BaseSeriesCache(12)
     inv = c.one / c.A
     assert inv == c.inv_A
     assert (inv * c.A).coeffs[0] == 1
@@ -94,38 +104,39 @@ def test_result_projected_to_min_order():
 
 
 def test_base_series_catalan_numbers():
-    c = base_series(7)
-    assert c.B.coeffs == [0, 1, 0, 1, 0, 2, 0, 5]
+    c = BaseSeriesCache(7)
+    assert b_power(c, 1).coeffs == [0, 1, 0, 1, 0, 2, 0, 5]
 
 
 def test_base_series_functional_equation():
     # B = z + z B^2
-    c = base_series(20)
+    c = BaseSeriesCache(20)
     z = c.monomial(1, 1)
-    assert c.B == z + z * (c.B * c.B)
+    b = b_power(c, 1)
+    assert b == z + z * (b * b)
 
 
 def test_base_series_identities():
-    c = base_series(30)
+    c = BaseSeriesCache(30)
     one = c.one
     z = c.monomial(1, 1)
-    assert (c.B * (one + c.A)) == z.scaled(2)
+    assert (b_power(c, 1) * (one + c.A)) == z.scaled(2)
     assert (c.h0 * c.A) == (one - c.A)
 
 
 def test_h0_counts_closed_walks():
-    c = base_series(6)
+    c = BaseSeriesCache(6)
     assert c.h0.coeffs == [0, 0, 2, 0, 6, 0, 20]
 
 
 def test_geometric_tail_b2_over_1_minus_b2():
-    c = base_series(4)
-    assert c.tail(1).coeffs == [0, 0, 1, 0, 3]
+    c = BaseSeriesCache(4)
+    assert c.lambert_sum(lambda f: int(f == 1)).coeffs == [0, 0, 1, 0, 3]
 
 
 def test_divisor_sum_identity():
     # sum_f f^k tail_f == sum_F sigma_k(F) B^{2F} below the cut
-    c = base_series(40)
+    c = BaseSeriesCache(40)
     for k in (1, 2, 3):
         lam = c.lambert_sum(lambda f, k=k: f ** k)
         direct = c.zero()
@@ -139,7 +150,7 @@ def test_divisor_sum_identity():
 @pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(3, 1), 1.0],
                          ids=["fraction", "integral-fraction", "float"])
 def test_lambert_sum_takes_integer_weights_only(backend, w):
-    c = base_series(40, backend)
+    c = BaseSeriesCache(40, backend)
     with pytest.raises(TypeError):
         c.lambert_sum(lambda f: w)
 
@@ -151,11 +162,11 @@ def point_visits_series(c, p):
     """
     if p == 0:
         return c.h0
-    return c.inv_A * c._b_power(abs(p))
+    return c.inv_A * b_power(c, abs(p))
 
 
 def test_point_visit_series():
-    c = base_series(6)
+    c = BaseSeriesCache(6)
     assert point_visits_series(c, 0) == c.h0
     assert point_visits_series(c, 1).coeffs == [0, 1, 0, 3, 0, 10, 0]
     assert point_visits_series(c, 3).coeffs[:4] == [0, 0, 0, 1]
@@ -163,18 +174,18 @@ def test_point_visit_series():
 
 
 def test_parity_invariant():
-    c = base_series(21)
+    c = BaseSeriesCache(21)
     for name in ("A", "h0", "inv_A", "one_minus_A"):
         s = getattr(c, name)
         assert all(s.coeffs[m] == 0 for m in range(1, 22, 2)), name
-    assert all(c.B.coeffs[m] == 0 for m in range(0, 22, 2))
+    assert all(b_power(c, 1).coeffs[m] == 0 for m in range(0, 22, 2))
 
 
 def test_float_matches_exact_to_1e10_up_to_order_200():
     # the float cache stores 2^{-m} times the exact coefficients
-    ce = base_series(200, backend=EXACT)
-    cf = base_series(200, backend=FLOAT)
-    for name in ("A", "B", "h0"):
+    ce = BaseSeriesCache(200, backend=EXACT)
+    cf = BaseSeriesCache(200, backend=FLOAT)
+    for name in ("A", "h0"):
         ve = np.array([float(x / 2 ** m) for m, x in
                        enumerate(getattr(ce, name).coeffs)])
         vf = np.array(getattr(cf, name).coeffs)
@@ -185,13 +196,13 @@ def test_float_matches_exact_to_1e10_up_to_order_200():
 
 
 def test_scaled_cache_counts_match_unscaled():
-    # the backend fixes the scale; count_at and probability undo it
-    plain = base_series(20, backend=EXACT)
-    scaled = base_series(20, backend=FLOAT)
+    # the backend fixes the scale s; probability undoes it, as does s^{-2n}
+    plain = BaseSeriesCache(20, backend=EXACT)
+    scaled = BaseSeriesCache(20, backend=FLOAT)
     assert (plain.scale, scaled.scale) == (1, 0.5)
     for n in range(1, 11):
-        assert scaled.count_at(scaled.h0, n) == pytest.approx(
-            float(plain.count_at(plain.h0, n)), rel=1e-14)
+        assert scaled.h0[2 * n] / scaled.scale ** (2 * n) == pytest.approx(
+            float(plain.h0[2 * n]), rel=1e-14)
     assert plain.probability(plain.h0, 5) == 1
     assert scaled.probability(scaled.h0, 5) == pytest.approx(1, rel=1e-14)
 
@@ -203,7 +214,7 @@ def test_choose_backend_threshold():
 
 
 def test_pow_matches_repeated_multiplication():
-    c = base_series(16)
+    c = BaseSeriesCache(16)
     p = c.one
     for m in range(1, 6):
         p = p * c.h0
@@ -211,8 +222,9 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_ballot_powers_match_direct_products():
-    c = base_series(14)
-    b2 = c.B * c.B
+    c = BaseSeriesCache(14)
+    b = b_power(c, 1)
+    b2 = b * b
     acc = b2
     for F in range(1, 6):
         assert c.b_even_power(F) == acc
@@ -222,7 +234,7 @@ def test_ballot_powers_match_direct_products():
 @pytest.mark.parametrize("K", [0, 1, 2, 15, 200])
 def test_exact_ballot_rows_are_the_closed_form(K):
     # the recurrence gives every row the list of F C(2n, n-F) / n, n >= F
-    c = base_series(K, EXACT)
+    c = BaseSeriesCache(K, EXACT)
     for F in range(1, K // 2 + 1):
         assert c._even_row(F) == [F * comb(2 * n, n - F) // n if n >= F else 0
                                   for n in range(K // 2 + 1)], F
@@ -231,7 +243,7 @@ def test_exact_ballot_rows_are_the_closed_form(K):
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_b_even_power_zero_is_one(backend):
     # B^0 = 1 on both backends: not the zero series, and no division by n = 0
-    c = base_series(12, backend)
+    c = BaseSeriesCache(12, backend)
     assert c.b_even_power(0) == c.one
 
 
@@ -521,8 +533,9 @@ def test_canonical_after_every_exact_op():
     results = [a, u, a + u, a - a, u - a, a.scaled(Fraction(-6, 35)),
                a.scaled(0), -a, a * u, a / u, u.inverse(), u.log(), a.zddz(),
                a.pow(3), a.project(5), TruncatedSeries.monomial(Fraction(4, 6), 3, K, EXACT)]
-    c = base_series(40)
-    results += [c.A, c.inv_A, c.B, c.h0, c.one_minus_A, c.tail(3), c.b_even_power(4),
+    c = BaseSeriesCache(40)
+    results += [c.A, c.inv_A, c.h0, c.one_minus_A, c.lambert_sum(lambda f: int(f == 3)),
+                c.b_even_power(4),
                 c.lambert_sum(lambda f: comb(f - 1, 1) * comb(f, 2)), point_visits_series(c, 3)]
     for s in results:
         assert_canonical(s)
@@ -569,7 +582,7 @@ def _even_rows_per_row(K, scale):
     (2, Fraction(1, 2)), (10, Fraction(1, 2)), (101, Fraction(1, 2)),
     (1922, Fraction(1, 2)), (4000, Fraction(1, 2)), (7828, Fraction(1, 2))])
 def test_float_even_rows_equal_per_row_table(K, scale):
-    c = base_series(K, FLOAT)
+    c = BaseSeriesCache(K, FLOAT)
     assert c.scale == scale
     rows = c._ensure_even_rows()
     kept = len(rows)
@@ -584,12 +597,12 @@ def test_float_even_rows_equal_per_row_table(K, scale):
 
 
 def test_float_tails_read_past_stored_rows():
-    c = base_series(4000, FLOAT)
+    c = BaseSeriesCache(4000, FLOAT)
     kept = len(c._ensure_even_rows())
     assert c.b_even_power(kept).is_zero()
     assert not c.b_even_power(kept - 1).is_zero()
     # the geometric tail of f = kept - 1 is its first row alone
-    assert c.tail(kept - 1) == c.b_even_power(kept - 1)
+    assert c.lambert_sum(lambda f: int(f == kept - 1)) == c.b_even_power(kept - 1)
 
 
 def _float_div_loop(a, b):
@@ -625,7 +638,7 @@ def test_float_division_and_log_match_recurrences(K):
     # in the closed unit disk, like every float walk series at scale 1/2, so
     # the quotients stay bounded; FFT products are accurate relative to the
     # largest coefficient, not entry by entry.
-    c = base_series(K, FLOAT)
+    c = BaseSeriesCache(K, FLOAT)
     rng = np.random.default_rng(K)
     decay = 0.9 ** np.arange(K + 1)
     r = TruncatedSeries(rng.uniform(-1, 1, K + 1) * decay, FLOAT)
@@ -637,7 +650,7 @@ def test_float_division_and_log_match_recurrences(K):
         err = np.max(np.abs(got.coeffs - want))
         assert err <= 1e-12 * np.max(np.abs(want)), err
 
-    for a, b in ((c.h0, u), (r, v), (c.B, v), (r, u)):
+    for a, b in ((c.h0, u), (r, v), (b_power(c, 1), v), (r, u)):
         close(a / b, _float_div_loop(a.coeffs, b.coeffs))
     for b in (u, v):
         close(b.inverse(), _float_div_loop(c.one.coeffs, b.coeffs))
@@ -649,7 +662,7 @@ def test_float_division_raises_when_the_quotient_grows():
     # grows to ~1e47 and FFT products cannot resolve it, so float division
     # (and inverse and log through it) raises instead of answering
     K = 600
-    c = base_series(K, FLOAT)
+    c = BaseSeriesCache(K, FLOAT)
     rng = np.random.default_rng(K)
     r = TruncatedSeries(rng.uniform(-1, 1, K + 1) * 0.9 ** np.arange(K + 1),
                         FLOAT)
