@@ -14,15 +14,16 @@ value), and builds on them: the doublepoint tail law, the singlepoint 1/n
 polynomials, limit covariances of the point counts, the Riemann-xi limits of
 range moments, and the geometric tail rates of Pr(N_{2k} = l) for every k,
 read off the transfer operator at the singular point (`tail_rates_limit`).
-The generic numeric tools (Richardson extrapolation in 1/n and
-linear-recurrence rate fitting, `tail_rate_fit`) recover the same rates
-empirically from the crossing-profile DP, an independent check.
+`probability_table` is the one float route to Pr_n(N_{2k} = l) (the float
+count series for k <= 2, the crossing-profile DP for k >= 3).  Richardson
+extrapolation in 1/n and linear-recurrence rate fitting (`tail_rate_fit`)
+read it; the fit recovers the same rates from the DP, an independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -200,13 +201,12 @@ class TailModel:
     """Pr(N = l) ~ sum_i rates[i]^l (theta0_i + l theta1_i)."""
 
     rates: list
-    weights: list = field(default_factory=list)   # (theta0, theta1) per rate
+    weights: list   # (theta0, theta1) per rate
     residual: float = 0.0
 
     def predict(self, l):
         acc = 0.0
-        for i, a in enumerate(self.rates):
-            t0, t1 = self.weights[i] if i < len(self.weights) else (0.0, 0.0)
+        for a, (t0, t1) in zip(self.rates, self.weights):
             acc += a ** l * (t0 + l * t1)
         return acc
 
@@ -437,34 +437,29 @@ def _merge_close(values, tol):
     return [s / cnt for s, cnt in merged]
 
 
-def _probability_table(k, ns, l_max, engine=None):
-    """Pr_n(N_{2k} = l) for every n in ns, as {n: values}.
+def probability_table(k, ns, l_max):
+    """Pr_n(N_{2k} = l), l <= l_max, for every n in ns: (route, {n: values}).
 
-    k <= 2 runs through the closed-form series engine; higher multiplicities
-    use the crossing-profile dynamic program from the walks module, whose
-    all-positive float arithmetic stays accurate where the series route for
-    k >= 3 loses digits to cancellation at large truncation orders.  One DP
-    pass up to max(ns) reads off every n in ns.
+    Route "float" (k <= 2, or max(ns) = 0) reads one float series engine at
+    order 2 max(ns); route "dp" (k >= 3) takes one crossing-profile DP pass
+    up to max(ns).  The series route cancels ever harder for k >= 3
+    (condition ~ n^{(2k-1)/2}); the all-positive DP does not.
     """
     nmax = max(ns)
-    if k <= 2:
-        if engine is None:
-            engine = Engine(2 * nmax, backend="float")
-        if engine.K < 2 * nmax:
-            raise ValueError("engine truncation order too small")
-        return {n: engine.probabilities(n, k, l_max) for n in ns}
-    return walks.local_time_probabilities(nmax, k, l_max, lengths=ns)
+    if k <= 2 or nmax == 0:
+        engine = Engine(2 * nmax, backend="float")
+        return "float", {n: engine.probabilities(n, k, l_max) for n in ns}
+    return "dp", walks.local_time_probabilities(nmax, k, l_max, lengths=ns)
 
 
-def extrapolate_probability(k, l, n_grid, engine=None):
-    """Richardson limit of Pr_n(N_{2k} = l) over the 1/n grid.
-
-    Returns (estimate, tolerance) with the tolerance taken from the last two
-    extrapolation levels.
-    """
-    table = _probability_table(k, sorted(set(n_grid)), l, engine)
-    ns = sorted(table)
-    return richardson(ns, [table[n][l] for n in ns])
+def extrapolate_probability(k, l_max, n_grid):
+    """Richardson limits of Pr_n(N_{2k} = l) over the 1/n grid, l = 0..l_max:
+    one (estimate, tolerance) per l from one probability table, the tolerance
+    taken from the last two extrapolation levels."""
+    ns = sorted(set(n_grid))
+    _route, table = probability_table(k, ns, l_max)
+    return [richardson(ns, [table[n][l] for n in ns])
+            for l in range(l_max + 1)]
 
 
 def tail_rate_fit(k, n):
@@ -480,11 +475,7 @@ def tail_rate_fit(k, n):
         raise DomainError("rate fitting needs n >= 500")
     ls = list(range(3, 3 + max(12, 4 * (k - 1) + 8)))
     ns = [n // 2 ** i for i in range(4)]
-    table = _probability_table(k, ns, max(ls))
-    pr_inf = []
-    for l in ls:
-        est, _tol = richardson(ns, [table[nn][l] for nn in ns])
-        pr_inf.append(est)
+    pr_inf = [est for est, _tol in extrapolate_probability(k, ls[-1], ns)[3:]]
     roots, residual = fit_linear_recurrence(pr_inf,
                                             min(2 * (k - 1), len(ls) // 2))
     if not np.all(np.isfinite(roots)) or residual > 1e-3:

@@ -116,16 +116,12 @@ def _cmd_dist(args):
                 {"l": l, "count": str(counts[l]), "probability": pr})
             rows.append([n, k, l, counts[l], pr])
     else:
-        if k >= 3 and n > 0:
-            # the series route cancels ever harder for k >= 3 (condition
-            # ~ n^{(2k-1)/2}); the all-positive DP does not
-            probs = walks.local_time_probabilities(n, k, args.lmax)
-            provenance = {"backend": "dp", "digits": digits}
-        else:
-            eng = Engine(2 * n, backend="float")
-            probs = eng.probabilities(n, k, args.lmax)
+        route, table = asy.probability_table(k, [n], args.lmax)
+        provenance["backend"] = route
+        if route == "dp":  # the DP has no truncation order
+            del provenance["truncation"]
         results = {"distribution": [], "total": str(total)}
-        for l, p in enumerate(probs):
+        for l, p in enumerate(table[n]):
             pr = _sig(p, digits)
             results["distribution"].append({"l": l, "probability": pr})
             rows.append([n, k, l, "", pr])
@@ -265,13 +261,13 @@ def _cmd_asymp(args):
         counts, _ = eng.distribution(39, 2, args.lmax)
         total = comb(78, 39)
         tail_model = asy.doublepoint_tail()
-        grid = [250, 500, 1000, 2000]
-        fl = Engine(2 * grid[-1], backend="float")
+        limits = asy.extrapolate_probability(2, min(2, args.lmax),
+                                             [250, 500, 1000, 2000])
         rows, entries = [], []
         for l in sorted(counts):
             pr = _sig(counts[l] / total, digits)
             if l <= 2:
-                limit, _tol = asy.extrapolate_probability(2, l, grid, engine=fl)
+                limit, _tol = limits[l]
                 method = "extrapolated"
             else:
                 limit = tail_model.predict(l)

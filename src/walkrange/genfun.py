@@ -546,9 +546,11 @@ class Engine:
 
         The exact backend divides the counts of `distribution` by C(2n, n);
         the float backend reads k <= 2 off the closed-form count series.  Its
-        k = 2 values are within 3e-8 of the crossing-profile DP (relative) for
-        l >= 3, and 2.7e-6 for l <= 2, up to n = 4000.  Float k >= 3 is
-        walks.local_time_probabilities' job.
+        k = 2 values were measured within 3e-8 of the DP (relative) for
+        3 <= l <= 40 and 2.7e-6 for l <= 2, up to n = 4000.  The top rows
+        cancel (n = 300: l = 297..299 are 0.9% to 13.5% low, l = 300 reads
+        -1.08e-179; strict xfails test_float_k2_probabilities_nonnegative_*,
+        ROADMAP item 9).  Float k >= 3 is walks.local_time_probabilities' job.
         """
         if self.backend == EXACT:
             counts, _ = self.distribution(n, k, l_max)

@@ -89,16 +89,15 @@ def test_criterion_2_printed_counts_verbatim(exact_engine_78):
     assert all(counts[l] == TABLE1_PRINTED[l] for l in TABLE1_PRINTED)
 
 
-def test_criterion_3_tail_law_and_extrapolation(float_engine_4000):
+def test_criterion_3_tail_law_and_extrapolation():
     tm = asy.doublepoint_tail()
     checks = {3: 0.04779, 4: 0.01608, 5: 0.00531, 10: 0.0000177}
     ok = all(abs(tm.predict(l) - v) <= 5e-5 for l, v in checks.items())
     grid = [250, 500, 1000, 2000]
     limits = {0: 0.35101, 1: 0.40526, 2: 0.17199}
     worst = 0.0
-    for l, want in limits.items():
-        est, _tol = asy.extrapolate_probability(2, l, grid,
-                                                engine=float_engine_4000)
+    for (est, _tol), want in zip(asy.extrapolate_probability(2, 2, grid),
+                                 limits.values(), strict=True):
         worst = max(worst, abs(est - want))
     ok &= worst <= 1e-3
     _line(3, ok, f"tail law within 5e-5, extrapolated limits within "

@@ -11,11 +11,13 @@ from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction, bernoulli,
                                    doublepoint_tail, em_expansion,
                                    extrapolate_probability,
                                    fit_linear_recurrence,
-                                   limit_transfer_matrix, range_moment_limit,
-                                   richardson, second_moment_limit,
+                                   limit_transfer_matrix, probability_table,
+                                   range_moment_limit, richardson,
+                                   second_moment_limit,
                                    singlepoint_expansion, tail_rate_fit,
                                    tail_rates_limit, zeta, zeta_fraction)
 from walkrange.genfun import Engine
+from walkrange.walks import local_time_probabilities
 
 
 # -- reference evaluations the library results are checked against ---------
@@ -387,8 +389,26 @@ def test_tail_rates_limit_against_mpmath():
                 assert abs(g - w) <= 1e-10 * abs(w), (k, g, w)
 
 
-def test_extrapolate_probability_singlepoints(float_engine_4000):
-    est, tol = extrapolate_probability(1, 0, [250, 500, 1000, 2000],
-                                       engine=float_engine_4000)
+def test_extrapolate_probability_singlepoints():
+    ((est, tol),) = extrapolate_probability(1, 0, [250, 500, 1000, 2000])
     assert est == pytest.approx(0.25, abs=1e-5)
     assert tol < 1e-4
+
+
+@pytest.mark.parametrize("k, ns, l_max, route", [
+    (1, [40, 10, 25], 3, "float"), (2, [60, 15, 30], 12, "float"),
+    (2, [7], 20, "float"), (3, [30, 8, 16], 10, "dp"), (4, [45, 12], 6, "dp"),
+    (4, [1], 2, "dp")] + [(k, [0], 4, "float") for k in (1, 2, 3, 4, 9)])
+def test_probability_table_routes(k, ns, l_max, route):
+    # k <= 2 reads one float series engine, k >= 3 one DP pass; n = 0 has
+    # no DP layer, so every k reads the series there
+    got, table = probability_table(k, ns, l_max)
+    assert got == route
+    if route == "float":
+        eng = Engine(2 * max(ns), backend="float")
+        want = {n: eng.probabilities(n, k, l_max) for n in ns}
+    else:
+        want = local_time_probabilities(max(ns), k, l_max, lengths=ns)
+    assert sorted(table) == sorted(want) == sorted(ns)
+    for n in ns:
+        assert np.asarray(table[n]).tobytes() == np.asarray(want[n]).tobytes()

@@ -16,7 +16,7 @@ import pytest
 from walkrange import asymptotics as asy
 from walkrange import walks
 from walkrange.cli import _directed, _quotients, _sig, run
-from walkrange.genfun import range_distribution
+from walkrange.genfun import Engine, range_distribution
 from walkrange.walks import local_time_probabilities
 
 
@@ -125,6 +125,22 @@ def test_asymp_table1(capsys):
     assert rows[0]["limit_probability"] == pytest.approx(0.35101, abs=1e-3)
     assert rows[3]["limit_method"] == "tail-law"
     assert rows[3]["limit_probability"] == pytest.approx(0.04779, abs=5e-5)
+
+
+def test_asymp_table1_builds_one_float_engine(capsys, monkeypatch):
+    # one float series engine at K = 4000 serves l <= 2 at all four grid
+    # lengths of the extrapolation
+    built = []
+    init = Engine.__init__
+
+    def counting_init(self, K, backend=None):
+        built.append((K, backend))
+        init(self, K, backend)
+
+    monkeypatch.setattr(Engine, "__init__", counting_init)
+    assert run(["asymp", "--table", "1"]) == 0
+    capsys.readouterr()
+    assert [K for K, backend in built if backend == "float"] == [4000]
 
 
 def test_asymp_table3_small(capsys):
@@ -505,6 +521,11 @@ _FLOAT_STDOUT_SHA256 = {
     "dist --n 2 --k 2 --lmax 20 --backend float": "f019c0c4135c40e0",
     "dist --n 9 --k 2 --lmax 20 --backend float": "e138fc30a9cc40bf",
     "asymp --table 3 --kmax 8": "6feb1bcce88db165",
+    # the float route's edges: n = 0 reads the series engine for any k, a
+    # short k = 3 walk the DP, and table 1 extrapolates fewer than three rows
+    "dist --n 0 --k 3 --lmax 2 --backend float": "a73455be909d67da",
+    "dist --n 3 --k 3 --lmax 2 --backend float": "12abbad287e43378",
+    "asymp --table 1 --lmax 1": "a4ceaf28403a95a3",
 }
 
 
