@@ -16,6 +16,7 @@ critical point z = 1/(2d), where the integrand decays like y^{-d/2}).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,8 +235,9 @@ def green(d, z):
     return GreenValue(d, z, total - 1.0, "quadrature")
 
 
+@functools.cache
 def escape_constant(d):
-    """G(d) = h(0, d, 1/(2d)) for d > 2."""
+    """G(d) = h(0, d, 1/(2d)) for d > 2, integrated once per d."""
     if d <= 2:
         raise DomainError("the escape constant exists for d > 2 only")
     return green(d, 1.0 / (2 * d)).value

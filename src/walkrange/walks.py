@@ -16,8 +16,9 @@ that reaches lengths enumeration cannot.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,70 +269,89 @@ def oracle_mixed_moment(n, d, spec, budget=DEFAULT_ENUM_BUDGET):
 #     above the root:  C(u + u' - 1, u')
 # where u, u' are the crossing numbers of the edges below/above the point.
 # The visit count of a point is k(q) = u + u' (boundary points: the single
-# adjacent u).  The exact oracle `local_time_distribution` sums over roots
-# with all three weights.  The float DP `local_time_probabilities` uses a
-# rooting identity instead (the rotation argument of the cycle lemma,
-# Dvoretzky & Motzkin 1947): moving the root from the lowest point to q
-# multiplies the count by k(q) / u_1 (u_1 crosses the lowest edge), and the
-# k(q) sum to 2n, so it counts walks rooted at their lowest point, every
-# other point above the root, with weight 2n / u_1.
-# All terms are nonnegative, so the float DP has no cancellation and stays
-# accurate at large n where series-based evaluation of high multiplicities
-# loses precision.
+# adjacent u).  Both DPs below count walks rooted at their lowest point
+# instead (the rotation argument of the cycle lemma, Dvoretzky & Motzkin
+# 1947): moving the root from the lowest point to q multiplies the count by
+# k(q) / u_1 (u_1 crosses the lowest edge), and the k(q) sum to 2n, so each
+# profile counts 2n / u_1 times its walks rooted at the lowest point, where
+# every other point weighs C(u + u' - 1, u').  `_crossing_dp` is that one
+# transition, run on Python ints by `local_time_distribution` and in
+# float64 by `local_time_probabilities`; the engine, enumeration and a test
+# reference that sums over every root with all three weights check it.  All
+# terms are nonnegative, so the float DP has no cancellation and stays
+# accurate at large n, where series lose precision at high multiplicities.
+
+def _crossing_dp(n, k, l_max, ms, wt, first):
+    """Summed rows of the lowest-root crossing DP at each layer s in `ms`.
+
+    Row u of layer s holds, by the number l <= l_max of points with k
+    visits, the profiles with crossing total s whose last edge is crossed
+    u <= len(first) times.  Row u starts at layer u with first[u - 1], and
+    a step takes row u of layer s times wt[u' - 1, u - 1] to row u' of
+    layer s + u'.  Runs in the dtype of `wt`: float64, or Python ints in
+    object arrays.  Returns {s: array over l}, the top point's mark added.
+
+    State (layer s, row u) is written once, from layer s - u, and read once,
+    at layer s: row u keeps a ring of u slots in a packed triangle, layer s
+    at slot off[u] + s % u, so step s reads rows u <= s only.
+    """
+    u_cap = len(first)
+    rows = np.arange(1, u_cap + 1)
+    off = rows * (rows - 1) // 2
+    state = np.zeros((u_cap * (u_cap + 1) // 2, l_max + 1), dtype=wt.dtype)
+    marks = (rows == k).astype(np.intp)
+    keep = marks <= l_max
+    state[off[keep], marks[keep]] = first[keep]
+
+    out = {}
+    for s in range(1, n + 1):
+        live = min(s, u_cap)
+        slots = off + s % rows
+        lay = state[slots[:live]]
+        if s in ms:
+            top = lay.copy()
+            if k <= live:
+                top[k - 1, 0] = 0
+                top[k - 1, 1:] = lay[k - 1, :-1]
+            # cumsum adds the rows one by one; sum would go pairwise at L == 1
+            out[s] = np.cumsum(top, axis=0)[-1]
+        if s == n:
+            break
+        up_max = min(u_cap, n - s)
+        step = wt[:up_max, :live] @ lay
+        # the point between rows k - v and v holds k visits: shift its mark
+        for v in range(max(1, k - live), min(up_max, k - 1) + 1):
+            c = wt[v - 1, k - v - 1] * lay[k - v - 1]
+            step[v - 1] -= c
+            step[v - 1, 1:] += c[:-1]
+        # rows past up_max keep stale values: their next layer is past n
+        state[slots[:up_max]] = step
+    return out
+
 
 def local_time_distribution(n, k, l_max=None):
     """Exact counts {l: #closed walks of length 2n with N_{2k} = l}.
 
-    Dynamic program over crossing profiles with exact integers; memory and
-    time grow like n^3, so this is a mid-size-n oracle (n up to ~60).
+    The crossing-profile DP on Python ints, row u starting at lcm(1..n) / u
+    so that each count is 2n sum / lcm(1..n); only nonzero counts are kept.
+    Memory and time grow like n^3: a mid-size-n oracle (n up to ~100).
     """
     if n < 0 or k < 1 or (l_max is not None and l_max < 0):
         raise ValueError("need n >= 0, k >= 1 and l_max >= 0")
-    if l_max is None:
-        l_max = max(2 * n, 1)
     if n == 0:  # the empty walk visits the origin once: N_2 = 1
-        return {l: 1 for l in [int(k == 1)] if l <= l_max}
-
-    def mark(kq):
-        return 1 if kq == k else 0
-
-    state = defaultdict(lambda: defaultdict(int))
-    for u in range(1, n + 1):
-        m = mark(u)
-        state[(0, u, u)][m] += 1
-        state[(1, u, u)][m] += 1
-    results = defaultdict(int)
-    for s in range(1, n + 1):
-        for phase in (0, 1):
-            for u in range(1, s + 1):
-                pol = state.pop((phase, u, s), None)
-                if not pol:
-                    continue
-                if s == n:
-                    mtop = mark(u)
-                    for m, c in pol.items():
-                        if m + mtop <= l_max:
-                            results[m + mtop] += c
-                    continue
-                for up in range(1, n - s + 1):
-                    mpt = mark(u + up)
-                    if phase == 0:
-                        w = math.comb(u + up - 1, u)
-                        if w:
-                            dst = state[(0, up, s + up)]
-                            for m, c in pol.items():
-                                dst[m + mpt] += c * w
-                        w = math.comb(u + up, up)
-                        dst = state[(1, up, s + up)]
-                        for m, c in pol.items():
-                            dst[m + mpt] += c * w
-                    else:
-                        w = math.comb(u + up - 1, up)
-                        if w:
-                            dst = state[(1, up, s + up)]
-                            for m, c in pol.items():
-                                dst[m + mpt] += c * w
-    return dict(results)
+        return {l: 1 for l in [int(k == 1)] if l_max is None or l <= l_max}
+    # no walk of length 2n has more than 2n points, so l > 2n is empty
+    l_max = 2 * n if l_max is None else min(l_max, 2 * n)
+    rows = range(1, n + 1)
+    lcm = math.lcm(*rows)
+    wt = np.array([[math.comb(u + v - 1, v) for u in rows] for v in rows],
+                  dtype=object)
+    first = np.array([lcm // u for u in rows], dtype=object)
+    sums = _crossing_dp(n, k, l_max, [n], wt, first)[n]
+    counts = [divmod(2 * n * c, lcm) for c in sums.tolist()]
+    if any(rest for _, rest in counts):
+        raise AssertionError(f"expected integer counts 2n sum / lcm(1..{n})")
+    return {l: c for l, (c, _) in enumerate(counts) if c}
 
 
 def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
@@ -348,12 +368,9 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     it returns the array for m = n.  Shorter lengths share n's crossing cap
     and so drop less mass than a run of their own.
 
-    Walks are rooted at their lowest point (the rooting identity above):
-    row u starts at 4^{-u} / u, a step applies W[u, u'] = C(u+u'-1, u')
-    4^{-u'}, and the read-out at length m gains the factor 2m.  State
-    (layer s, row u) is written once, from layer s - u, and read once, at
-    layer s: row u keeps a ring of u slots in a packed triangle, layer s at
-    slot off[u] + s % u, so step s reads rows u <= s only.
+    `_crossing_dp` runs with W[u, u'] = C(u+u'-1, u') 4^{-u'} and row u
+    starting at 4^{-u} / u (the rooting identity above); the read-out at
+    length m gains the factor 2m.
     """
     ms = [n] if lengths is None else list(lengths)
     if not all(1 <= m <= n for m in ms):
@@ -361,7 +378,6 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     if k < 1 or l_max < 0 or (u_cap is not None and u_cap < 1):
         raise ValueError("need k >= 1, l_max >= 0 and u_cap >= 1")
     u_cap = min(n, int(8 * math.sqrt(n)) + 16 if u_cap is None else u_cap)
-    L = l_max + 1
     log4 = math.log(4.0)
     rows = np.arange(1, u_cap + 1)
     # lgam[j] = lgamma(j) for j >= 1, looked up; index 0 is never used
@@ -369,37 +385,10 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     # wt[u' - 1, u - 1] = W[u, u'], stored so the product reads it by rows
     vv, uu = rows[:, None], rows[None, :]
     wt = np.exp(lgam[uu + vv] - lgam[vv + 1] - lgam[uu] - vv * log4)
-
-    off = rows * (rows - 1) // 2
-    state = np.zeros((u_cap * (u_cap + 1) // 2, L))
-    marks = (rows == k).astype(np.intp)
-    first = marks <= l_max
-    state[off[first], marks[first]] = [math.exp(-u * log4) / u
-                                       for u in rows[first]]
-
-    out = {}
-    for s in range(1, n + 1):
-        live = min(s, u_cap)
-        slots = off + s % rows
-        lay = state[slots[:live]]
-        if s in ms:
-            top = lay.copy()
-            if k <= live:
-                top[k - 1] = np.concatenate(([0.0], top[k - 1, :-1]))
-            # cumsum adds the rows one by one; sum would go pairwise at L == 1
-            cb = float(Fraction(math.comb(2 * s, s), 2 * s * 4 ** s))
-            out[s] = np.cumsum(top, axis=0)[-1] / cb
-        if s == n:
-            break
-        up_max = min(u_cap, n - s)
-        step = wt[:up_max, :live] @ lay
-        # the point between rows k - v and v holds k visits: shift its mark
-        for v in range(max(1, k - live), min(up_max, k - 1) + 1):
-            c = wt[v - 1, k - v - 1] * lay[k - v - 1]
-            step[v - 1] -= c
-            step[v - 1, 1:] += c[:-1]
-        # rows past up_max keep stale values: their next layer is past n
-        state[slots[:up_max]] = step
+    first = np.array([math.exp(-u * log4) / u for u in rows])
+    out = _crossing_dp(n, k, l_max, ms, wt, first)
+    for s in out:
+        out[s] /= float(Fraction(math.comb(2 * s, s), 2 * s * 4 ** s))
     return out[n] if lengths is None else out
 
 
@@ -412,24 +401,16 @@ def _axis_count_distribution(n, d):
     normalized in log space; the double-precision rounding is far below any
     Monte Carlo resolution.
     """
-    if d == 1:
-        return [(n,)], np.array([1.0])
-    supports = []
-    logw = []
-    if d == 2:
-        for j in range(n + 1):
-            supports.append((j, n - j))
-            logw.append(2 * (math.lgamma(n + 1) - math.lgamma(j + 1)
-                             - math.lgamma(n - j + 1)))
-    elif d == 3:
-        for j in range(n + 1):
-            for k in range(n - j + 1):
-                supports.append((j, k, n - j - k))
-                logw.append(2 * (math.lgamma(n + 1) - math.lgamma(j + 1)
-                                 - math.lgamma(k + 1)
-                                 - math.lgamma(n - j - k + 1)))
-    else:
-        raise ValueError("sampling supports d <= 3")
+    if not 1 <= d <= 3:
+        raise ValueError("sampling supports 1 <= d <= 3")
+    supports, logw = [], []
+    for head in itertools.product(range(n + 1), repeat=d - 1):
+        if sum(head) <= n:
+            supports.append(head + (n - sum(head),))
+            lw = math.lgamma(n + 1)
+            for j in supports[-1]:
+                lw -= math.lgamma(j + 1)
+            logw.append(2 * lw)
     logw = np.array(logw)
     w = np.exp(logw - logw.max())
     return supports, w / w.sum()
@@ -443,8 +424,6 @@ def sample_moments(n, d, samples, seed, k_max=3):
     then shuffled.  Returns a dict with means and standard errors,
     reproducible for a given seed.
     """
-    if d > 3:
-        raise ValueError("sampling supports d <= 3")
     rng = np.random.default_rng(seed)
     supports, probs = _axis_count_distribution(n, d)
     if len(supports) > 1:

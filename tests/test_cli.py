@@ -103,6 +103,26 @@ def test_first_moment_subcommand(capsys):
     assert abs(rep["results"]["expected_points"] - 1.0) < 0.02
 
 
+
+def test_first_moment_d3_integrates_the_escape_constant_once(capsys,
+                                                             monkeypatch):
+    # the asymptotic first and range moments both read G(3): one quadrature
+    from walkrange import moments
+
+    calls = []
+    green = moments.green
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return green(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "green", counting)
+    moments.escape_constant.cache_clear()
+    rc, rep, _ = run_json(capsys, ["first-moment", "--d", "3", "--k", "2",
+                                   "--n", "1000"])
+    assert rc == 0 and len(calls) == 1
+    assert rep["results"]["asymptotic"] > 0
+
 def test_asymp_xi(capsys):
     rc, rep, _ = run_json(capsys, ["asymp", "--xi", "2"])
     assert rc == 0

@@ -2,7 +2,8 @@
 
 mpmath and scipy are test extras, and sympy is not declared at all; an
 import of any of them, or of anything else, under src/walkrange would make
-the installed package fail where they are missing.
+the installed package fail where they are missing.  Every name a module
+imports is read there or exported, so no import outlives its last use.
 """
 
 import ast
@@ -41,3 +42,36 @@ def test_every_public_name_resolves():
     missing = [name for name in walkrange.__all__
                if not hasattr(walkrange, name)]
     assert missing == []
+
+
+def _unused_imports(tree):
+    """Names tree imports but never reads and does not list in __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_src_imports_are_used():
+    bad = [(path.name, line, name)
+           for path in sorted(PACKAGE.glob("*.py"))
+           for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert bad == []
+    # the check sees an import left behind
+    assert _unused_imports(ast.parse(
+        "from collections import Counter, defaultdict\nCounter()\n")) == \
+        [(1, "defaultdict")]

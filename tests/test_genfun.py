@@ -552,13 +552,24 @@ def test_distribution_completeness_and_oracle():
 
 
 def test_distribution_matches_local_time_dp_midsize():
-    # independent crossing-profile oracle at a size enumeration cannot reach
-    n = 20
+    # independent crossing-profile oracle at a size enumeration cannot reach:
+    # the one DP transition, in exact integers and in floats
+    n = 40
     eng = Engine(2 * n, backend=EXACT)
-    for k in (2, 3):
+    total = comb(2 * n, n)
+    for k in range(1, 7):
         counts, _ = eng.distribution(n, k, 2 * n)
         dp = local_time_distribution(n, k)
         assert {l: c for l, c in counts.items() if c} == dp
+        want = np.array([counts.get(l, 0) / total for l in range(2 * n + 1)])
+        got = local_time_probabilities(n, k, 2 * n)
+        nonzero = want != 0
+        np.testing.assert_allclose(got[nonzero], want[nonzero], rtol=1e-13,
+                                   atol=0)
+        assert np.all(got[~nonzero] == 0)
+    counts, _ = eng.distribution(n, 3, 5)
+    assert local_time_distribution(n, 3, 5) == \
+        {l: c for l, c in counts.items() if c and l <= 5}
 
 
 def test_distribution_matches_local_time_dp_k4():

@@ -1,10 +1,12 @@
 """Enumeration oracle, profile bookkeeping, local-time DP, sampling."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from walkrange.walks import (Walk, local_time_distribution,
                              local_time_probabilities, multiplicity,
                              oracle_counts, oracle_mixed_moment, profile,
                              sample_moments)
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference.json"
 
 
 def test_multiplicity_examples():
@@ -216,6 +220,17 @@ def test_local_time_distribution_matches_enumeration():
             dp = local_time_distribution(n, k)
             want = {l: c for (l,), c in oracle_counts(n, 1, (k,)).items() if c}
             assert {l: c for l, c in dp.items() if c} == want
+
+
+def test_local_time_distribution_reproduces_recorded_counts():
+    # counts an earlier, three-weight DP that summed over every root wrote
+    # to the benchmark's reference file
+    data = json.loads(REFERENCE.read_text())
+    for (n, k), want in (((39, 2), data["local_time_distribution_n39_k2"]),
+                         ((80, 3), data["local_time_distribution_k3"]["80"])):
+        got = {str(l): str(c)
+               for l, c in local_time_distribution(n, k).items()}
+        assert got == want, (n, k)
 
 
 def test_local_time_distribution_rejects_invalid_arguments():
