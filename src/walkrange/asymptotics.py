@@ -10,14 +10,16 @@ the f-sum as a trapezoidal approximation and applying the Euler-Maclaurin
 correction turns the approach to that value into an expansion in powers of
 (1 - s), with a sqrt(1-s) branch appearing only for k = 1.  This module
 derives those expansion coefficients exactly (rationals paired with a zeta
-value), and builds on them: the doublepoint tail law, the singlepoint 1/n
+value), and builds on them: the doublepoint tail law (with the limit mean
+and variance it fixes the l <= 2 limits in closed form), the singlepoint 1/n
 polynomials, limit covariances of the point counts, the Riemann-xi limits of
 range moments, and the geometric tail rates of Pr(N_{2k} = l) for every k,
 read off the transfer operator at the singular point (`tail_rates_limit`).
 `probability_table` is the one float route to Pr_n(N_{2k} = l) (the float
 count series for k <= 2, the crossing-profile DP for k >= 3).  Richardson
 extrapolation in 1/n and linear-recurrence rate fitting (`tail_rate_fit`)
-read it; the fit recovers the same rates from the DP, an independent check.
+read it, though no command runs either; the fit recovers the same rates
+from the DP, an independent check.
 """
 
 from __future__ import annotations
@@ -224,6 +226,26 @@ def doublepoint_tail():
         - 3.0 / (4.0 * denom))
     theta1 = (1296.0 / math.pi ** 8) * (c / denom) ** 2
     return TailModel(rates=[alpha], weights=[(theta0, theta1)])
+
+
+def doublepoint_head():
+    """Limits of Pr(N_4 = l) for l = 0, 1, 2, in closed form.
+
+    With p_l the tail law of `doublepoint_tail` for l >= 3, the limit mean
+    of N_4 (1: E N_4 = 2n / (2n - 1) at length 2n) and its limit variance
+    cov(2, 2) of `second_moment_limit` fix the rest, since E C(N_4, 2) =
+    cov(2, 2) / 2 in the limit:
+
+        P2 = cov(2, 2) / 2 - sum_{l>=3} C(l, 2) p_l,
+        P1 = 1 - sum_{l>=3} l p_l - 2 P2,
+        P0 = 1 - sum_{l>=3} p_l - P1 - P2.
+
+    The tail sums stop at l = 100, where p_l is below 1e-50."""
+    tail = [doublepoint_tail().predict(l) for l in range(3, 101)]
+    p2 = second_moment_limit(2, 2) / 2 - sum(
+        comb(l, 2) * p for l, p in enumerate(tail, 3))
+    p1 = 1 - sum(l * p for l, p in enumerate(tail, 3)) - 2 * p2
+    return [1 - sum(tail) - p1 - p2, p1, p2]
 
 
 # the largest k whose float eigenvalues of W(k) stay within 1e-10 relative of

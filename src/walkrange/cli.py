@@ -261,14 +261,13 @@ def _cmd_asymp(args):
         counts, _ = eng.distribution(39, 2, args.lmax)
         total = comb(78, 39)
         tail_model = asy.doublepoint_tail()
-        limits = asy.extrapolate_probability(2, min(2, args.lmax),
-                                             [250, 500, 1000, 2000])
+        head = asy.doublepoint_head()
         rows, entries = [], []
         for l in sorted(counts):
             pr = _sig(counts[l] / total, digits)
             if l <= 2:
-                limit, _tol = limits[l]
-                method = "extrapolated"
+                limit = head[l]
+                method = "closed-form"
             else:
                 limit = tail_model.predict(l)
                 method = "tail-law"

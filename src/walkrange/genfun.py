@@ -305,11 +305,18 @@ class Engine:
         winding sum of the integer weights C(f-1, i-1) C(f, j)."""
         key = (min(i, j), max(i, j))
         if key not in self._pair:
-            i0, j0 = key
-            s = self.cache.lambert_sum(lambda f: comb(f - 1, i0 - 1) * comb(f, j0))
-            self._pair[key] = (s.scaled(Fraction((-1) ** (i0 + j0), i0))
-                               * self._power(self.cache.A, i0 + j0))
+            self._pair_blocks([key])
         return self._pair[key]
+
+    def _pair_blocks(self, keys):
+        """Build the pair blocks of keys, (i, j) with i <= j, that are not
+        built yet, from one `lambert_sums` call for all of them."""
+        keys = [key for key in keys if key not in self._pair]
+        sums = self.cache.lambert_sums(
+            [lambda f, i=i, j=j: comb(f - 1, i - 1) * comb(f, j) for i, j in keys])
+        for (i, j), s in zip(keys, sums):
+            self._pair[(i, j)] = (s.scaled(Fraction((-1) ** (i + j), i))
+                                  * self._power(self.cache.A, i + j))
 
     def chain_block(self, i, j):
         """One-sided block feeding the transfer operator; j >= i >= 1.  No
@@ -546,11 +553,13 @@ class Engine:
 
         The exact backend divides the counts of `distribution` by C(2n, n);
         the float backend reads k <= 2 off the closed-form count series.  Its
-        k = 2 values were measured within 3e-8 of the DP (relative) for
-        3 <= l <= 40 and 2.7e-6 for l <= 2, up to n = 4000.  The top rows
-        cancel (n = 300: l = 297..299 are 0.9% to 13.5% low, l = 300 reads
-        -1.08e-179; strict xfails test_float_k2_probabilities_nonnegative_*,
-        ROADMAP item 9).  Float k >= 3 is walks.local_time_probabilities' job.
+        k = 2 values were measured against the DP at n = 300, 600, 1000,
+        1500, 2000, 2500, 3000, 3013, 3500, 3887, 3914 and 4000: within
+        3.0e-6 (relative) for l <= 2 and 3.6e-8 for 3 <= l <= 40.  The top
+        rows cancel (n = 300: l = 297..299 are 0.6% to 8.6% low, l = 300
+        reads -7.0e-180; n = 600: 1% off from l = 519; strict xfails
+        test_float_k2_probabilities_nonnegative_*, ROADMAP item 9).
+        Float k >= 3 is walks.local_time_probabilities' job.
         """
         if self.backend == EXACT:
             counts, _ = self.distribution(n, k, l_max)
@@ -592,7 +601,9 @@ class Engine:
 
         T(2,2) = sum_{l1,l2<2} (1 - A)^{l1+l2} pair_block(2 - l1, 2 - l2) is
         summed here, not read off the walk's basis table, in the order (and
-        with the (1 - A)^0 product) that fixes the float bits."""
+        with the (1 - A)^0 product) that fixes the float bits.  Its three
+        pair blocks come from one Lambert sweep."""
+        self._pair_blocks([(1, 1), (1, 2), (2, 2)])
         g = self.pair_block(1, 1)
         s = self.cache.one_minus_A * g + self.pair_block(1, 2)
         t22 = sum((self._power(self.cache.one_minus_A, l1 + l2)

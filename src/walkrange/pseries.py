@@ -38,7 +38,8 @@ and the integer-weighted sums over the geometric tails B^{2f}/(1 - B^{2f}),
 with B = 2z / (1 + A) (z times the Catalan generating function).  B enters
 only through its even powers, whose ballot-number closed form [z^{2n}]
 B^{2F} = (F/n) C(2n, n - F) needs no series division, so the cache's exact
-series are integer vectors.
+series are integer vectors.  Float sums take every weight at once in one
+sweep down the ballot columns, a block of rows F at a time, and keep no row.
 The backend fixes the scale s of a cache, which stores s^m times the true
 coefficients: s = 1 on the exact backend, s = 1/2 on the float backend,
 where it cancels the 4^n growth of the walk counts and keeps every
@@ -67,8 +68,10 @@ EXACT_ORDER_LIMIT = 512
 # below this length products convolve directly, keeping exact zeros zero
 _FFT_THRESHOLD = 384
 
-# rows of the float B^{2F} table built per numpy pass
+# rows F of the float ballot sweep taken per numpy pass, and the least
+# running ballot product c_F(n') that keeps column n' in the sweep
 _ROW_BLOCK = 64
+_TINY = 1e-300
 
 # the scale s of every float cache
 _FLOAT_SCALE = 0.5
@@ -399,8 +402,9 @@ def _catalan(m):
 
 
 class BaseSeriesCache:
-    """Holds A, h0 and the even B-powers behind the geometric tails at one
-    order.
+    """Holds A, h0 and the Lambert sums over the geometric tails at one
+    order: the even B-powers as exact ballot rows, or a float sweep over
+    them.
 
     All stored series share one (K, backend) and the backend's `scale`
     (1 exact, 1/2 float).  Immutable once built; the lazy caches are
@@ -412,8 +416,8 @@ class BaseSeriesCache:
         self.K = K
         self.backend = backend
         self.scale = 1 if backend == EXACT else _FLOAT_SCALE
-        self._even_rows = None          # float backend: matrix of B^{2F} rows
         self._even_rows_exact = {}      # exact backend: F -> integer row
+        self._sweep = None              # float backend: (seeds, top) of the sweep
         self._central = {}              # float backend: n -> C(2n, n) s^{2n}
         half = K // 2
 
@@ -459,82 +463,61 @@ class BaseSeriesCache:
     # -- B^{2F} rows ---------------------------------------------------------
 
     def _ensure_even_rows(self):
-        """Float table rows[F][n'] = [z^{2n'}] (scaled B)^{2F}, F < len(rows).
+        """Float backend: the column seeds C(2n', n') s^{2n'}, n' <= K//2, of
+        the ballot sweep (`_ballot_sweep`), and top, the last F whose c_F
+        reaches _TINY in some column: later rows enter no sum.  The seeds
+        are the even coefficients of 1/A.
 
-        Rows past the first one that underflows entirely are zero and are
-        not stored: the largest entry of row F sits near exp(-F^2 / n') at
-        scale 1/2, so about sqrt(745 K/2) rows are kept, O(K^1.5) memory.
-        Row 0 stays zero (B^0 enters no tail)."""
-        if self.backend != FLOAT:
-            return None
-        if self._even_rows is None:
+        c_F(n') = C(2n', n' - F) s^{2n'} grows with n' while F^2 > (n' + 1)
+        / 2, so past F^2 > K/4 it peaks at the last column n' = K//2, and top
+        is read off that column alone: about sqrt(690 K/2) rows count."""
+        if self._sweep is None:
             half = self.K // 2
-            work = np.empty(_ROW_BLOCK * (half + 1))
-            keep = np.empty(_ROW_BLOCK * (half + 1), dtype=bool)
-            # first all-zero row, by bisection: row F + 1 underflows where F does
-            probe = np.zeros((1, half + 1))
-            lo, hi = 1, half + 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                probe.fill(0.0)
-                self._even_rows_block(mid, mid + 1, probe[:, mid:], work, keep)
-                if probe.any():
-                    lo = mid + 1
-                else:
-                    hi = mid
-            rows = np.zeros((lo, half + 1))
-            for F0 in range(1, lo, _ROW_BLOCK):
-                F1 = min(F0 + _ROW_BLOCK, lo)
-                self._even_rows_block(F0, F1, rows[F0:F1, F0:], work, keep)
-            self._even_rows = rows
-        return self._even_rows
+            seeds = self.inv_A.nums[::2]
+            F = np.arange(1, half + 1, dtype=np.float64)
+            last = seeds[half] * np.cumprod((half - F + 1) / (half + F))
+            self._sweep = seeds, int(np.count_nonzero(last >= _TINY))
+        return self._sweep
 
-    def _even_rows_block(self, F0, F1, out, work, keep):
-        """Write rows F0..F1-1 of the float table, columns n' = F0..K//2,
-        into the zeroed out; work and keep are scratch buffers of at least
-        as many entries as out.
+    def _ballot_sweep(self, wts):
+        """Float rows sum_F wts[i, F] [z^{2n'}] (scaled B)^{2F}, n' <= K//2,
+        one per row i of the float matrix wts (column F = 0 is not read).
 
-        Row F is exp of the running sum, from n' = F on, of log s^{2F} and
-        the log ratios of successive ballot numbers times s^2; entries with
-        logs below -745 stay zero.  Each row of the block is zero up to its
-        own n' = F, and the cumsum along axis 1 adds in the same order as a
-        cumsum of that row alone, so a row does not depend on its block."""
+        With c_F(n') = C(2n', n' - F) s^{2n'}, the entry of (scaled B)^{2F}
+        is (F/n') c_F(n'), and down each column c_F = c_{F-1} (n' - F + 1) /
+        (n' + F) from the seed c_0 (exactly 0 from F = n' + 1 on).  Blocks of
+        _ROW_BLOCK rows are running products down the columns, and each
+        block adds (F wts)[:, block] @ c_block to every row at once.  A
+        column leaves the window once its c falls below _TINY, since c only
+        falls with F; columns n' < F hold 0 and leave with them."""
+        seeds, top = self._ensure_even_rows()
         half = self.K // 2
-        ls2 = 2.0 * math.log(self.scale)
-        F = np.arange(F0, F1, dtype=np.float64)[:, None]
-        col = np.arange(F0, half + 1, dtype=np.float64)  # n' of each column
-        npr = col - 1                                    # ratio from n' - 1 to n'
-        logs = work[: out.size].reshape(out.shape)
-        kept = keep[: out.size].reshape(out.shape)
-        # col (col - F) (col + F), as col^2 - F^2 times col: integers, exact
-        # in float64 while col^3 < 2^53
-        np.subtract(col * col, F * F, out=logs)
-        logs *= col
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(logs, out=logs)
-            np.subtract(np.log(npr * (2 * npr + 1) * (2 * npr + 2)), logs,
-                        out=logs)
-        logs += ls2
-        for i, row in enumerate(logs):  # row F = F0 + i starts at column i
-            row[:i] = 0.0
-            row[i] = (F0 + i) * ls2
-        logs.cumsum(axis=1, out=logs)
-        np.greater(logs, -745.0, out=kept)
-        for i, row in enumerate(kept):
-            row[:i] = False
-        # exp only where kept: results that underflow cost ~50x a normal exp
-        np.exp(logs, out=out, where=kept)
+        c = seeds.copy()
+        col = np.arange(half + 1, dtype=np.float64)
+        out = np.zeros((len(wts), half + 1))
+        lo, end = 1, min(top + 1, wts.shape[1])
+        for F0 in range(1, end, _ROW_BLOCK):
+            F = np.arange(F0, min(F0 + _ROW_BLOCK, end), dtype=np.float64)
+            block = (col[lo:] - F[:, None] + 1) / (col[lo:] + F[:, None])
+            block[0] *= c[lo:]
+            np.cumprod(block, axis=0, out=block)
+            out[:, lo:] += (wts[:, F0: F0 + len(F)] * F) @ block
+            c[lo:] = block[-1]
+            lo += int(np.argmax(c[lo:] >= _TINY))
+        out[:, 1:] /= col[1:]
+        return out
 
     def _even_row(self, F):
         """row[n'] = [z^{2n'}] (scaled B)^{2F}: ballot integers (exact) or a
-        row of the float table (zero past the stored rows).
+        float row of the ballot sweep (zero past its last row).
 
         The exact row is b_n' = F C(2n', n'-F) / n' from b_F = 1 by
         C(2n+2, n+1-F) = C(2n, n-F) (2n+1) (2n+2) / ((n+1-F) (n+1+F)), that
         is b_{n+1} = b_n 2n (2n+1) / ((n+1-F) (n+1+F)), an exact division."""
         if self.backend == FLOAT:
-            rows = self._ensure_even_rows()
-            return rows[F] if F < len(rows) else 0.0
+            wts = np.zeros((1, F + 1))
+            wts[0, F] = 1.0
+            return self._ballot_sweep(wts)[0]
         if F not in self._even_rows_exact:
             row = [0] * (self.K // 2 + 1)
             b = 1
@@ -553,33 +536,41 @@ class BaseSeriesCache:
         return self._even(self._even_row(F))
 
     def lambert_sum(self, weight):
-        """sum_f weight(f) * B^{2f}/(1 - B^{2f}) with f cut at K//2, for
-        integer weights (any other weight raises TypeError).
+        """sum_f weight(f) * B^{2f}/(1 - B^{2f}): `lambert_sums` of one weight."""
+        return self.lambert_sums([weight])[0]
+
+    def lambert_sums(self, weights):
+        """[sum_f w(f) * B^{2f}/(1 - B^{2f}) for w in weights], f cut at
+        K//2, for integer weights (any other weight raises TypeError).
 
         Computed through the divisor rearrangement
         sum_f w_f sum_j B^{2fj} = sum_F (sum_{f | F} w_f) B^{2F}: the divisor
         sums are integers, which weigh the integer ballot rows (exact) or
-        the rows of the float table.  The float sum is one matrix-vector
-        product over the whole table, and its last bits depend on the
-        table's shape (splitting its columns changed them);
-        `test_float_k2_probabilities_bit_for_bit` pins those bits.
+        enter one ballot sweep for all the weights at once (float).
         """
-        rows = self._ensure_even_rows()
-        # float rows past the stored table are zero and need no weights
-        top = self.K // 2 if rows is None else len(rows) - 1
-        acc_w = [0] * (top + 1)
-        for f in range(1, top + 1):
-            wf = operator.index(weight(f))
-            if wf:
-                for F in range(f, top + 1, f):
-                    acc_w[F] += wf
-        if rows is not None:
-            return self._even(np.array(acc_w, dtype=np.float64) @ rows)
-        acc = [0] * (top + 1)
-        for F, w in enumerate(acc_w):
-            if w:
-                acc[F:] = [x + w * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
-        return self._even(acc)
+        if not weights:
+            return []
+        top = self.K // 2 if self.backend == EXACT else self._ensure_even_rows()[1]
+        sums = []
+        for weight in weights:
+            acc_w = [0] * (top + 1)
+            for f in range(1, top + 1):
+                wf = operator.index(weight(f))
+                if wf:
+                    for F in range(f, top + 1, f):
+                        acc_w[F] += wf
+            sums.append(acc_w)
+        if self.backend == FLOAT:
+            return [self._even(row) for row in
+                    self._ballot_sweep(np.array(sums, dtype=np.float64))]
+        out = []
+        for acc_w in sums:
+            acc = [0] * (top + 1)
+            for F, w in enumerate(acc_w):
+                if w:
+                    acc[F:] = [x + w * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
+            out.append(self._even(acc))
+        return out
 
     # -- coefficient extraction ----------------------------------------------
 

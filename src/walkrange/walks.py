@@ -386,9 +386,12 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     vv, uu = rows[:, None], rows[None, :]
     wt = np.exp(lgam[uu + vv] - lgam[vv + 1] - lgam[uu] - vv * log4)
     first = np.array([math.exp(-u * log4) / u for u in rows])
-    out = _crossing_dp(n, k, l_max, ms, wt, first)
-    for s in out:
-        out[s] /= float(Fraction(math.comb(2 * s, s), 2 * s * 4 ** s))
+    # no walk of length 2n has more than 2n points, so l > 2n reads 0.0
+    out = _crossing_dp(n, k, min(l_max, 2 * n), ms, wt, first)
+    for s, v in out.items():
+        out[s] = np.zeros(l_max + 1)
+        out[s][: len(v)] = v / float(Fraction(math.comb(2 * s, s),
+                                              2 * s * 4 ** s))
     return out[n] if lengths is None else out
 
 

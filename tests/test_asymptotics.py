@@ -8,7 +8,8 @@ import pytest
 
 from walkrange.errors import DomainError, IllConditioned
 from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction, bernoulli,
-                                   doublepoint_tail, em_expansion,
+                                   doublepoint_head, doublepoint_tail,
+                                   em_expansion,
                                    extrapolate_probability,
                                    fit_linear_recurrence,
                                    limit_transfer_matrix, probability_table,
@@ -166,6 +167,21 @@ def test_doublepoint_tail_constants():
     assert abs(tm.rates[0] - 0.29140) <= 1e-6
     for l, want in ((3, 0.04779), (4, 0.01608), (5, 0.00531), (10, 0.0000177)):
         assert abs(tm.predict(l) - want) <= 5e-5
+
+
+def test_doublepoint_head_matches_richardson_limits_of_the_dp():
+    # the closed-form l <= 2 limits against Richardson limits of DP values,
+    # which share no code with the tail law or the covariance limit; with
+    # the tail law they sum to 1 and have mean 1
+    ns = [250, 500, 1000, 2000]
+    dp = local_time_probabilities(2000, 2, 2, lengths=ns)
+    head = doublepoint_head()
+    for l in range(3):
+        est, _tol = richardson(ns, [dp[n][l] for n in ns])
+        assert abs(head[l] - est) <= 1e-9, l
+    probs = head + [doublepoint_tail().predict(l) for l in range(3, 200)]
+    assert sum(probs) == pytest.approx(1.0, abs=1e-14)
+    assert sum(l * p for l, p in enumerate(probs)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_doublepoint_tail_against_exact_length78(exact_engine_78):

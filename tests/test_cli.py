@@ -141,15 +141,14 @@ def test_asymp_table1(capsys):
     assert rc == 0
     rows = {e["l"]: e for e in rep["results"]["doublepoints_n39"]}
     assert rows[0]["probability"] == pytest.approx(0.34462, abs=5e-6)
-    assert rows[0]["limit_method"] == "extrapolated"
+    assert rows[0]["limit_method"] == "closed-form"
     assert rows[0]["limit_probability"] == pytest.approx(0.35101, abs=1e-3)
     assert rows[3]["limit_method"] == "tail-law"
     assert rows[3]["limit_probability"] == pytest.approx(0.04779, abs=5e-5)
 
 
-def test_asymp_table1_builds_one_float_engine(capsys, monkeypatch):
-    # one float series engine at K = 4000 serves l <= 2 at all four grid
-    # lengths of the extrapolation
+def test_asymp_table1_builds_no_float_engine(capsys, monkeypatch):
+    # the l <= 2 limits are closed forms: only the exact n = 39 engine runs
     built = []
     init = Engine.__init__
 
@@ -160,7 +159,7 @@ def test_asymp_table1_builds_one_float_engine(capsys, monkeypatch):
     monkeypatch.setattr(Engine, "__init__", counting_init)
     assert run(["asymp", "--table", "1"]) == 0
     capsys.readouterr()
-    assert [K for K, backend in built if backend == "float"] == [4000]
+    assert built == [(78, "exact")]
 
 
 def test_asymp_table3_small(capsys):
@@ -530,11 +529,11 @@ _STDOUT_SHA256 = {
 }
 
 
-# the float series route of k <= 2: table 1 extrapolates its l <= 2 limits
-# from float engines up to n = 2000, and dist reads the float count series;
-# and table 3, the float covariance limits
+# the float limits and the float series route of k <= 2: table 1 with its
+# closed-form l <= 2 limits and tail law, dist reading the float count
+# series, and table 3, the float covariance limits
 _FLOAT_STDOUT_SHA256 = {
-    "asymp --table 1": "4560fef454fce273",
+    "asymp --table 1": "360015c47f5c6464",
     "dist --n 600 --k 2 --lmax 20 --backend float": "c82a38a85bad3e66",
     # below _FFT_THRESHOLD the direct convolution prints exact zeros here,
     # where FFT products leave -5.8e-17 (n = 2) and 8.3e-21 (n = 9)
@@ -542,10 +541,10 @@ _FLOAT_STDOUT_SHA256 = {
     "dist --n 9 --k 2 --lmax 20 --backend float": "e138fc30a9cc40bf",
     "asymp --table 3 --kmax 8": "6feb1bcce88db165",
     # the float route's edges: n = 0 reads the series engine for any k, a
-    # short k = 3 walk the DP, and table 1 extrapolates fewer than three rows
+    # short k = 3 walk the DP, and table 1 prints fewer than three limits
     "dist --n 0 --k 3 --lmax 2 --backend float": "a73455be909d67da",
     "dist --n 3 --k 3 --lmax 2 --backend float": "12abbad287e43378",
-    "asymp --table 1 --lmax 1": "a4ceaf28403a95a3",
+    "asymp --table 1 --lmax 1": "e415b4a9aee80186",
 }
 
 

@@ -562,47 +562,73 @@ def test_exact_division_and_log_match_recurrences():
     assert frac_series(cl).log().coeffs == lg
 
 
-def _even_rows_per_row(K, scale):
-    """The former float B^{2F} table, one row F = 0..K/2 at a time."""
-    half = K // 2
-    ls2 = 2.0 * math.log(float(scale))
-    np_ = np.arange(1, half + 1, dtype=np.float64)
-    yield np.zeros(half + 1)
-    for F in range(1, half + 1):
-        row = np.zeros(half + 1)
-        npr = np_[F - 1: half - 1]
-        ratios = np.log(npr * (2 * npr + 1) * (2 * npr + 2)) - \
-            np.log((npr + 1) * (npr + 1 - F) * (npr + 1 + F))
-        logs = np.concatenate(([F * ls2], ratios + ls2)).cumsum()
-        row[F:] = np.where(logs > -745.0, np.exp(logs), 0.0)
-        yield row
+def _ballot_row_over_4n(K, F):
+    """[z^{2n}] B^{2F} / 4^n = F C(2n, n - F) / (n 4^n), n <= K/2, each the
+    correctly rounded quotient of exact integers."""
+    out = np.zeros(K // 2 + 1)
+    b = 1  # F C(2n, n - F) / n at n = F
+    for n in range(F, K // 2 + 1):
+        out[n] = b / 4 ** n
+        b = b * 2 * n * (2 * n + 1) // ((n + 1 - F) * (n + 1 + F))
+    return out
+
+
+def _lambert_column_over_4n(K, weight, n):
+    """[z^{2n}] sum_f weight(f) B^{2f}/(1 - B^{2f}) / 4^n, correctly rounded:
+    sum_F (sum_{f | F} weight(f)) F C(2n, n - F) / (n 4^n) on exact integers."""
+    sums = [0] * (n + 1)
+    for f in range(1, n + 1):
+        for F in range(f, n + 1, f):
+            sums[F] += weight(f)
+    acc, b = 0, comb(2 * n, n)
+    for F in range(1, n + 1):
+        b = b * (n - F + 1) // (n + F)
+        acc += sums[F] * F * b
+    return acc / (n * 4 ** n)
 
 
 @pytest.mark.parametrize("K,scale", [
     (2, Fraction(1, 2)), (10, Fraction(1, 2)), (101, Fraction(1, 2)),
     (1922, Fraction(1, 2)), (4000, Fraction(1, 2)), (7828, Fraction(1, 2))])
 def test_float_even_rows_equal_per_row_table(K, scale):
+    # rows of the ballot sweep against the exact ballot rows over 4^n':
+    # exact zeros below n' = F, 1e-14 relative wherever the row is above
+    # 1e-290, and nothing larger than that elsewhere (the sweep drops it)
     c = BaseSeriesCache(K, FLOAT)
     assert c.scale == scale
-    rows = c._ensure_even_rows()
-    kept = len(rows)
-    assert rows.shape == (kept, K // 2 + 1)
-    for F, ref in enumerate(_even_rows_per_row(K, scale)):
-        if F < kept:
-            assert np.array_equal(rows[F].view(np.int64), ref.view(np.int64)), F
-        else:
-            assert not ref.any(), F
-    if K >= 1922:
-        assert kept < K // 2          # rows that underflow are not stored
+    half = K // 2
+    for F in sorted({1, 2, 3, half, *range(1, half + 1, max(1, half // 8))}):
+        got = c.b_even_power(F).nums[::2]
+        want = _ballot_row_over_4n(K, F)
+        assert not got[:F].any(), F
+        assert np.all(np.abs(got - want) <= 1e-14 * want + 1e-290), F
+
+
+@pytest.mark.parametrize("K", [2, 10, 101, 1200, 1922, 4000, 7828])
+def test_float_lambert_sums_match_exact(K):
+    # the pair-block weights of k <= 2 in one sweep, against exact sums at
+    # columns spread over n' <= K/2 (a table of every float row, before the
+    # sweep, reached 6.8e-14, 2.3e-13 and 4.3e-13 at K = 1200, 4000, 7828)
+    c = BaseSeriesCache(K, FLOAT)
+    half = K // 2
+    weights = [lambda f: f, lambda f: comb(f, 2), lambda f: (f - 1) * comb(f, 2)]
+    sums = c.lambert_sums(weights)
+    for n in sorted({*range(1, half + 1, max(1, half // 24)), half}):
+        for weight, s in zip(weights, sums):
+            want = _lambert_column_over_4n(K, weight, n)
+            assert abs(s[2 * n] - want) <= 1e-14 * want + 1e-290, n
 
 
 def test_float_tails_read_past_stored_rows():
+    # the sweep stops after the last row that reaches 1e-300, and past
+    # 2F > K/2 the geometric tail of f = F is its first row alone
     c = BaseSeriesCache(4000, FLOAT)
-    kept = len(c._ensure_even_rows())
-    assert c.b_even_power(kept).is_zero()
-    assert not c.b_even_power(kept - 1).is_zero()
-    # the geometric tail of f = kept - 1 is its first row alone
-    assert c.lambert_sum(lambda f: int(f == kept - 1)) == c.b_even_power(kept - 1)
+    _seeds, top = c._ensure_even_rows()
+    assert 2 * top > 4000 // 2
+    assert c.b_even_power(top + 1).is_zero()
+    assert not c.b_even_power(top).is_zero()
+    for F in (top, top + 1):
+        assert c.lambert_sums([lambda f: int(f == F)])[0] == c.b_even_power(F)
 
 
 def _float_div_loop(a, b):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -288,6 +289,21 @@ def test_local_time_probabilities_crossing_cap():
     full = local_time_probabilities(30, 2, 8)
     capped = local_time_probabilities(30, 2, 8, u_cap=60)
     assert capped == pytest.approx(full, abs=1e-12)
+
+
+def test_local_time_probabilities_past_2n_read_zero_without_the_state():
+    # no walk of length 10 has more than 10 points: the DP runs to l = 10
+    # and pads with zeros, where its state at l_max = 10^6 would be 15 rows
+    # of 10^6 + 1 floats, 120 MB
+    tracemalloc.start()
+    try:
+        got = local_time_probabilities(5, 2, 10 ** 6)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 10 ** 6 + 1 and not got[11:].any()
+    assert np.array_equal(got[:11], local_time_probabilities(5, 2, 10))
+    assert peak <= 16e6, peak  # the 8 MB answer, not the state
 
 
 def test_local_time_probabilities_marker_clipping():
