@@ -4,6 +4,8 @@ Every subcommand prints a single machine-readable report (JSON by default,
 CSV on request).  Exact counts always cross the interface as decimal strings
 because JSON numbers cannot hold them; probabilities are rounded to a stated
 number of significant digits (6 by default, --digits overrides).
+`range-dist` is the one command whose report is streamed, entry by entry:
+its counts have ~n^2 digits, where every other report is kilobytes.
 """
 
 from __future__ import annotations
@@ -56,14 +58,17 @@ def _quotients(total):
     Correctly rounded, so bit-identical to int / int.  The floor and the
     ceiling of the quotient bracket it; rounding to nearest is monotone, so
     when both round to one float, that float is the answer, and otherwise
-    the precision doubles.  The 25-digit bracket multiplies by the rounded
-    reciprocals of total.  Wider ones divide, so a quotient that is exactly
+    the precision doubles.  The 25-digit bracket multiplies the floor (the
+    ceiling) of c at 25 digits by the floor (the ceiling) of 1 / total:
+    every operand is positive and every rounding directed, so it still
+    brackets c / total.  Wider ones divide, so a quotient that is exactly
     a tie between two floats is reached exactly and rounds half to even."""
     lo, hi = _directed(25)
     inv_lo, inv_hi = lo.divide(1, total), hi.divide(1, total)
 
     def quotient(c):
-        a, b = float(lo.multiply(c, inv_lo)), float(hi.multiply(c, inv_hi))
+        a = float(lo.multiply(lo.plus(c), inv_lo))
+        b = float(hi.multiply(hi.plus(c), inv_hi))
         prec = 25
         while a != b:
             prec *= 2
@@ -139,17 +144,29 @@ def _cmd_range_dist(args):
         tail = total - sum(hist.values())
     quotient = _quotients(total)
     digits = args.digits
-    rows = [[n, m, c, _sig(quotient(c), digits)]
-            for m, c in sorted(hist.items())]
-    results = {
-        "distribution": [{"m": m, "count": str(c), "probability": pr}
-                         for _, m, c, pr in rows],
-        "tail_count": str(tail),
-        "total": str(total),
-    }
-    rep = _report("range-dist", {"n": n, "mmax": args.mmax}, results,
+    rows = ((m, c, _sig(quotient(c), digits)) for m, c in sorted(hist.items()))
+    # the report has ~n^2 digits, so it goes out one entry at a time rather
+    # than through _emit's one-shot json.dumps
+    write = sys.stdout.write
+    if args.format == "csv":
+        write("n,m,count,probability\n")
+        for m, c, pr in rows:
+            write(f"{n},{m},{c!s},{pr!r}\n")
+        return 0
+    rep = _report("range-dist", {"n": n, "mmax": args.mmax},
+                  {"distribution": [], "tail_count": str(tail),
+                   "total": str(total)},
                   {"backend": "exact", "digits": digits})
-    return _emit(rep, args.format, rows, ["n", "m", "count", "probability"])
+    head, foot = json.dumps(rep, sort_keys=True).split("[]")
+    write(head + "[")
+    sep = ""
+    for m, c, pr in rows:
+        # decimal digits and an int need no JSON escaping
+        write(f'{sep}{{"count": "{c!s}", "m": {m}, '
+              f'"probability": {json.dumps(pr)}}}')
+        sep = ", "
+    write("]" + foot + "\n")
+    return 0
 
 
 def _parse_spec(text):

@@ -745,13 +745,14 @@ def range_distribution(n, m_max=None, *, total=None):
     for i in range(1, n + 1):
         row.append(row[i - 1] * (n - i + 1) // (n + i))
 
-    # svals[t] = sum_{j >= 1} C(2n, n - tj)
-    svals = [0] + [sum(row[t::t]) for t in range(1, min(m_max, top) + 3)]
+    # tvals[t] = t S_t with S_t = sum_{j >= 1} C(2n, n - tj), so each big
+    # S_t is multiplied once and each count is a second difference
+    tvals = [0] + [t * sum(row[t::t]) for t in range(1, min(m_max, top) + 3)]
+    del row
 
     out = {}
     for m in range(2, min(m_max, top) + 1):
-        c = 2 * ((m - 1) * svals[m - 1] - 2 * m * svals[m]
-                 + (m + 1) * svals[m + 1])
+        c = 2 * (tvals[m - 1] - 2 * tvals[m] + tvals[m + 1])
         if c:
             out[m] = c
     return out

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from decimal import (Context, Decimal, Inexact, InvalidOperation, Rounded,
                      localcontext)
 from fractions import Fraction
@@ -428,19 +430,70 @@ def test_range_dist_ignores_the_ambient_decimal_context(capsys):
     assert capsys.readouterr().out == want
 
 
+def _range_dist_one_shot(n, mmax, digits, fmt):
+    """The range-dist stdout as the one-shot report of int counts."""
+    total = comb(2 * n, n)
+    hist = sorted(range_distribution(n, mmax).items())
+    rows = [(m, c, _sig(c / total, digits)) for m, c in hist]
+    if fmt == "csv":
+        return "".join(["n,m,count,probability\n"] +
+                       [f"{n},{m},{c},{pr}\n" for m, c, pr in rows])
+    report = {
+        "schema_version": 1, "command": "range-dist",
+        "parameters": {"n": n, "mmax": mmax},
+        "results": {
+            "distribution": [{"m": m, "count": str(c), "probability": pr}
+                             for m, c, pr in rows],
+            "tail_count": str(total - sum(c for _, c in hist)),
+            "total": str(total)},
+        "provenance": {"backend": "exact", "digits": digits},
+    }
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_range_dist_streams_the_one_shot_report(capsys, n, fmt):
+    for mmax in (None, 0, 1, 40):
+        for digits in (1, 6, 17):
+            argv = ["range-dist", "--n", str(n), "--digits", str(digits),
+                    "--format", fmt]
+            if mmax is not None:
+                argv += ["--mmax", str(mmax)]
+            assert run(argv) == 0
+            assert capsys.readouterr().out == \
+                _range_dist_one_shot(n, mmax, digits, fmt), argv
+
+
+def test_range_dist_memory_stays_flat(tmp_path):
+    # the report (4.06 MB at n = 3000) goes out entry by entry: one copy of
+    # the Decimal counts, not the whole report held as text several times
+    with open(tmp_path / "out.json", "w") as out, redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            assert run(["range-dist", "--n", "3000"]) == 0
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert json.loads((tmp_path / "out.json").read_text())["results"][
+        "total"] == str(comb(6000, 3000))
+
+
 def _quotient(c, total):
     return _quotients(Decimal(total))(Decimal(c))
 
 
 def test_decimal_quotient_is_int_true_division():
-    n = 2000
-    total = comb(2 * n, n)
-    counts = range_distribution(n).values()
-    want = [c / total for c in counts]
-    assert [_quotient(c, total) for c in counts] == want
-    assert 0.0 in want                                      # underflow
-    assert any(0 < x < sys.float_info.min for x in want)    # subnormals
-    assert _quotient(total, total) == 1.0
+    for n in (1500, 2000):
+        total = comb(2 * n, n)
+        counts = range_distribution(n).values()
+        want = [c / total for c in counts]
+        assert [_quotient(c, total) for c in counts] == want
+        assert 0.0 in want                                    # underflow
+        assert any(0 < x < sys.float_info.min for x in want)  # subnormals
+        assert _quotient(total, total) == 1.0
+        assert _quotient(0, total) == 0.0
 
 
 def test_decimal_quotient_widens_near_a_tie():
@@ -459,6 +512,11 @@ def test_decimal_quotient_widens_near_a_tie():
     # an exact tie, whose denominator 3q has no finite decimal reciprocal,
     # rounds half to even, as int / int does
     assert _quotient(3 * p, 3 * q) == p / q == 0.1
+    # c / total = 1 + 2^-53, halfway between 1 and the next double, with a
+    # count of 25 digits and one of 61 that the bracket rounds first
+    for e in (80, 200):
+        c, total = 2 ** e + 2 ** (e - 53), 2 ** e
+        assert _quotient(c, total) == c / total == 1.0
 
 
 def test_exact_dist_probabilities_are_rounded_exact_ratios(capsys):
