@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-import numpy as np
-
 from . import walks
 from .errors import DomainError, IllConditioned
 from .genfun import Engine, reduced_terms
@@ -319,6 +317,7 @@ def tail_rates_limit(k):
     """
     if k < 2:
         raise DomainError("N_2 has no tail: tail rates start at k = 2")
+    import numpy as np
     W = np.array(limit_transfer_matrix(k), dtype=np.float64)
     mu = np.linalg.eigvals(W)
     if np.any(mu.imag != 0):
@@ -424,6 +423,7 @@ def richardson(ns, values):
 
 def fit_linear_recurrence(values, order):
     """Least-squares linear recurrence; returns (roots, relative residual)."""
+    import numpy as np
     y = np.asarray(values, dtype=np.float64)
     if len(y) < 2 * order:
         raise IllConditioned("not enough sequence values for the fit order")
@@ -495,6 +495,7 @@ def tail_rate_fit(k, n):
     """
     if n < 500:
         raise DomainError("rate fitting needs n >= 500")
+    import numpy as np
     ls = list(range(3, 3 + max(12, 4 * (k - 1) + 8)))
     ns = [n // 2 ** i for i in range(4)]
     pr_inf = [est for est, _tol in extrapolate_probability(k, ls[-1], ns)[3:]]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -303,8 +304,6 @@ def _cmd_asymp(args):
         if not 2 <= kmax <= asy.TAIL_RATES_KMAX:
             args.usage_error("argument --kmax: must be from 2 to "
                              f"{asy.TAIL_RATES_KMAX} with --table 2")
-        if args.n < 500:
-            args.usage_error("argument --n: must be >= 500 with --table 2")
         if digits > asy.TAIL_RATES_DIGITS:
             args.usage_error("argument --digits: must be at most "
                              f"{asy.TAIL_RATES_DIGITS} with --table 2")
@@ -442,8 +441,8 @@ def build_parser():
     a.add_argument("--kmax", type=_int_from(1), default=5)
     a.add_argument("--lmax", type=_int_from(0), default=10)
     a.add_argument("--n", type=_int_from(1), default=2000,
-                   help="accepted for older command lines (>= 500 with "
-                        "--table 2); table 2 no longer reads it")
+                   help="accepted for older command lines; no table reads "
+                        "it")
     a.set_defaults(fn=_cmd_asymp, usage_error=a.error)
 
     o = add_parser("oracle", help="exhaustive enumeration counts")
@@ -491,7 +490,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`walkrange ... | head`): point it at
+        # devnull, so that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

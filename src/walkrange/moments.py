@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -91,6 +89,7 @@ def i0e(x):
 
 
 def _i0e_vec(x):
+    import numpy as np
     return np.array([i0e(v) for v in np.atleast_1d(x)])
 
 
@@ -130,11 +129,13 @@ _GL_CACHE = {}
 
 def _gl_nodes(n):
     if n not in _GL_CACHE:
+        import numpy as np
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
 
 
 def _panel_integral(f, a, b, nodes):
+    import numpy as np
     x, w = nodes
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return half * float(np.dot(w, f(mid + half * x)))
@@ -211,6 +212,8 @@ def green(d, z):
     eps = 1.0 - 2 * d * z
     if z == 0:
         return GreenValue(d, z, 0.0, "quadrature")
+
+    import numpy as np
 
     def f(y):
         return np.exp(-eps * y) * _i0e_vec(2 * z * y) ** d

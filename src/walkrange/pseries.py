@@ -18,7 +18,9 @@ scalar enters the coefficient field and in how a coefficient is read:
   the windows' entries and n their length, every product coefficient is
   below n 2^X, X = max_i(alpha_i - g i) + max_j(beta_j - g j) + g (n - 1)
   for any slope g >= 0, and the least X over g = 0..4 sizes the slot
-  (`_slot_bytes`).  Walk series grow about 2 bits per z^2 slot, where g = 2
+  (`_slot_bytes`).  Each max is a maximum of functions linear in g, so X
+  is convex in g, and a walk from g = 2 that stops where X stops falling
+  finds the least.  Walk series grow about 2 bits per z^2 slot, where g = 2
   needs about half the width of g = 0, the largest coefficients' bits;
 - float: a read-only, finite float64 array with den == 1, multiplied by
   numpy convolution (FFT from _FFT_THRESHOLD on), whose error is relative
@@ -53,8 +55,6 @@ import operator
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .errors import (BackendMismatch, DivByNonUnit, IllConditioned,
                      NonFiniteCoefficient)
 
@@ -76,9 +76,9 @@ _TINY = 1e-300
 # the scale s of every float cache
 _FLOAT_SCALE = 0.5
 
-# Kronecker slot widths: the slopes tried, in bits per slot, and the window
-# size from which they are tried at all (`_slot_bytes`)
-_SLOPES = np.arange(5)[:, None]
+# Kronecker slot widths: the largest slope tried, in bits per slot, and the
+# window size from which slopes are tried at all (`_slot_bytes`)
+_MAX_SLOPE = 4
 _SLOPE_MIN_SLOTS = 16
 
 # largest l1 norm of x * divisor - 1 a float inverse x may leave
@@ -91,12 +91,6 @@ def choose_backend(K, override=None):
             raise ValueError(f"unknown backend {override!r}")
         return override
     return EXACT if K <= EXACT_ORDER_LIMIT else FLOAT
-
-
-def _check_finite(arr):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteCoefficient("float series coefficient is NaN or infinite")
-    return arr
 
 
 def _valuation(v):
@@ -116,21 +110,37 @@ def _slot_bytes(a, b):
 
         |c_m| < n 2^(A_g + B_g + g (n - 1))    for every g >= 0.
 
-    With X the least of these exponents over the slopes in _SLOPES, n 2^X
-    < 2^(X + bits(n)), so w >= X + bits(n) + 1 suffices.  g = 0 is the
-    plain bound by the largest entries, bits(max|a|) + bits(max|b|), so w
-    is never wider than that bound sizes it.  Walk series grow about 2 bits
-    per y = z^2 slot, where the g = 0 bound is about twice the width of any
-    product coefficient.  Windows under _SLOPE_MIN_SLOTS slots
-    take g = 0 alone: the search costs more there than it saves."""
+    With X the least of these exponents over the slopes g = 0.._MAX_SLOPE,
+    n 2^X < 2^(X + bits(n)), so w >= X + bits(n) + 1 suffices.  g = 0 is
+    the plain bound by the largest entries, bits(max|a|) + bits(max|b|), so
+    w is never wider than that bound sizes it.  Walk series grow about 2
+    bits per y = z^2 slot, where the g = 0 bound is about twice the width
+    of any product coefficient.  Windows under _SLOPE_MIN_SLOTS slots
+    take g = 0 alone: the search costs more there than it saves.
+
+    A_g and B_g are maxima of functions linear in g, so the exponent
+    A_g + B_g + g (n - 1) is convex in g: once a step from g does not
+    lower it, no further step that way does.  The search walks from g = 2,
+    up while that lowers the exponent and else down, and stops at the
+    least exponent over 0.._MAX_SLOPE without trying every slope."""
     n = len(a)
     if n < _SLOPE_MIN_SLOTS:
         x = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
     else:
-        steps = _SLOPES * np.arange(n)
-        al = np.fromiter(map(int.bit_length, a), np.int64, n) - steps
-        be = np.fromiter(map(int.bit_length, b), np.int64, n) - steps
-        x = int((al.max(1) + be.max(1) + _SLOPES[:, 0] * (n - 1)).min())
+        al = list(map(int.bit_length, a))
+        be = list(map(int.bit_length, b))
+
+        def exponent(g):
+            steps = range(0, g * n, g) if g else [0] * n
+            return (max(map(operator.sub, al, steps))
+                    + max(map(operator.sub, be, steps)) + g * (n - 1))
+
+        g, x = 2, exponent(2)
+        for step in (1, -1):
+            while 0 <= g + step <= _MAX_SLOPE and (y := exponent(g + step)) < x:
+                g, x = g + step, y
+            if g != 2:
+                break
     return (x + n.bit_length() + 8) // 8
 
 
@@ -173,6 +183,7 @@ def _kronecker(a, b, K):
 
 def _convolve(a, b, K):
     """Coefficients 0..K of the product of the float vectors a and b."""
+    import numpy as np
     a, b = a[: K + 1], b[: K + 1]
     if K + 1 >= _FFT_THRESHOLD:
         size = 1 << (2 * K).bit_length()
@@ -191,18 +202,19 @@ def _scalar(c, backend):
 
 
 def _each(fn, *vecs):
-    """fn coefficientwise: on whole float arrays at once, entry by entry
-    along integer lists."""
-    if isinstance(vecs[-1], np.ndarray):
-        return fn(*vecs)
-    return list(map(fn, *vecs))
+    """fn coefficientwise: entry by entry along integer lists, on whole
+    float arrays at once."""
+    if isinstance(vecs[-1], list):
+        return list(map(fn, *vecs))
+    return fn(*vecs)
 
 
 def _orders(vec):
     """The orders 0, 1, ... of vec, as a vector of its kind."""
-    if isinstance(vec, np.ndarray):
-        return np.arange(len(vec), dtype=np.float64)
-    return range(len(vec))
+    if isinstance(vec, list):
+        return range(len(vec))
+    import numpy as np
+    return np.arange(len(vec), dtype=np.float64)
 
 
 class TruncatedSeries:
@@ -228,11 +240,15 @@ class TruncatedSeries:
             self.nums = nums if g == 1 else [c // g for c in nums]
             self.den = den // g
         elif backend == FLOAT:
+            import numpy as np
             data = np.asarray(coeffs, dtype=np.float64)[: K + 1]
             nums = np.zeros(K + 1)
             nums[: len(data)] = data
             nums.flags.writeable = False
-            self.nums = _check_finite(nums)
+            if not np.all(np.isfinite(nums)):
+                raise NonFiniteCoefficient(
+                    "float series coefficient is NaN or infinite")
+            self.nums = nums
             self.den = 1
         else:
             raise ValueError(f"unknown backend {backend!r}")
@@ -277,9 +293,10 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        # equal K gives equal lengths; both backends compare entry by entry
         return (self.backend == other.backend and self.K == other.K
                 and self.den == other.den
-                and bool(np.array_equal(self.nums, other.nums)))
+                and all(map(operator.eq, self.nums, other.nums)))
 
     def __repr__(self):
         head = ", ".join(str(self[m]) for m in range(min(6, self.K + 1)))
@@ -333,6 +350,7 @@ class TruncatedSeries:
             return Fraction(0) if self.backend == EXACT else 0.0
         a, b = self.nums[: m + 1], other.nums[m:: -1]
         if self.backend == FLOAT:
+            import numpy as np
             return float(np.dot(a, b))
         return Fraction(sum(map(operator.mul, a, b)), self.den * other.den)
 
@@ -352,7 +370,7 @@ class TruncatedSeries:
             # x other = 1 + d gives x - 1/other = d / other, so the l1 error
             # of x relative to |1/other|_1 is at most |d|_1; FFT products
             # err relative to |x| |other|, which a growing x makes show in d
-            d = np.abs((x * other - TruncatedSeries.one(K, FLOAT)).nums).sum()
+            d = abs((x * other - TruncatedSeries.one(K, FLOAT)).nums).sum()
             if not d <= _DIV_RESIDUAL:
                 raise IllConditioned(
                     f"float division residual {d:.1e} over "
@@ -426,6 +444,7 @@ class BaseSeriesCache:
                                  for m in range(half + 1)])
             self.inv_A = self._even([comb(2 * m, m) for m in range(half + 1)])
         else:
+            import numpy as np
             a = np.zeros(half + 1)
             inv = np.zeros(half + 1)
             a[0] = 1.0
@@ -449,7 +468,11 @@ class BaseSeriesCache:
 
     def _even(self, vals):
         """The series sum_i vals[i] z^(2i), i <= K//2."""
-        nums = [0] * (self.K + 1) if self.backend == EXACT else np.zeros(self.K + 1)
+        if self.backend == EXACT:
+            nums = [0] * (self.K + 1)
+        else:
+            import numpy as np
+            nums = np.zeros(self.K + 1)
         nums[::2] = vals
         return TruncatedSeries(nums, self.backend, self.K, 1)
 
@@ -472,6 +495,7 @@ class BaseSeriesCache:
         / 2, so past F^2 > K/4 it peaks at the last column n' = K//2, and top
         is read off that column alone: about sqrt(690 K/2) rows count."""
         if self._sweep is None:
+            import numpy as np
             half = self.K // 2
             seeds = self.inv_A.nums[::2]
             F = np.arange(1, half + 1, dtype=np.float64)
@@ -490,6 +514,7 @@ class BaseSeriesCache:
         block adds (F wts)[:, block] @ c_block to every row at once.  A
         column leaves the window once its c falls below _TINY, since c only
         falls with F; columns n' < F hold 0 and leave with them."""
+        import numpy as np
         seeds, top = self._ensure_even_rows()
         half = self.K // 2
         c = seeds.copy()
@@ -515,6 +540,7 @@ class BaseSeriesCache:
         C(2n+2, n+1-F) = C(2n, n-F) (2n+1) (2n+2) / ((n+1-F) (n+1+F)), that
         is b_{n+1} = b_n 2n (2n+1) / ((n+1-F) (n+1+F)), an exact division."""
         if self.backend == FLOAT:
+            import numpy as np
             wts = np.zeros((1, F + 1))
             wts[0, F] = 1.0
             return self._ballot_sweep(wts)[0]
@@ -561,6 +587,7 @@ class BaseSeriesCache:
                         acc_w[F] += wf
             sums.append(acc_w)
         if self.backend == FLOAT:
+            import numpy as np
             return [self._even(row) for row in
                     self._ballot_sweep(np.array(sums, dtype=np.float64))]
         out = []

@@ -22,8 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BudgetExceeded
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
@@ -128,6 +126,7 @@ _BLOCK_LEAVES = 2 ** 13
 def _point_blocks(n, d):
     """Point codes p_1 .. p_2n of every closed walk of length 2n whose first
     step is +e1 (so p_1 has code 1), in blocks; all of them for n = 0."""
+    import numpy as np
     if n == 0:
         # the empty walk: its one point, the origin, has multiplicity 2
         yield np.zeros((1, 1), dtype=np.int64)
@@ -177,6 +176,7 @@ def _visit_histograms(points, width):
     Sorts each row of `points` in place, and builds the cell index of each
     run in place, so that a block's largest arrays are not copied.
     """
+    import numpy as np
     rows, m = points.shape
     points.sort(axis=1)
     first = np.ones(points.shape, dtype=bool)
@@ -212,7 +212,7 @@ def oracle_counts(n, d, tracked=(), include_range=False,
         raise BudgetExceeded(
             f"(2d)^(2n) = {(2 * d) ** (2 * n)} exceeds budget {budget}")
     top_code = ((2 * n + 1) ** d - 1) // 2  # the point (n, n, .., n)
-    if top_code > np.iinfo(np.int64).max:
+    if top_code >= 2 ** 63:  # past int64
         raise BudgetExceeded(
             f"point codes reach ((2n+1)^d - 1)/2 = {top_code}, past int64")
     width = max((2 * n, 1) + tracked) + 1
@@ -233,6 +233,7 @@ def _block_counts(points, width, tracked, include_range):
     of its own, so that a block's histogram is freed before the next block
     grows.
     """
+    import numpy as np
     hist = _visit_histograms(points, width)
     cols = [hist[:, k] for k in tracked]
     if include_range:
@@ -295,6 +296,7 @@ def _crossing_dp(n, k, l_max, ms, wt, first):
     at layer s: row u keeps a ring of u slots in a packed triangle, layer s
     at slot off[u] + s % u, so step s reads rows u <= s only.
     """
+    import numpy as np
     u_cap = len(first)
     rows = np.arange(1, u_cap + 1)
     off = rows * (rows - 1) // 2
@@ -336,6 +338,7 @@ def local_time_distribution(n, k, l_max=None):
     so that each count is 2n sum / lcm(1..n); only nonzero counts are kept.
     Memory and time grow like n^3: a mid-size-n oracle (n up to ~100).
     """
+    import numpy as np
     if n < 0 or k < 1 or (l_max is not None and l_max < 0):
         raise ValueError("need n >= 0, k >= 1 and l_max >= 0")
     if n == 0:  # the empty walk visits the origin once: N_2 = 1
@@ -372,6 +375,7 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     starting at 4^{-u} / u (the rooting identity above); the read-out at
     length m gains the factor 2m.
     """
+    import numpy as np
     ms = [n] if lengths is None else list(lengths)
     if not all(1 <= m <= n for m in ms):
         raise ValueError(f"lengths must lie in 1..{n}")
@@ -404,6 +408,7 @@ def _axis_count_distribution(n, d):
     normalized in log space; the double-precision rounding is far below any
     Monte Carlo resolution.
     """
+    import numpy as np
     if not 1 <= d <= 3:
         raise ValueError("sampling supports 1 <= d <= 3")
     supports, logw = [], []
@@ -427,6 +432,7 @@ def sample_moments(n, d, samples, seed, k_max=3):
     then shuffled.  Returns a dict with means and standard errors,
     reproducible for a given seed.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     supports, probs = _axis_count_distribution(n, d)
     if len(supports) > 1:

@@ -306,7 +306,6 @@ def test_argument_errors_exit_two(capsys):
     ["asymp", "--table", "1", "--lmax", "-1"],
     ["asymp", "--table", "2", "--n", "0"],
     ["asymp", "--xi", "1"],
-    ["asymp", "--table", "2", "--n", "499"],
     ["asymp", "--table", "1", "--xi", "2"],
     ["range-dist", "--n", "3", "--mmax", "-1"],
     ["verify", "--n-max", "-1"],
@@ -320,16 +319,24 @@ def test_argument_errors_exit_two(capsys):
         "oracle-n-neg", "oracle-d0", "oracle-track-k0",
         "oracle-track-malformed", "asymp-kmax0", "asymp-table2-kmax1",
         "asymp-table2-kmax-over-cap", "asymp-table2-digits-over-cap",
-        "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table2-n-small",
-        "asymp-table-and-xi", "range-dist-mmax-neg",
-        "verify-n-max-neg", "digits0", "first-moment-d2-n1",
-        "asymp-xi-infinite", "asymp-xi-gamma-overflow"])
+        "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table-and-xi",
+        "range-dist-mmax-neg", "verify-n-max-neg", "digits0",
+        "first-moment-d2-n1", "asymp-xi-infinite", "asymp-xi-gamma-overflow"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
+
+
+def test_asymp_table2_output_does_not_depend_on_n(capsys):
+    # table 2 reads no length; --n stays accepted for older command lines
+    outs = []
+    for n in ("400", "2000"):
+        assert run(["asymp", "--table", "2", "--kmax", "4", "--n", n]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_asymp_without_table_or_xi_exits_two_without_traceback(capsys):
@@ -555,16 +562,78 @@ def test_float_dist_dp_matches_exact_backend(capsys, k):
                                                  rel=1e-10, abs=1e-15)
 
 
+def _checkout_env():
+    """The environment of a `python -m walkrange` run from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     # python -m walkrange from a checkout prints what cli.run prints
     argv = ["dist", "--n", "5", "--k", "2", "--lmax", "3"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "walkrange", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "walkrange", *argv],
+                          env=_checkout_env(), capture_output=True, text=True,
+                          timeout=60)
     assert run(argv) == 0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # `walkrange range-dist --n 2000 | head -c 100`: the report is megabytes,
+    # so the writer is still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "walkrange", "range-dist", "--n", "2000"],
+        env=_checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == 100
+    assert "Traceback" not in err, err
+
+
+# Commands whose routes are exact, asymptotic in closed form, or argparse
+# errors: none of them may import numpy.  The float DP comes last and must.
+_NUMPY_FREE_ARGV = [
+    ["dist", "--n", "12", "--k", "3", "--lmax", "8"],
+    ["moments", "--spec", "3:2", "--n", "10"],
+    ["range-dist", "--n", "20"],
+    ["asymp", "--table", "1"],
+    ["asymp", "--table", "3", "--kmax", "3"],
+    ["asymp", "--xi", "4"],
+    ["first-moment", "--d", "1", "--k", "2", "--n", "10"],
+    ["dist", "--n", "5", "--k", "0", "--lmax", "3"],
+]
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import walkrange
+from walkrange.cli import run
+seen = [["import walkrange", None, "numpy" in sys.modules]]
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    seen.append([" ".join(argv), rc, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_exact_routes_do_not_import_numpy():
+    float_dp = ["dist", "--n", "20", "--k", "3", "--lmax", "5",
+                "--backend", "float"]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                          input=json.dumps(_NUMPY_FREE_ARGV + [float_dp]),
+                          env=_checkout_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [rc for _, rc, _ in seen] == [None] + [0] * 7 + [2, 0]
+    assert [name for name, _, loaded in seen if loaded] == [" ".join(float_dp)]
 
 
 # first 16 hex digits of the sha256 of each query's stdout: the exact count

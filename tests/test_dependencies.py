@@ -4,6 +4,12 @@ mpmath and scipy are test extras, and sympy is not declared at all; an
 import of any of them, or of anything else, under src/walkrange would make
 the installed package fail where they are missing.  Every name a module
 imports is read there or exported, so no import outlives its last use.
+
+numpy is imported inside functions only: those of the float series and the
+crossing-profile DP, the enumeration oracle, Monte Carlo sampling,
+quadrature, eigenvalues and least squares.  So `import walkrange` and the
+exact routes never load it, and a CLI process that runs only those does not
+pay its import.
 """
 
 import ast
@@ -16,9 +22,9 @@ PACKAGE = Path(walkrange.__file__).resolve().parent
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "walkrange"}
 
 
-def _imported_roots(tree):
-    """(line, top-level module) of every absolute import in tree."""
-    for node in ast.walk(tree):
+def _imported_roots(nodes):
+    """(line, top-level module) of every absolute import among nodes."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.split(".")[0]
@@ -31,9 +37,38 @@ def test_src_imports_only_numpy_and_the_standard_library():
     assert len(sources) > 1
     bad = [(path.name, line, root)
            for path in sources
-           for line, root in _imported_roots(ast.parse(path.read_text()))
+           for line, root in _imported_roots(ast.walk(ast.parse(
+               path.read_text())))
            if root not in ALLOWED]
     assert bad == []
+
+
+def _run_on_import(tree):
+    """Every node of tree that runs when its module is imported: all but
+    the bodies of functions."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_numpy_is_imported_inside_functions_only():
+    bad = [(path.name, line)
+           for path in sorted(PACKAGE.glob("*.py"))
+           for line, root in _imported_roots(_run_on_import(ast.parse(
+               path.read_text())))
+           if root == "numpy"]
+    assert bad == []
+    # the check sees an import at module level or in a class or guard body,
+    # and passes one in a function
+    tree = ast.parse("import numpy as np\nclass C:\n    import numpy\n"
+                     "if True:\n    from numpy import fft\n"
+                     "def f():\n    import numpy as np\n")
+    assert sorted(_imported_roots(_run_on_import(tree))) == \
+        [(1, "numpy"), (3, "numpy"), (5, "numpy")]
 
 
 def test_every_public_name_resolves():

@@ -456,7 +456,7 @@ def _int_schoolbook(a, b):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 5, 15, 16, 40])
+@pytest.mark.parametrize("n", [1, 5, 15, 16, 40, 100, 256])
 @pytest.mark.parametrize("pa", sorted(_PROFILES))
 def test_slot_width_holds_every_product_coefficient(pa, n):
     # w = 8 nb is never wider than the largest-coefficient width the slots
