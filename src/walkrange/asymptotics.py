@@ -15,11 +15,12 @@ and variance it fixes the l <= 2 limits in closed form), the singlepoint 1/n
 polynomials, limit covariances of the point counts, the Riemann-xi limits of
 range moments, and the geometric tail rates of Pr(N_{2k} = l) for every k,
 read off the transfer operator at the singular point (`tail_rates_limit`).
-`probability_table` is the one float route to Pr_n(N_{2k} = l) (the float
-count series for k <= 2, the crossing-profile DP for k >= 3).  Richardson
-extrapolation in 1/n and linear-recurrence rate fitting (`tail_rate_fit`)
-read it, though no command runs either; the fit recovers the same rates
-from the DP, an independent check.
+`probability_table` is the one float route to Pr_n(N_{2k} = l) at one
+length n (the float count series for k <= 2, the crossing-profile DP for
+k >= 3).  Richardson extrapolation in 1/n and linear-recurrence rate
+fitting (`tail_rate_fit`) build one table per length of their grid, though
+no command runs either; the fit recovers the same rates from the DP, an
+independent check.
 """
 
 from __future__ import annotations
@@ -459,29 +460,27 @@ def _merge_close(values, tol):
     return [s / cnt for s, cnt in merged]
 
 
-def probability_table(k, ns, l_max):
-    """Pr_n(N_{2k} = l), l <= l_max, for every n in ns: (route, {n: values}).
+def probability_table(k, n, l_max):
+    """Pr_n(N_{2k} = l) for l = 0..l_max: (route, values).
 
-    Route "float" (k <= 2, or max(ns) = 0) reads one float series engine at
-    order 2 max(ns); route "dp" (k >= 3) takes one crossing-profile DP pass
-    up to max(ns).  The series route cancels ever harder for k >= 3
-    (condition ~ n^{(2k-1)/2}); the all-positive DP does not.
+    Route "float" (k <= 2, or n = 0) reads a float series engine at order
+    2n; route "dp" (k >= 3) runs the crossing-profile DP at length n.  The
+    series route cancels ever harder for k >= 3 (condition ~ n^{(2k-1)/2});
+    the all-positive DP does not.
     """
-    nmax = max(ns)
-    if k <= 2 or nmax == 0:
-        engine = Engine(2 * nmax, backend="float")
-        return "float", {n: engine.probabilities(n, k, l_max) for n in ns}
-    return "dp", walks.local_time_probabilities(nmax, k, l_max, lengths=ns)
+    if k <= 2 or n == 0:
+        engine = Engine(2 * n, backend="float")
+        return "float", engine.probabilities(n, k, l_max)
+    return "dp", walks.local_time_probabilities(n, k, l_max)
 
 
 def extrapolate_probability(k, l_max, n_grid):
     """Richardson limits of Pr_n(N_{2k} = l) over the 1/n grid, l = 0..l_max:
-    one (estimate, tolerance) per l from one probability table, the tolerance
-    taken from the last two extrapolation levels."""
+    one (estimate, tolerance) per l from one probability table per n, the
+    tolerance taken from the last two extrapolation levels."""
     ns = sorted(set(n_grid))
-    _route, table = probability_table(k, ns, l_max)
-    return [richardson(ns, [table[n][l] for n in ns])
-            for l in range(l_max + 1)]
+    table = [probability_table(k, n, l_max)[1] for n in ns]
+    return [richardson(ns, values) for values in zip(*table)]
 
 
 def tail_rate_fit(k, n):

@@ -122,12 +122,12 @@ def _cmd_dist(args):
                 {"l": l, "count": str(counts[l]), "probability": pr})
             rows.append([n, k, l, counts[l], pr])
     else:
-        route, table = asy.probability_table(k, [n], args.lmax)
+        route, values = asy.probability_table(k, n, args.lmax)
         provenance["backend"] = route
         if route == "dp":  # the DP has no truncation order
             del provenance["truncation"]
         results = {"distribution": [], "total": str(total)}
-        for l, p in enumerate(table[n]):
+        for l, p in enumerate(values):
             pr = _sig(p, digits)
             results["distribution"].append({"l": l, "probability": pr})
             rows.append([n, k, l, "", pr])
@@ -359,6 +359,8 @@ def _marginal(counts, idx):
 
 def _cmd_verify(args):
     nmax = args.n_max
+    # n = nmax is the dearest enumeration: refuse before any case runs
+    walks._check_enum_budget(nmax, 1)
     cases = []
     ok_all = True
     for n in range(1, nmax + 1):

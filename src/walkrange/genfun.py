@@ -143,29 +143,17 @@ def _trim(p):
     return p
 
 
-def _poly_sub(p, q):
-    """p - q for polynomials given as coefficient tuples."""
-    n = max(len(p), len(q))
-    return _trim(x - y for x, y in zip(p + (0,) * (n - len(p)),
-                                       q + (0,) * (n - len(q))))
-
-
-def _times_a2(p):
-    """p(y) (1 - 4y): a polynomial in y = z^2 times A^2."""
-    return _poly_sub(p, (0,) + tuple(4 * x for x in p))
-
-
 @cache
 def _a_form(power, m):
     """(a, b) with (1 - A)^power A^m = a(y) + b(y) A, y = z^2: integer
-    coefficient tuples, reduced by A^2 = 1 - 4y."""
-    if m:  # A (a + b A) = b (1 - 4y) + a A
-        a, b = _a_form(power, m - 1)
-        return _times_a2(b), a
-    if power:  # (1 - A) (a + b A) = a - b (1 - 4y) + (b - a) A
-        a, b = _a_form(power - 1, 0)
-        return _poly_sub(a, _times_a2(b)), _poly_sub(b, a)
-    return (1,), ()
+    coefficient tuples.  By the binomial theorem it is sum_i C(power, i)
+    (-1)^i A^(m + i), and A^(2j) = (1 - 4y)^j."""
+    ab = [0] * ((power + m) // 2 + 1), [0] * ((power + m) // 2 + 1)
+    for i in range(power + 1):
+        j, odd = divmod(m + i, 2)
+        for d in range(j + 1):
+            ab[odd][d] += (-1) ** i * comb(power, i) * comb(j, d) * (-4) ** d
+    return _trim(ab[0]), _trim(ab[1])
 
 
 @cache
@@ -288,7 +276,6 @@ class Engine:
         self._pows = {}
         self._basis = {}
         self._term_pair = {}
-        self._dp_counts = []
 
     # -- building blocks -----------------------------------------------------
 
@@ -628,22 +615,20 @@ class Engine:
         no inversion is needed: with W_i = S^2 rho^i / (1 + g), c_0 = h0 - a
         + b - W_0', c_1 = a - 2b + (3 W_0 - W_1)', c_2 = b + (3 W_1 - 3 W_0 -
         W_2)' and c_l = z d/dz [S^2 rho^(l-3) / (1 + g)^4] for l >= 3.
-        Each engine builds these n-independent series once and keeps them."""
-        if not self._dp_counts:
-            h0, a, b, s2, g = self._doublepoint_terms()
-            inv = (self.cache.one + g).inverse()
-            rho = g * inv
-            w0 = s2 * inv
-            w1 = w0 * rho
-            w2 = w1 * rho
-            self._dp_counts = [h0 - a + b - w0.zddz(),
-                               a - b.scaled(2) + (w0.scaled(3) - w1).zddz(),
-                               b + (w1.scaled(3) - w0.scaled(3) - w2).zddz()]
-            self._dp_tail = [w0 * inv.pow(3), rho]  # c_3 before z d/dz, rho
-        out, tail = self._dp_counts, self._dp_tail
-        while len(out) <= l_max:
-            out.append(tail[0].zddz())
-            tail[0] = tail[0] * tail[1]
+        Built afresh on each call: no route reads them twice per engine."""
+        h0, a, b, s2, g = self._doublepoint_terms()
+        inv = (self.cache.one + g).inverse()
+        rho = g * inv
+        w0 = s2 * inv
+        w1 = w0 * rho
+        w2 = w1 * rho
+        out = [h0 - a + b - w0.zddz(),
+               a - b.scaled(2) + (w0.scaled(3) - w1).zddz(),
+               b + (w1.scaled(3) - w0.scaled(3) - w2).zddz()]
+        acc = w0 * inv.pow(3)  # c_3 before z d/dz
+        for _ in range(3, l_max + 1):
+            out.append(acc.zddz())
+            acc = acc * rho
         return out[: l_max + 1]
 
     # -- mixed moments --------------------------------------------------------------

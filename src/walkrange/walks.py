@@ -208,13 +208,7 @@ def oracle_counts(n, d, tracked=(), include_range=False,
     tracked = tuple(tracked)
     if n < 0 or d < 1 or any(k < 1 for k in tracked):
         raise ValueError("need n >= 0, d >= 1 and tracked k >= 1")
-    if (2 * d) ** (2 * n) > budget:
-        raise BudgetExceeded(
-            f"(2d)^(2n) = {(2 * d) ** (2 * n)} exceeds budget {budget}")
-    top_code = ((2 * n + 1) ** d - 1) // 2  # the point (n, n, .., n)
-    if top_code >= 2 ** 63:  # past int64
-        raise BudgetExceeded(
-            f"point codes reach ((2n+1)^d - 1)/2 = {top_code}, past int64")
+    _check_enum_budget(n, d, budget)
     width = max((2 * n, 1) + tracked) + 1
     out = Counter()
     for points in _point_blocks(n, d):
@@ -223,6 +217,17 @@ def oracle_counts(n, d, tracked=(), include_range=False,
         for key in out:
             out[key] *= 2 * d
     return out
+
+
+def _check_enum_budget(n, d, budget=DEFAULT_ENUM_BUDGET):
+    """Raise BudgetExceeded where `oracle_counts(n, d)` would refuse."""
+    if (2 * d) ** (2 * n) > budget:
+        raise BudgetExceeded(
+            f"(2d)^(2n) = {(2 * d) ** (2 * n)} exceeds budget {budget}")
+    top_code = ((2 * n + 1) ** d - 1) // 2  # the point (n, n, .., n)
+    if top_code >= 2 ** 63:  # past int64
+        raise BudgetExceeded(
+            f"point codes reach ((2n+1)^d - 1)/2 = {top_code}, past int64")
 
 
 def _block_counts(points, width, tracked, include_range):
@@ -282,15 +287,15 @@ def oracle_mixed_moment(n, d, spec, budget=DEFAULT_ENUM_BUDGET):
 # terms are nonnegative, so the float DP has no cancellation and stays
 # accurate at large n, where series lose precision at high multiplicities.
 
-def _crossing_dp(n, k, l_max, ms, wt, first):
-    """Summed rows of the lowest-root crossing DP at each layer s in `ms`.
+def _crossing_dp(n, k, l_max, wt, first):
+    """Summed row of the lowest-root crossing DP at its last layer, s = n.
 
     Row u of layer s holds, by the number l <= l_max of points with k
     visits, the profiles with crossing total s whose last edge is crossed
     u <= len(first) times.  Row u starts at layer u with first[u - 1], and
     a step takes row u of layer s times wt[u' - 1, u - 1] to row u' of
     layer s + u'.  Runs in the dtype of `wt`: float64, or Python ints in
-    object arrays.  Returns {s: array over l}, the top point's mark added.
+    object arrays.  Returns the array over l, the top point's mark added.
 
     State (layer s, row u) is written once, from layer s - u, and read once,
     at layer s: row u keeps a ring of u slots in a packed triangle, layer s
@@ -305,20 +310,16 @@ def _crossing_dp(n, k, l_max, ms, wt, first):
     keep = marks <= l_max
     state[off[keep], marks[keep]] = first[keep]
 
-    out = {}
     for s in range(1, n + 1):
         live = min(s, u_cap)
         slots = off + s % rows
         lay = state[slots[:live]]
-        if s in ms:
-            top = lay.copy()
-            if k <= live:
-                top[k - 1, 0] = 0
-                top[k - 1, 1:] = lay[k - 1, :-1]
-            # cumsum adds the rows one by one; sum would go pairwise at L == 1
-            out[s] = np.cumsum(top, axis=0)[-1]
         if s == n:
-            break
+            if k <= live:  # the top point holds its edge's u visits
+                lay[k - 1, 1:] = lay[k - 1, :-1]
+                lay[k - 1, 0] = 0
+            # cumsum adds the rows one by one; sum would go pairwise at L == 1
+            return np.cumsum(lay, axis=0)[-1]
         up_max = min(u_cap, n - s)
         step = wt[:up_max, :live] @ lay
         # the point between rows k - v and v holds k visits: shift its mark
@@ -328,7 +329,6 @@ def _crossing_dp(n, k, l_max, ms, wt, first):
             step[v - 1, 1:] += c[:-1]
         # rows past up_max keep stale values: their next layer is past n
         state[slots[:up_max]] = step
-    return out
 
 
 def local_time_distribution(n, k, l_max=None):
@@ -350,37 +350,28 @@ def local_time_distribution(n, k, l_max=None):
     wt = np.array([[math.comb(u + v - 1, v) for u in rows] for v in rows],
                   dtype=object)
     first = np.array([lcm // u for u in rows], dtype=object)
-    sums = _crossing_dp(n, k, l_max, [n], wt, first)[n]
+    sums = _crossing_dp(n, k, l_max, wt, first)
     counts = [divmod(2 * n * c, lcm) for c in sums.tolist()]
     if any(rest for _, rest in counts):
         raise AssertionError(f"expected integer counts 2n sum / lcm(1..{n})")
     return {l: c for l, (c, _) in enumerate(counts) if c}
 
 
-def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
-    """Pr_m(N_{2k} = l) for l = 0..l_max by the crossing-profile DP in floats.
+def local_time_probabilities(n, k, l_max, u_cap=None):
+    """Pr_n(N_{2k} = l) for l = 0..l_max by the crossing-profile DP in floats.
 
     All DP weights are nonnegative, so double precision keeps ~12 accurate
     digits at any n; crossing numbers are capped at u_cap ~ 8 sqrt(n) (the
     neglected profiles carry e^{-O(u_cap^2/n)} mass) and the transition
     weights carry 4^{-u'} so every partial state stays in float range.
 
-    The layer of crossing total s depends only on earlier layers, not on the
-    target length, so one pass up to n reads off Pr_m at s == m for every m
-    in `lengths` (each in 1..n) and returns {m: array}; without `lengths`
-    it returns the array for m = n.  Shorter lengths share n's crossing cap
-    and so drop less mass than a run of their own.
-
     `_crossing_dp` runs with W[u, u'] = C(u+u'-1, u') 4^{-u'} and row u
-    starting at 4^{-u} / u (the rooting identity above); the read-out at
-    length m gains the factor 2m.
+    starting at 4^{-u} / u (the rooting identity above); the read-out
+    gains the factor 2n.
     """
     import numpy as np
-    ms = [n] if lengths is None else list(lengths)
-    if not all(1 <= m <= n for m in ms):
-        raise ValueError(f"lengths must lie in 1..{n}")
-    if k < 1 or l_max < 0 or (u_cap is not None and u_cap < 1):
-        raise ValueError("need k >= 1, l_max >= 0 and u_cap >= 1")
+    if n < 1 or k < 1 or l_max < 0 or (u_cap is not None and u_cap < 1):
+        raise ValueError("need n >= 1, k >= 1, l_max >= 0 and u_cap >= 1")
     u_cap = min(n, int(8 * math.sqrt(n)) + 16 if u_cap is None else u_cap)
     log4 = math.log(4.0)
     rows = np.arange(1, u_cap + 1)
@@ -391,12 +382,9 @@ def local_time_probabilities(n, k, l_max, u_cap=None, lengths=None):
     wt = np.exp(lgam[uu + vv] - lgam[vv + 1] - lgam[uu] - vv * log4)
     first = np.array([math.exp(-u * log4) / u for u in rows])
     # no walk of length 2n has more than 2n points, so l > 2n reads 0.0
-    out = _crossing_dp(n, k, min(l_max, 2 * n), ms, wt, first)
-    for s, v in out.items():
-        out[s] = np.zeros(l_max + 1)
-        out[s][: len(v)] = v / float(Fraction(math.comb(2 * s, s),
-                                              2 * s * 4 ** s))
-    return out[n] if lengths is None else out
+    sums = _crossing_dp(n, k, min(l_max, 2 * n), wt, first)
+    total = float(Fraction(math.comb(2 * n, n), 2 * n * 4 ** n))
+    return np.pad(sums / total, (0, l_max + 1 - len(sums)))
 
 
 def _axis_count_distribution(n, d):

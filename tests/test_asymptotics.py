@@ -174,10 +174,10 @@ def test_doublepoint_head_matches_richardson_limits_of_the_dp():
     # which share no code with the tail law or the covariance limit; with
     # the tail law they sum to 1 and have mean 1
     ns = [250, 500, 1000, 2000]
-    dp = local_time_probabilities(2000, 2, 2, lengths=ns)
+    dp = [local_time_probabilities(n, 2, 2) for n in ns]
     head = doublepoint_head()
     for l in range(3):
-        est, _tol = richardson(ns, [dp[n][l] for n in ns])
+        est, _tol = richardson(ns, [values[l] for values in dp])
         assert abs(head[l] - est) <= 1e-9, l
     probs = head + [doublepoint_tail().predict(l) for l in range(3, 200)]
     assert sum(probs) == pytest.approx(1.0, abs=1e-14)
@@ -411,20 +411,28 @@ def test_extrapolate_probability_singlepoints():
     assert tol < 1e-4
 
 
+def test_extrapolate_probability_doublepoint_head():
+    # the Richardson limits of the float k = 2 series, one engine per
+    # length, against the closed-form l <= 2 limits
+    grid = [250, 500, 1000, 2000]
+    for l, ((est, _tol), want) in enumerate(
+            zip(extrapolate_probability(2, 2, grid), doublepoint_head(),
+                strict=True)):
+        assert abs(est - want) <= 1e-8, l
+
+
 @pytest.mark.parametrize("k, ns, l_max, route", [
     (1, [40, 10, 25], 3, "float"), (2, [60, 15, 30], 12, "float"),
     (2, [7], 20, "float"), (3, [30, 8, 16], 10, "dp"), (4, [45, 12], 6, "dp"),
     (4, [1], 2, "dp")] + [(k, [0], 4, "float") for k in (1, 2, 3, 4, 9)])
 def test_probability_table_routes(k, ns, l_max, route):
-    # k <= 2 reads one float series engine, k >= 3 one DP pass; n = 0 has
-    # no DP layer, so every k reads the series there
-    got, table = probability_table(k, ns, l_max)
-    assert got == route
-    if route == "float":
-        eng = Engine(2 * max(ns), backend="float")
-        want = {n: eng.probabilities(n, k, l_max) for n in ns}
-    else:
-        want = local_time_probabilities(max(ns), k, l_max, lengths=ns)
-    assert sorted(table) == sorted(want) == sorted(ns)
+    # one length per table: k <= 2 reads a float series engine, k >= 3 a DP
+    # pass; n = 0 has no DP layer, so every k reads the series there
     for n in ns:
-        assert np.asarray(table[n]).tobytes() == np.asarray(want[n]).tobytes()
+        got, values = probability_table(k, n, l_max)
+        assert got == route
+        if route == "float":
+            want = Engine(2 * n, backend="float").probabilities(n, k, l_max)
+        else:
+            want = local_time_probabilities(n, k, l_max)
+        assert np.asarray(values).tobytes() == np.asarray(want).tobytes()

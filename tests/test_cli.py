@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from walkrange import asymptotics as asy
-from walkrange import walks
+from walkrange import cli, walks
 from walkrange.cli import _directed, _quotients, _sig, run
 from walkrange.genfun import Engine, range_distribution
 from walkrange.walks import local_time_probabilities
@@ -273,6 +273,21 @@ def test_internal_error_returns_structured_object(capsys):
         err = json.loads(cap.out.strip().splitlines()[-1])
         assert err["error"]["type"] == "BudgetExceeded", argv
         assert "Traceback" not in cap.out + cap.err, argv
+
+
+def test_verify_refuses_past_the_budget_before_enumerating(capsys,
+                                                            monkeypatch):
+    # n = 14 passes the enumeration budget: no case is computed first
+    def no_engine(*args, **kwargs):
+        raise AssertionError("verify built an Engine past its budget")
+
+    monkeypatch.setattr(cli, "Engine", no_engine)
+    rc = run(["verify", "--n-max", "14"])
+    cap = capsys.readouterr()
+    assert rc == 1
+    err = json.loads(cap.out)
+    assert err["error"]["type"] == "BudgetExceeded"
+    assert cap.err == ""
 
 
 def test_argument_errors_exit_two(capsys):
@@ -653,6 +668,18 @@ _STDOUT_SHA256 = {
     "oracle --n 5 --d 2 --track 2,3 --range": "950120d218a0aae6",
     "oracle --n 3 --d 3 --track 1,2 --range": "14c3d61402c1fa31",
     "verify --n-max 7": "2928c0cf9e36a49d",
+    # the seed-1 queries of the benchmark's exact-dist, oracle-verify and
+    # float-series workloads (perfbench/workloads.py)
+    "dist --n 82 --k 3 --lmax 54": "8cb4c057224ce348",
+    "dist --n 96 --k 3 --lmax 64": "feba053f25e6ae75",
+    "dist --n 100 --k 3 --lmax 66": "f4baf86167210151",
+    "moments --spec 3:4 --n 82": "9e7fb559b0307ce1",
+    "moments --spec 3:4 --n 96": "f9131c7e1a8e63b7",
+    "moments --spec 3:4 --n 100": "4ec8f638fe38deb6",
+    "verify --n-max 9": "654d67bbabaa69a2",
+    "range-dist --n 3013": "d668e909b3650c3f",
+    "range-dist --n 3887": "d29ed84ee554595d",
+    "range-dist --n 3914": "ba246f41cf583d2a",
 }
 
 
@@ -672,6 +699,15 @@ _FLOAT_STDOUT_SHA256 = {
     "dist --n 0 --k 3 --lmax 2 --backend float": "a73455be909d67da",
     "dist --n 3 --k 3 --lmax 2 --backend float": "12abbad287e43378",
     "asymp --table 1 --lmax 1": "e415b4a9aee80186",
+    # the seed-1 float queries of the benchmark's tail-fit and float-series
+    # workloads (table 2 prints the same for every --n), and one DP query
+    "asymp --table 2 --kmax 5": "791755e9a4ff185a",
+    "dist --n 3013 --k 2 --lmax 20": "8dda44f9add92bb9",
+    "dist --n 3887 --k 2 --lmax 20": "6e52a67951cb0139",
+    "dist --n 3914 --k 2 --lmax 20": "bb2311bcdff1f7b3",
+    "dist --n 999 --k 4 --lmax 4 --backend float": "bacd300449d33af7",
+    "first-moment --d 3 --k 2 --n 1000": "bc8c472529a98117",
+    "dist --n 2000 --k 5 --lmax 10 --backend float": "114335635fd068b7",
 }
 
 

@@ -241,16 +241,16 @@ def test_local_time_distribution_rejects_invalid_arguments():
 
 
 def test_local_time_probabilities_match_exact():
-    # one pass over the grid; n = 25 gives u_cap >= n, and the grid reaches
-    # lengths shorter than k
-    grid = [25, 12, 6, 3]
+    # one pass per length; n = 25 gives u_cap >= n, and the lengths reach
+    # below k
     for k in (2, 3, 5):
-        table = local_time_probabilities(25, k, 12, lengths=grid)
-        for m in grid:
+        for m in (25, 12, 6, 3):
+            got = local_time_probabilities(m, k, 12)
             exact = local_time_distribution(m, k)
             want = [exact.get(l, 0) / comb(2 * m, m) for l in range(13)]
-            np.testing.assert_allclose(table[m], want, rtol=0, atol=1e-13)
-    assert table[25].sum() == pytest.approx(1.0, abs=1e-11)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert local_time_probabilities(25, 5, 12).sum() == \
+        pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("n,k", [(25, 2), (25, 5), (40, 3), (60, 3), (60, 4),
@@ -375,27 +375,11 @@ def test_local_time_probabilities_equal_dict_of_layers(n, k, l_max, u_cap):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-def test_local_time_probabilities_lengths_match_separate_runs():
-    lengths = [240, 120, 60, 30, 7]
-    for k in (3, 4):
-        one_pass = local_time_probabilities(240, k, 15, u_cap=80,
-                                            lengths=lengths)
-        assert sorted(one_pass) == sorted(lengths)
-        for m in lengths:
-            alone = local_time_probabilities(m, k, 15, u_cap=80)
-            np.testing.assert_allclose(one_pass[m], alone, rtol=1e-14, atol=0)
-
-
-def test_local_time_probabilities_single_length_is_the_default():
-    for n, k in ((40, 3), (300, 4)):
-        (got,) = local_time_probabilities(n, k, 10, lengths=[n]).values()
-        assert got.tobytes() == local_time_probabilities(n, k, 10).tobytes()
-
-
-def test_local_time_probabilities_rejects_lengths_outside_the_pass():
-    for lengths in ([31], [0], [30, -2]):
-        with pytest.raises(ValueError):
-            local_time_probabilities(30, 3, 5, lengths=lengths)
+def test_local_time_probabilities_rejects_n_below_one():
+    # the DP has no layer for the empty walk
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            local_time_probabilities(n, 3, 5)
 
 
 @pytest.mark.parametrize("k,l_max,u_cap", [(0, 3, None), (3, -1, None),
