@@ -476,8 +476,12 @@ def probability_table(k, n, l_max):
 
 def extrapolate_probability(k, l_max, n_grid):
     """Richardson limits of Pr_n(N_{2k} = l) over the 1/n grid, l = 0..l_max:
-    one (estimate, tolerance) per l from one probability table per n, the
-    tolerance taken from the last two extrapolation levels."""
+    one (estimate, tolerance) per l from one probability table per n.
+
+    The tolerance is the gap between the last two extrapolation levels.  It
+    leaves out the float route's own error at each n, so it is no bound: on
+    [250, 500, 1000, 2000] at k = 2 the limits of l = 0 and 1 lie 3.2e-9
+    and 5.6e-9 from the closed form, with tolerances 2.3e-9 and 4.4e-9."""
     ns = sorted(set(n_grid))
     table = [probability_table(k, n, l_max)[1] for n in ns]
     return [richardson(ns, values) for values in zip(*table)]

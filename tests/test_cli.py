@@ -125,6 +125,16 @@ def test_first_moment_d3_integrates_the_escape_constant_once(capsys,
     assert rc == 0 and len(calls) == 1
     assert rep["results"]["asymptotic"] > 0
 
+
+@pytest.mark.parametrize("d", ["400", "1000"])
+def test_first_moment_answers_large_dimensions(capsys, d):
+    # G(d) ~ 1/(2d) at large d; the escape constant must not overflow there
+    rc, rep, _ = run_json(capsys, ["first-moment", "--d", d, "--k", "1",
+                                   "--n", "10"])
+    assert rc == 0
+    assert 19.9 < rep["results"]["asymptotic"] < 20.0
+
+
 def test_asymp_xi(capsys):
     rc, rep, _ = run_json(capsys, ["asymp", "--xi", "2"])
     assert rc == 0
@@ -619,6 +629,7 @@ _NUMPY_FREE_ARGV = [
     ["asymp", "--table", "3", "--kmax", "3"],
     ["asymp", "--xi", "4"],
     ["first-moment", "--d", "1", "--k", "2", "--n", "10"],
+    ["first-moment", "--d", "3", "--k", "2", "--n", "1000"],
     ["dist", "--n", "5", "--k", "0", "--lmax", "3"],
 ]
 _NUMPY_PROBE = """
@@ -647,7 +658,7 @@ def test_exact_routes_do_not_import_numpy():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert [rc for _, rc, _ in seen] == [None] + [0] * 7 + [2, 0]
+    assert [rc for _, rc, _ in seen] == [None] + [0] * 8 + [2, 0]
     assert [name for name, _, loaded in seen if loaded] == [" ".join(float_dp)]
 
 

@@ -7,9 +7,9 @@ imports is read there or exported, so no import outlives its last use.
 
 numpy is imported inside functions only: those of the float series and the
 crossing-profile DP, the enumeration oracle, Monte Carlo sampling,
-quadrature, eigenvalues and least squares.  So `import walkrange` and the
-exact routes never load it, and a CLI process that runs only those does not
-pay its import.
+eigenvalues and least squares; the return-series quadrature of `moments` is
+pure Python.  So `import walkrange` and the exact routes never load it, and
+a CLI process that runs only those does not pay its import.
 """
 
 import ast

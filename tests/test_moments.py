@@ -6,9 +6,9 @@ from math import comb
 
 import pytest
 
-from walkrange.errors import DomainError
+from walkrange.errors import DomainError, IllConditioned
 from walkrange.genfun import Engine
-from walkrange.moments import (asymptotic_first_moment,
+from walkrange.moments import (_exp_sinh, asymptotic_first_moment,
                                asymptotic_range_moment, elliptic_k,
                                escape_constant, first_moment_exact,
                                green, i0e,
@@ -122,6 +122,75 @@ def test_green_d3_boundary_against_return_probability():
     # lattice walk; the return probability is 0.3405373295...
     g = escape_constant(3)
     assert 1 - 1 / (1 + g) == pytest.approx(0.340537329550999, abs=1e-11)
+
+
+def test_escape_constant_d3_watson_closed_form():
+    # Watson (1939): G(3) + 1 = sqrt(6)/(32 pi^3) Gamma(1/24) Gamma(5/24)
+    # Gamma(7/24) Gamma(11/24)
+    watson = (math.sqrt(6) / (32 * math.pi ** 3) * math.gamma(1 / 24)
+              * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24))
+    assert abs(escape_constant(3) - (watson - 1)) <= 1e-14
+
+
+def _return_series(d, m_max):
+    """sum_{1 <= m <= m_max} c_m / (2d)^{2m}, with c_m = (2m)! [x^m]
+    (sum_j x^j / j!^2)^d the closed walks of length 2m on Z^d, exactly."""
+    base = [Fraction(1, math.factorial(j) ** 2) for j in range(m_max + 1)]
+
+    def mul(a, b):
+        return [sum(a[i] * b[m - i] for i in range(m + 1))
+                for m in range(m_max + 1)]
+
+    power, e = [Fraction(1)] + [Fraction(0)] * m_max, d
+    while e:
+        if e & 1:
+            power = mul(power, base)
+        base, e = mul(base, base), e >> 1
+    return sum(math.factorial(2 * m) * power[m] / Fraction(2 * d) ** (2 * m)
+               for m in range(1, m_max + 1))
+
+
+@pytest.mark.parametrize("d", [30, 400, 1000])
+def test_escape_constant_matches_the_exact_return_series(d):
+    # at d >= 30 the terms past m = 40 lie below 1e-15 of the sum
+    exact = _return_series(d, 40)
+    assert abs(Fraction(escape_constant(d)) - exact) <= 1e-12 * exact
+
+
+def test_green_near_critical_against_mpmath():
+    # 1 - 6z is 6e-13 here, far from the critical point in the value:
+    # h(0,3,z) falls off like sqrt(1 - 6z) below G(3)
+    mp = pytest.importorskip("mpmath")
+    z = 1 / 6 - 1e-13
+    with mp.workdps(30):
+        zz = mp.mpf(z)
+        eps = 1 - 6 * zz
+
+        def f(u):  # the integrand in u = log y
+            y = mp.exp(u)
+            x = 2 * zz * y
+            with mp.workdps(40 + max(0, int(u / 2))):
+                return +(mp.exp(3 * (mp.log(mp.besseli(0, x)) - x) - eps * y)
+                         * y)
+
+        ref = float(mp.quad(f, [-60, -10, 0, 5, 10, 20, 30, 40]) - 1)
+    assert abs(green(3, z).value - ref) <= 1e-9
+    assert escape_constant(3) - green(3, z).value > 1e-7
+
+
+def test_green_domain_check_is_relative():
+    # 2dz = 2.8: far past the critical point, whatever the size of d
+    with pytest.raises(DomainError):
+        green(10 ** 15, 1.4e-15)
+    # a few ulps past 1/6 is the critical point, up to the rounding of z
+    assert green(3, 1 / 6 + 1e-16).value == pytest.approx(escape_constant(3),
+                                                          abs=5e-15)
+
+
+def test_exp_sinh_raises_when_levels_never_agree():
+    assert _exp_sinh(lambda y: math.exp(-y)) == pytest.approx(1, abs=1e-15)
+    with pytest.raises(IllConditioned):
+        _exp_sinh(lambda y: math.exp(-y) * (1 + 1e-6 * math.sin(1e7 * y)))
 
 
 def test_green_quadrature_against_scipy():
