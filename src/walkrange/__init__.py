@@ -22,8 +22,9 @@ from .walks import (RangeProfile, Walk, multiplicity, oracle_counts, profile,
                     sample_moments)
 from .asymptotics import (bernoulli, doublepoint_tail, em_expansion,
                           extrapolate_probability, range_moment_limit,
-                          second_moment_limit, singlepoint_expansion,
-                          tail_rate_fit, tail_rates_limit, zeta)
+                          second_moment_limit, second_moment_limits,
+                          singlepoint_expansion, tail_rate_fit,
+                          tail_rates_limit, zeta)
 
 __version__ = "0.1.0"
 
@@ -40,6 +41,6 @@ __all__ = [
     "sample_moments",
     "bernoulli", "doublepoint_tail", "em_expansion",
     "extrapolate_probability", "range_moment_limit", "second_moment_limit",
-    "singlepoint_expansion", "tail_rate_fit", "tail_rates_limit", "zeta",
+    "second_moment_limits", "singlepoint_expansion", "tail_rate_fit", "tail_rates_limit", "zeta",
     "__version__",
 ]

@@ -26,10 +26,12 @@ independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 from . import walks
 from .errors import DomainError, IllConditioned
@@ -113,20 +115,18 @@ def zeta(s):
 # expansion of g_k around the singular point
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EMExpansion:
+class EMExpansion(namedtuple("EMExpansion", "k order constant_zeta_multiple "
+                                            "lambda_terms lambda_tilde")):
     """Expansion g_k(s) ~ const - sum_l lam_l (1-s)^l - [k=1] sqrt(1-s)(1/4 + ...).
 
-    Each lam_l is stored as (rational, zeta_multiplier) with value
-    rational + zeta_multiplier * zeta(k+1); the constant is
-    k! zeta(k+1) / 2^{k+1}.
+    Each lam_l is stored in lambda_terms, for l = 1..order, as Fractions
+    (rational, zeta_multiplier) with value rational + zeta_multiplier *
+    zeta(k+1); the constant is k! zeta(k+1) / 2^{k+1}, the Fraction
+    constant_zeta_multiple times zeta(k+1).  lambda_tilde holds the Fraction
+    coefficients of the sqrt branch (k = 1 only, l = 1..order).
     """
 
-    k: int
-    order: int
-    constant_zeta_multiple: Fraction
-    lambda_terms: list      # l = 1..order: (Fraction rational, Fraction zeta coef)
-    lambda_tilde: list      # k = 1 only, l = 1..order: Fraction
+    __slots__ = ()
 
     @property
     def constant(self):
@@ -197,13 +197,12 @@ def em_expansion(k, M):
 # tail laws for the point-count distributions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TailModel:
-    """Pr(N = l) ~ sum_i rates[i]^l (theta0_i + l theta1_i)."""
+class TailModel(namedtuple("TailModel", "rates weights residual",
+                           defaults=(0.0,))):
+    """Pr(N = l) ~ sum_i rates[i]^l (theta0_i + l theta1_i); weights holds
+    (theta0, theta1) per rate."""
 
-    rates: list
-    weights: list   # (theta0, theta1) per rate
-    residual: float = 0.0
+    __slots__ = ()
 
     def predict(self, l):
         acc = 0.0
@@ -264,7 +263,7 @@ def limit_transfer_matrix(k):
     s' = k-2-b of `reduced_terms`.  Each chain_block(i, j) is replaced by its
     limit zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of
     every zeta value is collected exactly before one product with
-    `zeta_fraction`, as in `second_moment_limit`.
+    `zeta_fraction`.
     """
     cells = {}  # (a, b) -> {j: exact coefficient of zeta(j)}
     for (s, s2), weights in reduced_terms(k).items():
@@ -342,41 +341,111 @@ def singlepoint_expansion(n):
 # limit second moments of the point counts
 # ---------------------------------------------------------------------------
 
-def second_moment_limit(k1, k2):
-    """Limit covariance of (N_{2k1}, N_{2k2}); exact zeta bookkeeping.
+def _zeta_sweep(T, bits):
+    """Z[t] = zeta(t) 2^bits / (2^t t (t+1)) to within 1.1, for t = 2..T
+    (Z[0] = Z[1] = 0).
 
-    The double sum is collected into exact rational coefficients of each
-    zeta value before any rounding: the coefficients reach ~C(2k-2, k-1)^2
-    for k1 = k2 = k, so float summation would lose everything to
-    cancellation at k around 100.
+    zeta(t) / 2^t = eta(t) / (2^t - 2) for the alternating
+    eta(t) = sum_j (-1)^j / (j+1)^t, and the weights of `_zeta_fraction`
+    give eta(t) to within 3 (3 + sqrt 8)^-n, n = nterms.  Term j is kept as
+    c_j(t) = floor(Y_j / (j+1)^t), Y_j = (d_n - d_j) 2^(bits+g) / d_n, so one
+    floor division by j + 1 steps it from t to t + 1 with no error carried
+    (floor(floor(y) / b) = floor(y / b)).  The n floors and the acceleration
+    cost below 1/2 unit of 2^-bits in eta(t) for g = bitlen(n) + 2 guard
+    bits; the last floor adds under 1.  c_j(t) falls with j, so the terms
+    from the first zero on are dropped for good."""
+    nterms = int(bits * math.log(2) / math.log(3 + math.sqrt(8))) + 8
+    d = _chebyshev_weights(nterms)
+    dn = d[nterms]
+    guard = nterms.bit_length() + 2
+    scale = 1 << (bits + guard)
+    terms = [(dn - d[j]) * scale // (dn * (j + 1) ** 2) for j in range(nterms)]
+    Z = [0, 0]
+    for t in range(2, T + 1):
+        while terms and not terms[-1]:
+            terms.pop()
+        eta = sum(terms[0::2]) - sum(terms[1::2])
+        Z.append(eta // ((((1 << t) - 2) * t * (t + 1)) << guard))
+        terms = [c // j for j, c in enumerate(terms, 1)]
+    return Z
+
+
+def second_moment_limits(ks):
+    """Limit covariances of (N_{2k1}, N_{2k2}): {(k1, k2): float} for every
+    k1 <= k2 in ks.
+
+    With a_r = C(k1-1, r-1), b_r = C(k2-1, r-1), s = r1 + r2,
+    sigma = 2 (-1)^s C(s, r1) and Z_t = zeta(t) / (2^t t (t+1)), each limit
+    is
+
+        [k1 = k2] - 1/2 + (k1 + k2) a^T H1 b + a^T H2 b,
+        H1[r1][r2] = sigma (s+1) Z_s,
+        H2[r1][r2] = sigma (-s (s+1) Z_s + (C(r1,2) + C(r2,2)) Z_{s-1} [s > 2]),
+
+    two bilinear forms in matrices shared by every pair: u = a^T H is formed
+    once per k1, and a pair costs two dot products.  The coefficients reach
+    ~C(2k-2, k-1)^2 at k1 = k2 = k, so the forms are summed in integers, on
+    the Z_t of `_zeta_sweep` at one fixed point 2^-bits, and the quotient of
+    two ints rounds correctly.
+
+    The error bound.  Take T = 2 max(ks) >= k1 + k2 and
+    bits = 128 + 2T + 2 bitlen(T).  Each Z_t is off by e_t < 2 units, and
+    the pair sums them with weights a b |sigma| ((k1+k2-s)(s+1) + C(r1,2)
+    + C(r2,2)) <= a b 2^(T+1) T (T+1).  Since sum a b = 2^(k1+k2-2) <=
+    2^(T-2), the error is below 2^(2T) T (T+1) 2^-bits < 2^-128: every
+    float is the rounding of a value within 2^-128 of the limit.
     """
-    # zeta(t) collects the s = t term over 2^t t and the s = t + 1 term over
-    # 2^(t+1) C(t+1, 2): both divide 2^t t (t + 1), so sum integer numerators
-    nums = {}
-    for s in range(2, k1 + k2 + 1):
-        p1 = p2 = 0
-        for r1 in range(max(1, s - k2), min(k1, s - 1) + 1):
-            r2 = s - r1
-            term = comb(k1 - 1, r1 - 1) * comb(k2 - 1, r2 - 1) * comb(s, r1)
-            p1 += term
-            p2 += term * (comb(r1, 2) + comb(r2, 2))
-        sign = 2 * (-1) ** s
-        if p1 * (k1 + k2 - s):
-            nums[s] = nums.get(s, 0) + sign * p1 * (k1 + k2 - s) * (s + 1)
-        if s > 2 and p2:
-            nums[s - 1] = nums.get(s - 1, 0) + sign * p2
-    if not nums:
-        return float((1 if k1 == k2 else 0) - Fraction(1, 2))
-    dens = {t: 2 ** t * t * (t + 1) for t in nums}
-    maxmag = max(abs(c / dens[t]) for t, c in nums.items())
-    digits = 30 + int(math.log10(max(maxmag, 1.0))) + 1
-    # one integer sum over a common denominator; int / int rounds correctly
-    zf = {t: zeta_fraction(t, digits) for t in nums}
-    den = math.lcm(2, *(dens[t] * zf[t].denominator for t in nums))
-    num = (1 if k1 == k2 else -1) * (den // 2) + sum(
-        c * zf[t].numerator * (den // (dens[t] * zf[t].denominator))
-        for t, c in nums.items())
-    return num / den
+    ks = sorted(set(ks))
+    if not ks or ks[0] < 1:
+        raise DomainError("covariance limits need at least one k, all >= 1")
+    K = ks[-1]
+    T = 2 * K
+    bits = 128 + 2 * T + 2 * T.bit_length()
+    Z = _zeta_sweep(T, bits)
+    # H1 = C(s, r1) w1[s] and, as C(r1, 2) + C(r2, 2) = C(s, 2) - r1 r2 and
+    # r1 r2 C(s, r1) = r1 (r1 + 1) C(s, r1 + 1), H2 = C(s, r1) w2[s] -
+    # r1 (r1 + 1) C(s, r1 + 1) w3[s]
+    sign = [2 - 4 * (s % 2) for s in range(T + 1)]
+    z1 = [Z[s - 1] if s > 2 else 0 for s in range(T + 1)]
+    w1 = [g * (s + 1) * z for s, (g, z) in enumerate(zip(sign, Z))]
+    w2 = [g * (comb(s, 2) * y - s * (s + 1) * z)
+          for s, (g, z, y) in enumerate(zip(sign, Z, z1))]
+    w3 = list(map(mul, sign, z1))
+    rows = {1: [1]}  # k -> Pascal row k - 1, the a_r or b_r of k
+    row = [1]
+    for k in range(2, K + 1):
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+        if k in ks:
+            rows[k] = row
+    # u = a^T H for every k1 at once, one row of the symmetric H at a time
+    u1 = {k: [] for k in ks}
+    u2 = {k: [] for k in ks}
+    cur = list(accumulate([1] * (K + 1)))  # C(r + j, r), j = 0..K, at r = 1
+    for r in range(1, K + 1):
+        nxt = list(accumulate(cur))
+        span = slice(r + 1, r + K + 1)  # s = r + r' for r' = 1..K
+        h1 = list(map(mul, cur[1:], w1[span]))
+        h2 = [x - r * (r + 1) * y for x, y in zip(
+            map(mul, cur[1:], w2[span]), map(mul, nxt, w3[span]))]
+        for k in ks:
+            u1[k].append(sum(map(mul, rows[k], h1)))
+            u2[k].append(sum(map(mul, rows[k], h2)))
+        cur = nxt
+    half = 1 << (bits - 1)
+    out = {}
+    for i, k1 in enumerate(ks):
+        for k2 in ks[i:]:
+            b = rows[k2]
+            num = ((k1 + k2) * sum(map(mul, u1[k1], b))
+                   + sum(map(mul, u2[k1], b)) + (half if k1 == k2 else -half))
+            out[k1, k2] = num / (1 << bits)
+    return out
+
+
+def second_moment_limit(k1, k2):
+    """Limit covariance of (N_{2k1}, N_{2k2}): the one-pair call of
+    `second_moment_limits`, the same value in either order."""
+    return second_moment_limits((k1, k2))[min(k1, k2), max(k1, k2)]
 
 
 def range_moment_limit(r):

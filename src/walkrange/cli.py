@@ -319,12 +319,9 @@ def _cmd_asymp(args):
     kmax = args.kmax
     ks = sorted(set(range(1, kmax + 1)) | {100})
     entries, rows = [], []
-    for i, k1 in enumerate(ks):
-        for k2 in ks[i:]:
-            v = asy.second_moment_limit(k1, k2)
-            entries.append({"k1": k1, "k2": k2,
-                            "covariance": _sig(v, digits)})
-            rows.append([k1, k2, _sig(v, digits)])
+    for (k1, k2), v in asy.second_moment_limits(ks).items():
+        entries.append({"k1": k1, "k2": k2, "covariance": _sig(v, digits)})
+        rows.append([k1, k2, _sig(v, digits)])
     rep = _report("asymp", {"table": 3, "kmax": kmax},
                   {"covariances": entries}, {"digits": digits})
     return _emit(rep, args.format, rows, ["k1", "k2", "covariance"])

@@ -7,7 +7,7 @@ For d = 1 the moment series are closed-form in A = sqrt(1 - 4z^2):
 
 For general d everything runs through the return-series value
 
-    h(0,d,z) = integral_0^inf e^{-y} I_0(2zy)^d dy  -  1,
+    h(0,d,z) = integral_0^inf e^{-y} (I_0(2zy)^d - 1) dy,
 
 evaluated exactly for d = 1, by the AGM elliptic integral for d = 2, and for
 d >= 3 by one exp-sinh rule, which covers both the exponential decay of the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -57,10 +57,12 @@ def mean_range(n):
 _I0_SEAM = 15.0
 
 
-def _log_i0e(x):
-    """log(exp(-x) I_0(x)) for x >= 0, whose d-th multiple stays accurate at
-    any d: power series below the seam, scaled asymptotic expansion above
-    it; the two agree to ~1e-12 at the seam."""
+def _log_i0(x):
+    """(log(exp(-x) I_0(x)), log I_0(x)) for x >= 0, both accurate relative
+    to themselves, so d-fold multiples stay accurate at any d: power series
+    below the seam, where log I_0 = log1p(I_0 - 1) is formed first, and the
+    scaled asymptotic expansion above it; the two agree to ~1e-12 at the
+    seam."""
     if x <= _I0_SEAM:
         term = 1.0
         rest = 0.0
@@ -72,7 +74,8 @@ def _log_i0e(x):
             rest += term
             if term < (1.0 + rest) * 1e-18:
                 break
-        return math.log1p(rest) - x
+        log_i0 = math.log1p(rest)
+        return log_i0 - x, log_i0
     acc = 1.0
     term = 1.0
     prev = math.inf
@@ -84,14 +87,15 @@ def _log_i0e(x):
         prev = term
         if term < 1e-19:
             break
-    return math.log(acc) - 0.5 * math.log(2.0 * math.pi * x)
+    scaled = math.log(acc) - 0.5 * math.log(2.0 * math.pi * x)
+    return scaled, scaled + x
 
 
 def i0e(x):
     """exp(-x) I_0(x) for x >= 0."""
     if x < 0:
         raise DomainError("i0e is implemented for x >= 0")
-    return math.exp(_log_i0e(x))
+    return math.exp(_log_i0(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +121,7 @@ def elliptic_k(m):
 # the return series h(0,d,z)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GreenValue:
-    d: int
-    z: float
-    value: float
-    method: str
+GreenValue = namedtuple("GreenValue", "d z value method")
 
 
 _DE_STEP = 0.5    # first step in t
@@ -170,7 +169,7 @@ def _exp_sinh(f):
 
 
 def green(d, z):
-    """h(0,d,z): expected-return generating value, the integral minus 1.
+    """h(0,d,z): expected-return generating value.
 
     Defined for 0 <= z <= 1/(2d).  At the boundary the d = 1, 2 values are
     infinite (recurrent walks); for d >= 3 the boundary value is the escape
@@ -196,8 +195,15 @@ def green(d, z):
     # 1 - 2dz rounded once; the float nearest 1/(2d) is the critical point,
     # and the clamp absorbs the few ulps past it that the domain check admits
     eps = 0.0 if z == 1.0 / (2 * d) else max(float(1 - 2 * d * Fraction(z)), 0.0)
-    total = _exp_sinh(lambda y: math.exp(d * _log_i0e(2 * z * y) - eps * y))
-    return GreenValue(d, z, total - 1.0, "quadrature")
+
+    def excess(y):
+        # e^{-y} (I_0(2zy)^d - 1) = e^{-y} I_0^d (1 - I_0^{-d}): the integral
+        # of e^{-y} I_0^d is 1 + G, and integrating the excess over e^{-y}
+        # gives G without the cancellation of (1 + G) - 1 at large d
+        scaled, log_i0 = _log_i0(2 * z * y)
+        return math.exp(d * scaled - eps * y) * -math.expm1(-d * log_i0)
+
+    return GreenValue(d, z, _exp_sinh(excess), "quadrature")
 
 
 @functools.cache

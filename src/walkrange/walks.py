@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import BudgetExceeded
@@ -27,17 +26,16 @@ from .errors import BudgetExceeded
 DEFAULT_ENUM_BUDGET = 10 ** 8
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(namedtuple("Walk", "dim steps")):
     """Closed lattice path: signed axis steps, start fixed at the origin."""
 
-    dim: int
-    steps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for s in self.steps:
-            if s == 0 or abs(s) > self.dim:
-                raise ValueError(f"step {s} invalid for dimension {self.dim}")
+    def __new__(cls, dim, steps):
+        for s in steps:
+            if s == 0 or abs(s) > dim:
+                raise ValueError(f"step {s} invalid for dimension {dim}")
+        return super().__new__(cls, dim, steps)
 
     @property
     def length(self):
@@ -56,12 +54,21 @@ class Walk:
         return self.points()[-1] == tuple([0] * self.dim)
 
 
-@dataclass
 class RangeProfile:
     """Per-walk summary: counts[k] = number of points of multiplicity 2k."""
 
-    counts: dict = field(default_factory=dict)
-    range_: int = 0
+    __slots__ = ("counts", "range_")
+
+    def __init__(self, counts=None, range_=0):
+        self.counts = {} if counts is None else counts
+        self.range_ = range_
+
+    def __eq__(self, other):
+        return (isinstance(other, RangeProfile)
+                and (self.counts, self.range_) == (other.counts, other.range_))
+
+    def __repr__(self):
+        return f"RangeProfile(counts={self.counts!r}, range_={self.range_!r})"
 
     def count(self, k):
         return self.counts.get(k, 0)

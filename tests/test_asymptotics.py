@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from walkrange.errors import DomainError, IllConditioned
-from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction, bernoulli,
+from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction,
+                                   _zeta_sweep, bernoulli,
                                    doublepoint_head, doublepoint_tail,
                                    em_expansion,
                                    extrapolate_probability,
                                    fit_linear_recurrence,
                                    limit_transfer_matrix, probability_table,
                                    range_moment_limit, richardson,
-                                   second_moment_limit,
+                                   second_moment_limit, second_moment_limits,
                                    singlepoint_expansion, tail_rate_fit,
                                    tail_rates_limit, zeta, zeta_fraction)
 from walkrange.genfun import Engine
@@ -228,7 +229,9 @@ def test_second_moment_limit_symmetry():
 
 def test_second_moment_limit_against_mpmath():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
+    # the coefficients reach ~1e60 at k1 = k2 = 100
+    mp.mp.dps = 150
+    zetas = {}
 
     def reference(k1, k2):
         tot = mp.mpf(0)
@@ -237,15 +240,18 @@ def test_second_moment_limit_against_mpmath():
                 s = r1 + r2
                 base = (mp.binomial(k1 - 1, r1 - 1) * mp.binomial(k2 - 1, r2 - 1)
                         * (-1) ** s * mp.binomial(s, r1) / mp.mpf(2) ** s)
-                t1 = mp.mpf(k1 + k2 - s) / s * mp.zeta(s)
+                for t in (s, s - 1):
+                    if t >= 2 and t not in zetas:
+                        zetas[t] = mp.zeta(t)
+                t1 = mp.mpf(k1 + k2 - s) / s * zetas[s]
                 t2 = mp.mpf(0)
                 if s > 2:
                     t2 = ((mp.binomial(r1, 2) + mp.binomial(r2, 2))
-                          / mp.binomial(s, 2) * mp.zeta(s - 1))
+                          / mp.binomial(s, 2) * zetas[s - 1])
                 tot += base * (t1 + t2)
         return float((1 if k1 == k2 else 0) + mp.mpf(1) / 2 + 2 * tot - 1)
 
-    for k1, k2 in ((3, 4), (7, 9), (40, 41)):
+    for k1, k2 in ((3, 4), (7, 9), (40, 41), (100, 100), (64, 100)):
         assert second_moment_limit(k1, k2) == pytest.approx(
             reference(k1, k2), abs=1e-12)
 
@@ -286,6 +292,38 @@ def test_second_moment_limit_equals_term_by_term_sum():
         for k2 in ks[i:]:
             assert second_moment_limit(k1, k2) == \
                 _second_moment_limit_term_by_term(k1, k2), (k1, k2)
+
+
+def test_second_moment_limits_equal_the_term_by_term_sum_widely():
+    # one call at the fixed point of T = 202 gives every pair the float of
+    # the Fraction route, and the one-pair call agrees in either order
+    ks = list(range(1, 13)) + [37, 64, 100, 101]
+    table = second_moment_limits(ks)
+    assert len(table) == len(ks) * (len(ks) + 1) // 2
+    for (k1, k2), v in table.items():
+        assert v == _second_moment_limit_term_by_term(k1, k2), (k1, k2)
+    for k1, k2 in ((1, 1), (2, 5), (37, 101)):
+        assert second_moment_limit(k1, k2) == second_moment_limit(k2, k1) \
+            == table[k1, k2]
+
+
+def test_second_moment_limits_reject_k_below_one():
+    for ks in ([], [0, 2], [-1]):
+        with pytest.raises(DomainError):
+            second_moment_limits(ks)
+
+
+def test_zeta_sweep_against_mpmath():
+    # Z[t] is zeta(t) 2^bits / (2^t t (t+1)) to a unit, at the precision
+    # second_moment_limits takes for max(ks) = 100
+    mp = pytest.importorskip("mpmath")
+    T = 200
+    bits = 128 + 2 * T + 2 * T.bit_length()
+    Z = _zeta_sweep(T, bits)
+    with mp.workdps(int(bits * 0.31) + 20):
+        for t in range(2, T + 1):
+            want = mp.zeta(t) * mp.mpf(2) ** (bits - t) / (t * (t + 1))
+            assert abs(Z[t] - want) <= 4, t
 
 
 def test_range_moment_limits():

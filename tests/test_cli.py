@@ -186,7 +186,8 @@ def test_asymp_table3_small(capsys):
 def test_asymp_table3_lists_each_pair_once(capsys, monkeypatch):
     # k = 100 joins 1..kmax once, also when kmax reaches it; a cheap stub
     # stands in for the covariance limits
-    monkeypatch.setattr(asy, "second_moment_limit", lambda k1, k2: 0.25)
+    monkeypatch.setattr(asy, "second_moment_limits", lambda ks: {
+        (k1, k2): 0.25 for i, k1 in enumerate(ks) for k2 in ks[i:]})
     for kmax in (99, 100, 101):
         rc, rep, _ = run_json(capsys, ["asymp", "--table", "3",
                                        "--kmax", str(kmax)])
@@ -705,6 +706,8 @@ _FLOAT_STDOUT_SHA256 = {
     "dist --n 2 --k 2 --lmax 20 --backend float": "f019c0c4135c40e0",
     "dist --n 9 --k 2 --lmax 20 --backend float": "e138fc30a9cc40bf",
     "asymp --table 3 --kmax 8": "6feb1bcce88db165",
+    # every float of table 3 to the last bit, 5,050 pairs
+    "asymp --table 3 --kmax 100 --digits 17": "5e8a48399fff19da",
     # the float route's edges: n = 0 reads the series engine for any k, a
     # short k = 3 walk the DP, and table 1 prints fewer than three limits
     "dist --n 0 --k 3 --lmax 2 --backend float": "a73455be909d67da",

@@ -9,10 +9,14 @@ numpy is imported inside functions only: those of the float series and the
 crossing-profile DP, the enumeration oracle, Monte Carlo sampling,
 eigenvalues and least squares; the return-series quadrature of `moments` is
 pure Python.  So `import walkrange` and the exact routes never load it, and
-a CLI process that runs only those does not pay its import.
+a CLI process that runs only those does not pay its import.  Nor does
+`import walkrange` load `dataclasses`: its records are namedtuples and
+slotted classes.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,6 +73,19 @@ def test_numpy_is_imported_inside_functions_only():
                      "def f():\n    import numpy as np\n")
     assert sorted(_imported_roots(_run_on_import(tree))) == \
         [(1, "numpy"), (3, "numpy"), (5, "numpy")]
+
+
+def test_import_walkrange_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast and dis, about half the cost of
+    # `import walkrange`; the records are namedtuples and slotted classes
+    src = str(PACKAGE.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, walkrange; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_every_public_name_resolves():
