@@ -93,10 +93,11 @@ def _report(command, parameters, results, provenance=None):
 def _emit(report, fmt, csv_rows=None, csv_header=None):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True))
-    else:
-        print(",".join(csv_header))
-        for row in csv_rows:
-            print(",".join(str(c) for c in row))
+    else:  # quotes any field that holds a comma or a quote
+        import csv  # only CSV output loads the module
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(csv_header)
+        out.writerows(csv_rows)
     return 0
 
 
@@ -146,14 +147,12 @@ def _cmd_range_dist(args):
     quotient = _quotients(total)
     digits = args.digits
     rows = ((m, c, _sig(quotient(c), digits)) for m, c in sorted(hist.items()))
+    if args.format == "csv":
+        return _emit(None, "csv", ((n, m, c, pr) for m, c, pr in rows),
+                     ["n", "m", "count", "probability"])
     # the report has ~n^2 digits, so it goes out one entry at a time rather
     # than through _emit's one-shot json.dumps
     write = sys.stdout.write
-    if args.format == "csv":
-        write("n,m,count,probability\n")
-        for m, c, pr in rows:
-            write(f"{n},{m},{c!s},{pr!r}\n")
-        return 0
     rep = _report("range-dist", {"n": n, "mmax": args.mmax},
                   {"distribution": [], "tail_count": str(tail),
                    "total": str(total)},
@@ -311,11 +310,13 @@ def _cmd_asymp(args):
         for k in range(2, kmax + 1):
             rates = [_sig(r, digits) for r in asy.tail_rates_limit(k)]
             entries.append({"k": k, "rates": rates})
-            rows.append([k] + rates)
+            # k - 1 rates: short rows end in empty fields
+            rows.append([k] + rates + [""] * (kmax - k))
         rep = _report("asymp", {"table": 2, "kmax": kmax},
                       {"tail_rates": entries},
                       {"digits": digits, "route": "transfer-operator-limit"})
-        return _emit(rep, args.format, rows, ["k", "rates..."])
+        return _emit(rep, args.format, rows,
+                     ["k"] + [f"rate_{i}" for i in range(1, kmax)])
     kmax = args.kmax
     ks = sorted(set(range(1, kmax + 1)) | {100})
     entries, rows = [], []

@@ -1,7 +1,10 @@
 """Command-line interface: schemas, formats, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,6 +98,10 @@ def test_moments_subcommand(capsys):
     rc, rep, _ = run_json(capsys, ["moments", "--spec", "1:2", "--n", "2"])
     assert rc == 0
     assert rep["results"]["value"] == "4"
+    # depth 0 counts every walk: C(10, 5)
+    rc, rep, _ = run_json(capsys, ["moments", "--spec", "1:0", "--n", "5"])
+    assert rc == 0
+    assert rep["results"]["value"] == "252"
 
 
 def test_first_moment_subcommand(capsys):
@@ -104,6 +111,17 @@ def test_first_moment_subcommand(capsys):
     assert rep["results"]["asymptotic"] == 1.0
     assert abs(rep["results"]["expected_points"] - 1.0) < 0.02
 
+
+
+def test_first_moment_d2_is_the_log_law(capsys):
+    # d = 2: E N_{2k} ~ 2n pi^2 / log^2 n and E ran ~ 2n pi / log n
+    rc, rep, _ = run_json(capsys, ["first-moment", "--d", "2", "--k", "1",
+                                   "--n", "100"])
+    assert rc == 0
+    assert rep["results"] == {
+        "asymptotic": _sig(200 * math.pi ** 2 / math.log(100) ** 2, 6),
+        "asymptotic_range": _sig(200 * math.pi / math.log(100), 6)}
+    assert rep["results"]["asymptotic"] == 93.0761
 
 
 def test_first_moment_d3_integrates_the_escape_constant_once(capsys,
@@ -339,6 +357,7 @@ def test_argument_errors_exit_two(capsys):
     ["first-moment", "--d", "2", "--k", "1", "--n", "1"],
     ["asymp", "--xi", "433"],
     ["asymp", "--xi", "700"],
+    ["dist", "--n", "4.5", "--k", "1", "--lmax", "2"],
 ], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
         "moments-spec-malformed", "moments-spec-k0", "range-dist-n-neg",
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
@@ -347,13 +366,60 @@ def test_argument_errors_exit_two(capsys):
         "asymp-table2-kmax-over-cap", "asymp-table2-digits-over-cap",
         "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table-and-xi",
         "range-dist-mmax-neg", "verify-n-max-neg", "digits0",
-        "first-moment-d2-n1", "asymp-xi-infinite", "asymp-xi-gamma-overflow"])
+        "first-moment-d2-n1", "asymp-xi-infinite", "asymp-xi-gamma-overflow",
+        "dist-n-not-int"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
+
+
+def _csv_matches_json(argv, rep, rows):
+    """The CSV rows of argv against its JSON report, where they repeat it."""
+    results = rep["results"]
+    if argv[0] == "oracle":
+        assert rows == [[p, str(c)] for p, c in results["counts"].items()]
+    elif argv[0] == "verify":
+        assert rows == [[c["case"], c["status"]] for c in results["cases"]]
+    elif argv[0] == "moments":
+        assert rows == [[argv[2], argv[4], results["value"],
+                         str(results["normalized"])]]
+    elif argv[:3] == ["asymp", "--table", "2"]:
+        width = len(rows[0])
+        assert rows == [[str(e["k"])] + [str(r) for r in e["rates"]]
+                        + [""] * (width - len(e["rates"]) - 1)
+                        for e in results["tail_rates"]]
+    elif argv[0] == "dist":
+        assert [r[2:] for r in rows] == [
+            [str(e["l"]), e.get("count", ""), str(e["probability"])]
+            for e in results["distribution"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "6", "--k", "2", "--lmax", "4"],
+    ["dist", "--n", "6", "--k", "2", "--lmax", "4", "--backend", "float"],
+    ["range-dist", "--n", "5"],
+    ["moments", "--spec", "1:2,3:2", "--n", "5"],
+    ["first-moment", "--d", "3", "--k", "2", "--n", "100"],
+    ["asymp", "--table", "1", "--lmax", "4"],
+    ["asymp", "--table", "2", "--kmax", "4"],
+    ["asymp", "--table", "3", "--kmax", "3"],
+    ["asymp", "--xi", "4"],
+    ["oracle", "--n", "2", "--d", "1", "--track", "1,2"],
+    ["oracle", "--n", "3", "--d", "2", "--track", "1", "--range"],
+    ["verify", "--n-max", "1"],
+], ids=lambda argv: " ".join(argv))
+def test_csv_rows_are_as_wide_as_the_header(capsys, argv):
+    # fields holding commas (profiles, case names, specs) come out quoted,
+    # and every row parses back to the header's width
+    rc, rep, _ = run_json(capsys, argv)
+    assert rc == 0
+    assert run(argv + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert rows and all(len(r) == len(header) for r in rows), (header, rows)
+    _csv_matches_json(argv, rep, rows)
 
 
 def test_asymp_table2_output_does_not_depend_on_n(capsys):

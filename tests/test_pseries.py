@@ -447,6 +447,15 @@ _PROFILES = {
 }
 
 
+def _least_exponent(a, b, slopes):
+    """The least over g in slopes of max_i (bits(a_i) - g i) + max_j
+    (bits(b_j) - g j) + g (n - 1), by plain loops."""
+    n = len(a)
+    return min(max(v.bit_length() - g * i for i, v in enumerate(a))
+               + max(v.bit_length() - g * i for i, v in enumerate(b))
+               + g * (n - 1) for g in slopes)
+
+
 def _int_schoolbook(a, b):
     n = len(a)
     out = [0] * n
@@ -470,10 +479,8 @@ def test_slot_width_holds_every_product_coefficient(pa, n):
         once = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
                 + n.bit_length() + 2 + 7) // 8
         assert nb <= once, (pa, pb)
-        if n >= 16:  # the least bound over slopes 0..4, by plain loops
-            x = min(max(v.bit_length() - g * i for i, v in enumerate(a))
-                    + max(v.bit_length() - g * i for i, v in enumerate(b))
-                    + g * (n - 1) for g in range(5))
+        if n >= 16:  # the lesser of the slope-0 and slope-2 bounds
+            x = _least_exponent(a, b, (0, 2))
             assert nb == (x + n.bit_length() + 8) // 8, (pa, pb)
         half = 1 << (8 * nb - 1)
         assert all(abs(c) < half for c in _int_schoolbook(a, b)), (pa, pb)
@@ -487,6 +494,30 @@ def test_slot_width_follows_walk_growth():
     once = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + 60 .bit_length() + 2 + 7) // 8
     assert _slot_bytes(a, b) <= 0.6 * once
+
+
+def test_walk_series_need_no_slope_but_0_and_2(monkeypatch):
+    # on the exact walk series of a count and a moment query, every window
+    # of 16 slots or more gets the width the least bound over the slopes
+    # 0..4 gives: the slopes _slot_bytes leaves out would narrow no slot
+    from walkrange import pseries
+    from walkrange.genfun import Engine
+    windows = []
+    slot_bytes = pseries._slot_bytes
+
+    def recording(a, b):
+        nb = slot_bytes(a, b)
+        windows.append((a, b, nb))
+        return nb
+
+    monkeypatch.setattr(pseries, "_slot_bytes", recording)
+    Engine(200).distribution(100, 3, 66)
+    Engine(200).mixed_moment({3: 4}, 100)
+    wide = [(a, b, nb) for a, b, nb in windows if len(a) >= 16]
+    assert len(wide) > 100
+    for a, b, nb in wide:
+        x = _least_exponent(a, b, range(5))
+        assert nb == (x + len(a).bit_length() + 8) // 8, len(a)
 
 
 @pytest.mark.parametrize("K", [20, 41, 70])
