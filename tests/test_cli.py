@@ -788,6 +788,14 @@ _FLOAT_STDOUT_SHA256 = {
     "dist --n 999 --k 4 --lmax 4 --backend float": "bacd300449d33af7",
     "first-moment --d 3 --k 2 --n 1000": "bc8c472529a98117",
     "dist --n 2000 --k 5 --lmax 10 --backend float": "114335635fd068b7",
+    # every consumer of zeta to the last printed digit: xi(r) across the
+    # range --xi prints, table 1's tail law and head, table 2's Fraction W(k)
+    "asymp --xi 2 --digits 17": "28bc9a6cf2927f70",
+    "asymp --xi 3 --digits 17": "8e628623b5bbab50",
+    "asymp --xi 100 --digits 17": "2b5de51f0006ca08",
+    "asymp --xi 432 --digits 17": "e5b0f525125ff40c",
+    "asymp --table 1 --digits 17 --lmax 30": "7ec838ea699a9f27",
+    "asymp --table 2 --kmax 10 --digits 10": "b7f0168fd1fd308a",
 }
 
 
