@@ -15,6 +15,8 @@ and variance it fixes the l <= 2 limits in closed form), the singlepoint 1/n
 polynomials, limit covariances of the point counts, the Riemann-xi limits of
 range moments, and the geometric tail rates of Pr(N_{2k} = l) for every k,
 read off the transfer operator at the singular point (`tail_rates_limit`).
+Every zeta value is read off one fixed-point sweep of the alternating eta
+series (`_eta_sweep`).
 `probability_table` is the one float route to Pr_n(N_{2k} = l) at one
 length n (the float count series for k <= 2, the crossing-profile DP for
 k >= 3).  Richardson extrapolation in 1/n and linear-recurrence rate
@@ -57,53 +59,52 @@ def bernoulli(m):
 
 
 @lru_cache(maxsize=None)
-def _chebyshev_weights(nterms):
-    """Integer weights d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)."""
-    term = acc = 1  # n (n+i-1)! 4^i / ((n-i)! (2i)!) at i = 0
-    out = [acc]
-    for i in range(1, nterms + 1):
-        term, rem = divmod(term * 4 * (nterms + i - 1) * (nterms - i + 1),
-                           (2 * i - 1) * (2 * i))
-        if rem:
-            raise AssertionError("acceleration weights must be integers")
-        acc += term
-        out.append(acc)
-    return out
+def _eta_sweep(T, bits):
+    """(guard, E) with E[t] = eta(t) 2^(bits+guard) to within 2^(guard-1),
+    for t = 2..T (E[0] = E[1] = 0 pad the index).
 
-
-def _zeta_fraction(s, digits):
-    """zeta(s) as a Fraction with error below 10^-digits.
-
-    Alternating-series acceleration with exact integer Chebyshev weights;
-    the error after n terms is below 3 (3 + sqrt 8)^{-n} / (1 - 2^{1-s}).
-    """
-    if s < 2:
-        raise DomainError("zeta(s) implemented for integer s >= 2")
-    nterms = int(digits * math.log(10) / math.log(3 + math.sqrt(8))) + 8
-    d = _chebyshev_weights(nterms)
-    dn = d[nterms]
-    scale = 10 ** (digits + 4)
-    num = 0
-    for j in range(nterms):
-        num += (-1) ** j * ((d[j] - dn) * scale) // (j + 1) ** s
-    two = 2 ** (s - 1)
-    return Fraction(-num * two, scale * dn * (two - 1))
-
-
-_ZETA_FRACTIONS = {}  # s -> (digits, zeta(s) with error below 10^-digits)
+    eta(t) = sum_j (-1)^j / (j+1)^t = zeta(t) (1 - 2^(1-t)) is summed with
+    the integer Chebyshev weights d_j of Cohen, Rodriguez Villegas & Zagier
+    ("Convergence acceleration of alternating series", Experimental Math. 9,
+    2000): after n terms the error is below 3 (3 + sqrt 8)^-n, under
+    2^-bits / 10^4 at the n taken here.  Term j is kept as
+    c_j(t) = floor(Y_j / (j+1)^t), Y_j = (d_n - d_j) 2^(bits+guard) / d_n,
+    so one floor division by j + 1 steps it from t to t + 1 with no error
+    carried (floor(floor(y) / b) = floor(y / b)).  The n floors cost under
+    n units of 2^-(bits+guard), below 1/4 unit of 2^-bits for
+    guard = bitlen(n) + 2, so eta(t) is off by less than half a unit of
+    2^-bits.  c_j(t) falls with j, so the terms from the first zero on are
+    dropped for good."""
+    n = int(bits * math.log(2) / math.log(3 + math.sqrt(8))) + 8
+    # d_j = sum_{i<=j} n (n+i-1)! 4^i / ((n-i)! (2i)!), every term an
+    # integer: up to sign, the coefficient of x^i in T_n(1 - 2x)
+    term, d = 1, [1]
+    for i in range(1, n + 1):
+        term = term * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
+        d.append(d[-1] + term)
+    guard = n.bit_length() + 2
+    scale = 1 << (bits + guard)
+    terms = [(d[n] - d[j]) * scale // (d[n] * (j + 1) ** 2) for j in range(n)]
+    E = [0, 0]
+    for t in range(2, T + 1):
+        while terms and not terms[-1]:
+            terms.pop()
+        E.append(sum(terms[0::2]) - sum(terms[1::2]))
+        terms = [c // j for j, c in enumerate(terms, 1)]
+    return guard, E
 
 
 def zeta_fraction(s, digits):
-    """zeta(s) as a Fraction with error below 10^-digits.
-
-    One fraction per s is kept and answers every request for as many
-    digits or fewer; a request for more rebuilds it with at least twice the
-    digits, so each s is built a few times at most."""
-    have = _ZETA_FRACTIONS.get(s, (0, None))
-    if have[0] < digits:
-        digits = max(digits, 2 * have[0])
-        have = _ZETA_FRACTIONS[s] = (digits, _zeta_fraction(s, digits))
-    return have[1]
+    """zeta(s) as a Fraction with error below 10^-digits: eta(s) from
+    `_eta_sweep` at bits = ceil(digits log2 10) + 2 is off by less than
+    2^-(bits+1), and zeta(s) = eta(s) 2^(s-1) / (2^(s-1) - 1) at most doubles
+    that."""
+    if s < 2:
+        raise DomainError("zeta(s) implemented for integer s >= 2")
+    bits = math.ceil(digits * math.log2(10)) + 2
+    guard, E = _eta_sweep(s, bits)
+    two = 1 << (s - 1)
+    return Fraction(E[s] * two, (two - 1) << (bits + guard))
 
 
 def zeta(s):
@@ -263,7 +264,7 @@ def limit_transfer_matrix(k):
     s' = k-2-b of `reduced_terms`.  Each chain_block(i, j) is replaced by its
     limit zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of
     every zeta value is collected exactly before one product with
-    `zeta_fraction`.
+    `zeta_fraction`, which reads it off the fixed-point eta sweep.
     """
     cells = {}  # (a, b) -> {j: exact coefficient of zeta(j)}
     for (s, s2), weights in reduced_terms(k).items():
@@ -341,35 +342,6 @@ def singlepoint_expansion(n):
 # limit second moments of the point counts
 # ---------------------------------------------------------------------------
 
-def _zeta_sweep(T, bits):
-    """Z[t] = zeta(t) 2^bits / (2^t t (t+1)) to within 1.1, for t = 2..T
-    (Z[0] = Z[1] = 0).
-
-    zeta(t) / 2^t = eta(t) / (2^t - 2) for the alternating
-    eta(t) = sum_j (-1)^j / (j+1)^t, and the weights of `_zeta_fraction`
-    give eta(t) to within 3 (3 + sqrt 8)^-n, n = nterms.  Term j is kept as
-    c_j(t) = floor(Y_j / (j+1)^t), Y_j = (d_n - d_j) 2^(bits+g) / d_n, so one
-    floor division by j + 1 steps it from t to t + 1 with no error carried
-    (floor(floor(y) / b) = floor(y / b)).  The n floors and the acceleration
-    cost below 1/2 unit of 2^-bits in eta(t) for g = bitlen(n) + 2 guard
-    bits; the last floor adds under 1.  c_j(t) falls with j, so the terms
-    from the first zero on are dropped for good."""
-    nterms = int(bits * math.log(2) / math.log(3 + math.sqrt(8))) + 8
-    d = _chebyshev_weights(nterms)
-    dn = d[nterms]
-    guard = nterms.bit_length() + 2
-    scale = 1 << (bits + guard)
-    terms = [(dn - d[j]) * scale // (dn * (j + 1) ** 2) for j in range(nterms)]
-    Z = [0, 0]
-    for t in range(2, T + 1):
-        while terms and not terms[-1]:
-            terms.pop()
-        eta = sum(terms[0::2]) - sum(terms[1::2])
-        Z.append(eta // ((((1 << t) - 2) * t * (t + 1)) << guard))
-        terms = [c // j for j, c in enumerate(terms, 1)]
-    return Z
-
-
 def second_moment_limits(ks):
     """Limit covariances of (N_{2k1}, N_{2k2}): {(k1, k2): float} for every
     k1 <= k2 in ks.
@@ -385,15 +357,18 @@ def second_moment_limits(ks):
     two bilinear forms in matrices shared by every pair: u = a^T H is formed
     once per k1, and a pair costs two dot products.  The coefficients reach
     ~C(2k-2, k-1)^2 at k1 = k2 = k, so the forms are summed in integers, on
-    the Z_t of `_zeta_sweep` at one fixed point 2^-bits, and the quotient of
-    two ints rounds correctly.
+    Z_t at one fixed point 2^-bits, and the quotient of two ints rounds
+    correctly.  As zeta(t) / 2^t = eta(t) / (2^t - 2), Z_t is the E_t of
+    `_eta_sweep` floor-divided by (2^t - 2) t (t+1) 2^guard.
 
     The error bound.  Take T = 2 max(ks) >= k1 + k2 and
-    bits = 128 + 2T + 2 bitlen(T).  Each Z_t is off by e_t < 2 units, and
-    the pair sums them with weights a b |sigma| ((k1+k2-s)(s+1) + C(r1,2)
-    + C(r2,2)) <= a b 2^(T+1) T (T+1).  Since sum a b = 2^(k1+k2-2) <=
-    2^(T-2), the error is below 2^(2T) T (T+1) 2^-bits < 2^-128: every
-    float is the rounding of a value within 2^-128 of the limit.
+    bits = 128 + 2T + 2 bitlen(T).  E_t / 2^guard is off by less than 1/2
+    unit and (2^t - 2) t (t+1) >= 12, so after the floor each Z_t is off by
+    e_t < 2 units.  The pair sums them with weights a b |sigma|
+    ((k1+k2-s)(s+1) + C(r1,2) + C(r2,2)) <= a b 2^(T+1) T (T+1).  Since
+    sum a b = 2^(k1+k2-2) <= 2^(T-2), the error is below
+    2^(2T) T (T+1) 2^-bits < 2^-128: every float is the rounding of a value
+    within 2^-128 of the limit.
     """
     ks = sorted(set(ks))
     if not ks or ks[0] < 1:
@@ -401,7 +376,9 @@ def second_moment_limits(ks):
     K = ks[-1]
     T = 2 * K
     bits = 128 + 2 * T + 2 * T.bit_length()
-    Z = _zeta_sweep(T, bits)
+    guard, E = _eta_sweep(T, bits)
+    Z = [0, 0] + [E[t] // ((((1 << t) - 2) * t * (t + 1)) << guard)
+                  for t in range(2, T + 1)]
     # H1 = C(s, r1) w1[s] and, as C(r1, 2) + C(r2, 2) = C(s, 2) - r1 r2 and
     # r1 r2 C(s, r1) = r1 (r1 + 1) C(s, r1 + 1), H2 = C(s, r1) w2[s] -
     # r1 (r1 + 1) C(s, r1 + 1) w3[s]

@@ -253,10 +253,11 @@ def _cmd_first_moment(args):
         results["expected_range"] = _sig(mom.mean_range(n), digits)
     rep = _report("first-moment", {"n": n, "k": k, "d": d}, results,
                   {"digits": digits})
-    rows = [[d, k, n, results.get("expected_points", ""),
-             results["asymptotic"]]]
-    return _emit(rep, args.format, rows,
-                 ["d", "k", "n", "expected_points", "asymptotic"])
+    fields = ["expected_points", "asymptotic", "expected_range",
+              "asymptotic_range"]
+    return _emit(rep, args.format,
+                 [[d, k, n] + [results.get(f, "") for f in fields]],
+                 ["d", "k", "n"] + fields)
 
 
 def _cmd_asymp(args):
@@ -483,7 +484,10 @@ def run(argv=None):
     try:
         with _int_str_unlimited():
             return args.fn(args)
-    except WalkrangeError as exc:
+    except (WalkrangeError, ModuleNotFoundError) as exc:
+        # numpy is the one runtime dependency; the float routes import it
+        if isinstance(exc, ModuleNotFoundError) and exc.name != "numpy":
+            raise
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, sort_keys=True))
         return 1

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from walkrange.errors import DomainError, IllConditioned
-from walkrange.asymptotics import (TAIL_RATES_KMAX, _zeta_fraction,
-                                   _zeta_sweep, bernoulli,
+from walkrange.asymptotics import (TAIL_RATES_KMAX, _eta_sweep, bernoulli,
                                    doublepoint_head, doublepoint_tail,
                                    em_expansion,
                                    extrapolate_probability,
@@ -107,12 +106,19 @@ def test_zeta_fraction_high_precision():
             < mp.mpf(10) ** -digits, (s, digits)
 
 
-def test_zeta_float_whatever_precision_is_kept():
-    # zeta(s) reads the kept fraction, which may hold more than 25 digits;
-    # its float is the same as that of the 25-digit fraction
-    for s in range(2, 64):
-        zeta_fraction(s, 120)
-        assert zeta(s) == float(_zeta_fraction(s, 25)), s
+def test_zeta_over_the_whole_printed_range():
+    # zeta(s) is the correctly rounded float for every s that --xi prints,
+    # and zeta_fraction keeps its error bound at every precision asked for
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for s in range(2, 433):
+            assert zeta(s) == float(mp.zeta(s)), s
+    with mp.workdps(80):
+        for s in (2, 3, 5, 17, 64, 200, 432):
+            for digits in (10, 25, 50):
+                got = zeta_fraction(s, digits)
+                err = mp.mpf(got.numerator) / got.denominator - mp.zeta(s)
+                assert abs(err) < mp.mpf(10) ** -digits, (s, digits)
 
 
 def test_tail_sum_direct_value():
@@ -313,17 +319,22 @@ def test_second_moment_limits_reject_k_below_one():
             second_moment_limits(ks)
 
 
-def test_zeta_sweep_against_mpmath():
-    # Z[t] is zeta(t) 2^bits / (2^t t (t+1)) to a unit, at the precision
-    # second_moment_limits takes for max(ks) = 100
+def test_eta_sweep_against_mpmath():
+    # E[t] is eta(t) 2^(bits+guard) to half a unit of 2^guard, and the Z[t]
+    # that second_moment_limits derives is zeta(t) 2^bits / (2^t t (t+1)) to
+    # a unit, at the precision it takes for max(ks) = 100
     mp = pytest.importorskip("mpmath")
     T = 200
     bits = 128 + 2 * T + 2 * T.bit_length()
-    Z = _zeta_sweep(T, bits)
+    guard, E = _eta_sweep(T, bits)
     with mp.workdps(int(bits * 0.31) + 20):
         for t in range(2, T + 1):
+            eta = mp.zeta(t) * (1 - mp.mpf(2) ** (1 - t))
+            assert abs(E[t] - eta * mp.mpf(2) ** (bits + guard)) \
+                < 2 ** (guard - 1), t
+            Z = E[t] // ((((1 << t) - 2) * t * (t + 1)) << guard)
             want = mp.zeta(t) * mp.mpf(2) ** (bits - t) / (t * (t + 1))
-            assert abs(Z[t] - want) <= 4, t
+            assert abs(Z - want) <= 4, t
 
 
 def test_range_moment_limits():

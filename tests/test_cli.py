@@ -391,6 +391,10 @@ def _csv_matches_json(argv, rep, rows):
         assert rows == [[str(e["k"])] + [str(r) for r in e["rates"]]
                         + [""] * (width - len(e["rates"]) - 1)
                         for e in results["tail_rates"]]
+    elif argv[0] == "first-moment":
+        assert rows == [argv[2:7:2] + [str(results.get(f, "")) for f in (
+            "expected_points", "asymptotic", "expected_range",
+            "asymptotic_range")]]
     elif argv[0] == "dist":
         assert [r[2:] for r in rows] == [
             [str(e["l"]), e.get("count", ""), str(e["probability"])]
@@ -403,6 +407,7 @@ def _csv_matches_json(argv, rep, rows):
     ["range-dist", "--n", "5"],
     ["moments", "--spec", "1:2,3:2", "--n", "5"],
     ["first-moment", "--d", "3", "--k", "2", "--n", "100"],
+    ["first-moment", "--d", "1", "--k", "2", "--n", "10"],
     ["asymp", "--table", "1", "--lmax", "4"],
     ["asymp", "--table", "2", "--kmax", "4"],
     ["asymp", "--table", "3", "--kmax", "3"],
@@ -727,6 +732,42 @@ def test_exact_routes_do_not_import_numpy():
     seen = json.loads(proc.stdout)
     assert [rc for _, rc, _ in seen] == [None] + [0] * 8 + [2, 0]
     assert [name for name, _, loaded in seen if loaded] == [" ".join(float_dp)]
+
+
+_NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
+                  "from walkrange.cli import main; main()")
+
+
+def test_missing_numpy_is_a_structured_error():
+    # the routes that need numpy report its absence as a JSON error line;
+    # the exact routes still print their pinned bytes
+    for argv in (["oracle", "--n", "2", "--track", "1,2"],
+                 ["verify", "--n-max", "2"],
+                 ["dist", "--n", "300", "--k", "2", "--lmax", "2"],
+                 ["dist", "--n", "20", "--k", "1", "--lmax", "5"]):
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, *argv],
+                              env=_checkout_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        query = " ".join(argv)
+        if query in _STDOUT_SHA256:
+            assert proc.returncode == 0, query
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] \
+                == _STDOUT_SHA256[query]
+            continue
+        assert proc.returncode == 1, query
+        [line] = proc.stdout.splitlines()
+        err = json.loads(line)["error"]
+        assert err["type"] == "ModuleNotFoundError", query
+        assert "numpy" in err["message"], query
+
+
+def test_other_missing_modules_still_raise(monkeypatch):
+    def missing(args):
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    monkeypatch.setattr(cli, "_cmd_range_dist", missing)
+    with pytest.raises(ModuleNotFoundError):
+        run(["range-dist", "--n", "2"])
 
 
 # first 16 hex digits of the sha256 of each query's stdout: the exact count
