@@ -80,7 +80,10 @@ def _eta_sweep(T, bits):
     # integer: up to sign, the coefficient of x^i in T_n(1 - 2x)
     term, d = 1, [1]
     for i in range(1, n + 1):
-        term = term * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
+        term, rem = divmod(term * 4 * (n + i - 1) * (n - i + 1),
+                           (2 * i - 1) * 2 * i)
+        if rem:
+            raise AssertionError("acceleration weights must be integers")
         d.append(d[-1] + term)
     guard = n.bit_length() + 2
     scale = 1 << (bits + guard)
@@ -102,7 +105,8 @@ def zeta_fraction(s, digits):
     if s < 2:
         raise DomainError("zeta(s) implemented for integer s >= 2")
     bits = math.ceil(digits * math.log2(10)) + 2
-    guard, E = _eta_sweep(s, bits)
+    # sweeping to the next power of two serves every s up to it at once
+    guard, E = _eta_sweep(1 << (s - 1).bit_length(), bits)
     two = 1 << (s - 1)
     return Fraction(E[s] * two, (two - 1) << (bits + guard))
 
