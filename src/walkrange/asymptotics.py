@@ -97,6 +97,7 @@ def _eta_sweep(T, bits):
     return guard, E
 
 
+@lru_cache(maxsize=None)
 def zeta_fraction(s, digits):
     """zeta(s) as a Fraction with error below 10^-digits: eta(s) from
     `_eta_sweep` at bits = ceil(digits log2 10) + 2 is off by less than
