@@ -837,6 +837,13 @@ _FLOAT_STDOUT_SHA256 = {
     "asymp --xi 432 --digits 17": "e5b0f525125ff40c",
     "asymp --table 1 --digits 17 --lmax 30": "7ec838ea699a9f27",
     "asymp --table 2 --kmax 10 --digits 10": "b7f0168fd1fd308a",
+    # the float count series of k <= 2 to the last bit: below and above the
+    # orders where the ballot sweep and the FFT products change shape
+    "dist --n 257 --k 2 --lmax 40 --digits 17": "b35d02c30aeb6eac",
+    "dist --n 1000 --k 2 --lmax 40 --digits 17": "6adb6e18e18c5b76",
+    "dist --n 3914 --k 2 --lmax 40 --digits 17": "392a9cb509a708f2",
+    "dist --n 8000 --k 2 --lmax 40 --digits 17": "bdb60a3f83817f81",
+    "dist --n 3914 --k 1 --lmax 2 --digits 17": "d0d7d77f4045fa3d",
 }
 
 
