@@ -161,9 +161,9 @@ def _cmd_range_dist(args):
     write(head + "[")
     sep = ""
     for m, c, pr in rows:
-        # decimal digits and an int need no JSON escaping
-        write(f'{sep}{{"count": "{c!s}", "m": {m}, '
-              f'"probability": {json.dumps(pr)}}}')
+        # decimal digits and an int need no JSON escaping, and repr of a
+        # finite float is its JSON text
+        write(f'{sep}{{"count": "{c!s}", "m": {m}, "probability": {pr!r}}}')
         sep = ", "
     write("]" + foot + "\n")
     return 0

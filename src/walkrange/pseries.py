@@ -20,7 +20,9 @@ scalar enters the coefficient field and in how a coefficient is read:
   exact queries that is the width the least bound over slopes 0..4 gives;
 - float: a read-only, finite float64 array with den == 1, multiplied by
   numpy convolution (FFT from _FFT_THRESHOLD on), whose error is relative
-  to the operands' norms: float series need bounded coefficients.
+  to the operands' norms: float series need bounded coefficients.  Each
+  series keeps the spectrum of its last FFT order, so an operand that
+  enters many products is transformed once.
 
 Division is a Newton iteration on the product and log integrates z a'/a
 (Brent & Kung, "Fast algorithms for manipulating formal power series",
@@ -38,6 +40,10 @@ only through its even powers, whose ballot-number closed form [z^{2n}]
 B^{2F} = (F/n) C(2n, n - F) needs no series division, so the cache's exact
 series are integer vectors.  Float sums take every weight at once in one
 sweep down the ballot columns, a block of rows F at a time, and keep no row.
+The sweep stops before a block once all the rows left could add at most
+2^-60 of every entry, under half an ulp, so round-to-nearest leaves every
+sum as it is; it drops only whole trailing blocks, since a block of another
+shape would round the columns it keeps differently.
 The backend fixes the scale s of a cache, which stores s^m times the true
 coefficients: s = 1 on the exact backend, s = 1/2 on the float backend,
 where it cancels the 4^n growth of the walk counts and keeps every
@@ -68,6 +74,10 @@ _FFT_THRESHOLD = 384
 # running ballot product c_F(n') that keeps column n' in the sweep
 _ROW_BLOCK = 64
 _TINY = 1e-300
+
+# 2^60: the ballot sweep stops once every later row adds less than 2^-60 of
+# each entry (`_ballot_sweep`)
+_SWEEP_MARGIN = 2.0 ** 60
 
 # the scale s of every float cache
 _FLOAT_SCALE = 0.5
@@ -158,16 +168,23 @@ def _kronecker(a, b, K):
     return out
 
 
-def _convolve(a, b, K):
-    """Coefficients 0..K of the product of the float vectors a and b."""
+def _spectrum(vec, K):
+    """rfft of the float vector vec[0..K] at the FFT size of order-K
+    products, 2^bits(2K) >= 2K + 1, so no wrapped term reaches order K."""
     import numpy as np
-    a, b = a[: K + 1], b[: K + 1]
-    if K + 1 >= _FFT_THRESHOLD:
-        size = 1 << (2 * K).bit_length()
-        fa = np.fft.rfft(a, size)
-        fb = np.fft.rfft(b, size)
-        return np.fft.irfft(fa * fb, size)[: K + 1]
-    return np.convolve(a, b)[: K + 1]
+    return np.fft.rfft(vec[: K + 1], 1 << (2 * K).bit_length())
+
+
+def _convolve(a, b, K, fa=None, fb=None):
+    """Coefficients 0..K of the product of the float vectors a and b: direct
+    below _FFT_THRESHOLD, else by FFT from their spectra fa and fb, which
+    are taken here (`_spectrum`) when not given."""
+    import numpy as np
+    if K + 1 < _FFT_THRESHOLD:
+        return np.convolve(a[: K + 1], b[: K + 1])[: K + 1]
+    fa = _spectrum(a, K) if fa is None else fa
+    fb = _spectrum(b, K) if fb is None else fb
+    return np.fft.irfft(fa * fb, 1 << (2 * K).bit_length())[: K + 1]
 
 
 def _scalar(c, backend):
@@ -199,9 +216,12 @@ class TruncatedSeries:
 
     Coefficient m is nums[m] / den: integers over a canonical den (exact) or
     a read-only float array over den == 1 (float).  `coeffs` and `s[m]`
-    give Fractions or floats."""
+    give Fractions or floats.  A float series keeps the spectrum of the
+    last order it was multiplied at by FFT, so an operand that enters
+    several products (or both sides of a square) is transformed once; the
+    spectrum lives and dies with the series."""
 
-    __slots__ = ("backend", "K", "nums", "den")
+    __slots__ = ("backend", "K", "nums", "den", "_rfft")
 
     def __init__(self, coeffs, backend, K=None, den=None):
         """Coefficients coeffs[m] / den up to order K, zero past the end of
@@ -227,6 +247,7 @@ class TruncatedSeries:
                     "float series coefficient is NaN or infinite")
             self.nums = nums
             self.den = 1
+            self._rfft = None   # (K, `_spectrum` of nums at K) once multiplied
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
@@ -315,9 +336,22 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         K = self._binop_check(other)
-        kernel = _kronecker if self.backend == EXACT else _convolve
-        return TruncatedSeries(kernel(self.nums, other.nums, K), self.backend, K,
-                               self.den * other.den)
+        if self.backend == EXACT:
+            nums = _kronecker(self.nums, other.nums, K)
+        elif K + 1 < _FFT_THRESHOLD:
+            nums = _convolve(self.nums, other.nums, K)
+        else:
+            nums = _convolve(self.nums, other.nums, K,
+                             self._spectrum_at(K), other._spectrum_at(K))
+        return TruncatedSeries(nums, self.backend, K, self.den * other.den)
+
+    def _spectrum_at(self, K):
+        """Float series: `_spectrum` of nums at order K, taken once while K
+        is the order of this series' products.  rfft is deterministic, so a
+        kept spectrum gives the same product bits as a fresh one."""
+        if self._rfft is None or self._rfft[0] != K:
+            self._rfft = K, _spectrum(self.nums, K)
+        return self._rfft[1]
 
     def mul_coefficient(self, other, m):
         """[z^m] (self * other), read as one dot product of numerators with
@@ -470,7 +504,10 @@ class BaseSeriesCache:
 
         c_F(n') = C(2n', n' - F) s^{2n'} grows with n' while F^2 > (n' + 1)
         / 2, so past F^2 > K/4 it peaks at the last column n' = K//2, and top
-        is read off that column alone: about sqrt(690 K/2) rows count."""
+        is read off that column alone.  The sweep reads fewer rows than top
+        when its stop rule holds first: for the k <= 2 pair weights, 256,
+        384, 448, 512 and 704 of top = 777, 1136, 1409, 1614 and 2325 at K =
+        2000, 4000, 6026, 7828 and 16000."""
         if self._sweep is None:
             import numpy as np
             half = self.K // 2
@@ -490,7 +527,24 @@ class BaseSeriesCache:
         _ROW_BLOCK rows are running products down the columns, and each
         block adds (F wts)[:, block] @ c_block to every row at once.  A
         column leaves the window once its c falls below _TINY, since c only
-        falls with F; columns n' < F hold 0 and leave with them."""
+        falls with F; columns n' < F hold 0 and leave with them.
+
+        The sweep stops before the block starting at F0 once, for every row
+        i and every window column n',
+
+            c_{F0-1}(n') T_i(F0) <= 2^-60 |out_i(n')|,  T_i(F0) = sum_{F >= F0} F |wts[i, F]|.
+
+        Every computed c_F, F >= F0, is at most c_{F0-1}, as each ratio is
+        at most 1 and rounding is monotone; so each later block would add
+        at most c_{F0-1} T_i(F0) to out_i(n'), up to rounding of relative
+        size far below 2^-6.  That is less than 2^-54 |out_i(n')|, under
+        half an ulp, so round-to-nearest leaves out_i(n') as it is, and
+        the division by n' after the sweep does too.  No underflow spoils
+        this: window columns keep c >= _TINY, the weights are integers, so
+        an entry meeting the test with T_i(F0) > 0 is at least 2^60 _TINY.
+        Only whole trailing blocks are dropped, and the window is never cut
+        narrower than _TINY cuts it: the matmul of a block of another shape
+        rounds the kept columns differently."""
         import numpy as np
         seeds, top = self._ensure_even_rows()
         half = self.K // 2
@@ -498,7 +552,12 @@ class BaseSeriesCache:
         col = np.arange(half + 1, dtype=np.float64)
         out = np.zeros((len(wts), half + 1))
         lo, end = 1, min(top + 1, wts.shape[1])
+        # tail[i, F0] = 2^60 T_i(F0), scaled by a power of two, so exactly
+        tail = np.abs(wts[:, :end] * col[:end])[:, ::-1].cumsum(axis=1)[:, ::-1]
+        tail *= _SWEEP_MARGIN
         for F0 in range(1, end, _ROW_BLOCK):
+            if np.all(c[lo:] * tail[:, F0, None] <= np.abs(out[:, lo:])):
+                break
             F = np.arange(F0, min(F0 + _ROW_BLOCK, end), dtype=np.float64)
             block = (col[lo:] - F[:, None] + 1) / (col[lo:] + F[:, None])
             block[0] *= c[lo:]

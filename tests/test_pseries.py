@@ -9,7 +9,8 @@ import pytest
 
 from walkrange.errors import BackendMismatch, DivByNonUnit, IllConditioned
 from walkrange.pseries import (EXACT, FLOAT, BaseSeriesCache, TruncatedSeries,
-                               _slot_bytes, choose_backend)
+                               _FFT_THRESHOLD, _convolve, _slot_bytes,
+                               choose_backend)
 
 
 def frac_series(coeffs, K=None):
@@ -727,3 +728,121 @@ def test_float_division_raises_when_the_quotient_grows():
     for op in (v.inverse, v.log, lambda: r / v):
         with pytest.raises(IllConditioned, match="division residual"):
             op()
+
+
+def _full_ballot_sweep(cache, wts):
+    """The ballot sweep without its stop: every row to top, as
+    `BaseSeriesCache._ballot_sweep` ran before it stopped early."""
+    seeds, top = cache._ensure_even_rows()
+    half = cache.K // 2
+    c = seeds.copy()
+    col = np.arange(half + 1, dtype=np.float64)
+    out = np.zeros((len(wts), half + 1))
+    lo, end = 1, min(top + 1, wts.shape[1])
+    for F0 in range(1, end, 64):
+        F = np.arange(F0, min(F0 + 64, end), dtype=np.float64)
+        block = (col[lo:] - F[:, None] + 1) / (col[lo:] + F[:, None])
+        block[0] *= c[lo:]
+        np.cumprod(block, axis=0, out=block)
+        out[:, lo:] += (wts[:, F0: F0 + len(F)] * F) @ block
+        c[lo:] = block[-1]
+        lo += int(np.argmax(c[lo:] >= 1e-300))
+    out[:, 1:] /= col[1:]
+    return out
+
+
+def _divisor_sums(weight, top):
+    acc = [0] * (top + 1)
+    for f in range(1, top + 1):
+        for F in range(f, top + 1, f):
+            acc[F] += weight(f)
+    return acc
+
+
+_PAIR_WEIGHTS = [lambda f, i=i, j=j: comb(f - 1, i - 1) * comb(f, j)
+                 for i, j in [(1, 1), (1, 2), (2, 2)]]
+
+
+@pytest.mark.parametrize("K", [2, 101, 1922, 7828, 16000])
+def test_ballot_sweep_stop_keeps_every_bit(K):
+    # the sweep stops once no later row can move a bit: every weight matrix
+    # gives the rows the full sweep gives, to the last bit (zero signs too)
+    c = BaseSeriesCache(K, FLOAT)
+    top = c._ensure_even_rows()[1]
+    pair = np.array([_divisor_sums(w, top) for w in _PAIR_WEIGHTS],
+                    dtype=np.float64)
+    cases = [pair]
+    for F in (1, top, top + 1):
+        one_hot = np.zeros((1, F + 1))
+        one_hot[0, F] = 1.0
+        cases.append(one_hot)
+    late = np.array([_divisor_sums(lambda f: f * (f >= 5), top)],
+                    dtype=np.float64)
+    cases += [late, np.vstack([pair, late])]
+    for wts in cases:
+        assert c._ballot_sweep(wts).tobytes() == \
+            _full_ballot_sweep(c, wts).tobytes(), wts.shape
+
+
+def test_ballot_sweep_reads_few_rows_of_the_pair_weights(monkeypatch):
+    # at K = 7828 the k <= 2 pair weights stop moving bits well before
+    # top = 1614: the sweep reads at most 640 rows (it reads 512)
+    c = BaseSeriesCache(7828, FLOAT)
+    top = c._ensure_even_rows()[1]
+    assert top == 1614
+    rows = []
+    cumprod = np.cumprod
+
+    def counting(a, axis=None, out=None):
+        rows.append(a.shape[axis])
+        return cumprod(a, axis=axis, out=out)
+
+    monkeypatch.setattr(np, "cumprod", counting)
+    c.lambert_sums(_PAIR_WEIGHTS)
+    assert 0 < sum(rows) <= 640, rows
+
+
+@pytest.mark.parametrize("K", [_FFT_THRESHOLD - 2, _FFT_THRESHOLD - 1, 1000])
+def test_spectral_products_equal_fresh_convolutions(K):
+    # a float series keeps the spectrum of its last FFT order: products
+    # through kept spectra are the bits of `_convolve` on the same vectors,
+    # for distinct operands, a square, a series used at two orders and one
+    # operand used again; below _FFT_THRESHOLD nothing is kept
+    rng = np.random.default_rng(K)
+    a = TruncatedSeries(rng.uniform(-1, 1, K + 1), FLOAT)
+    b = TruncatedSeries(rng.uniform(-1, 1, K + 1), FLOAT)
+    short = TruncatedSeries(rng.uniform(-1, 1, K // 2 + 1), FLOAT)
+
+    def same(got, x, y, order):
+        assert got.K == order
+        assert got.nums.tobytes() == _convolve(x.nums, y.nums, order).tobytes()
+
+    for _ in range(2):
+        same(a * b, a, b, K)
+        same(b * a, b, a, K)
+        same(a * a, a, a, K)
+        same(a * short, a, short, K // 2)
+        same(short * a, short, a, K // 2)
+    fft = K + 1 >= _FFT_THRESHOLD
+    assert (a._rfft is not None) == fft and (b._rfft is not None) == fft
+
+
+def test_square_and_reused_operand_transform_once(monkeypatch):
+    # x * x and a later x * y with y's spectrum kept take one rfft, of x
+    K = 1000
+    rng = np.random.default_rng(K)
+    x = TruncatedSeries(rng.uniform(-1, 1, K + 1), FLOAT)
+    y = TruncatedSeries(rng.uniform(-1, 1, K + 1), FLOAT)
+    y * y
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(v, n=None):
+        calls.append(n)
+        return rfft(v, n)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    x * x
+    x * y
+    y * x
+    assert calls == [2048]
