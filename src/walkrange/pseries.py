@@ -75,8 +75,8 @@ _FFT_THRESHOLD = 384
 _ROW_BLOCK = 64
 _TINY = 1e-300
 
-# 2^60: the ballot sweep stops once every later row adds less than 2^-60 of
-# each entry (`_ballot_sweep`)
+# 2^60: the ballot sweep stops once all later rows add at most 2^-60 of
+# every entry (`_ballot_sweep`)
 _SWEEP_MARGIN = 2.0 ** 60
 
 # the scale s of every float cache
@@ -532,19 +532,23 @@ class BaseSeriesCache:
         The sweep stops before the block starting at F0 once, for every row
         i and every window column n',
 
-            c_{F0-1}(n') T_i(F0) <= 2^-60 |out_i(n')|,  T_i(F0) = sum_{F >= F0} F |wts[i, F]|.
+            c_{F0-1}(n') T_i(F0) <= 2^-60 |out_i(n')|,
+            T_i(F0) = sum_{F0 <= F < end} F |wts[i, F]|.
 
-        Every computed c_F, F >= F0, is at most c_{F0-1}, as each ratio is
-        at most 1 and rounding is monotone; so each later block would add
-        at most c_{F0-1} T_i(F0) to out_i(n'), up to rounding of relative
-        size far below 2^-6.  That is less than 2^-54 |out_i(n')|, under
-        half an ulp, so round-to-nearest leaves out_i(n') as it is, and
-        the division by n' after the sweep does too.  No underflow spoils
-        this: window columns keep c >= _TINY, the weights are integers, so
-        an entry meeting the test with T_i(F0) > 0 is at least 2^60 _TINY.
-        Only whole trailing blocks are dropped, and the window is never cut
-        narrower than _TINY cuts it: the matmul of a block of another shape
-        rounds the kept columns differently."""
+        Every computed c_F, F >= F0, is at most c_{F0-1}: each ratio rounds
+        to at most 1, and rounding is monotone.  So all later blocks
+        together would add at most c_{F0-1} T_i(F0) to out_i(n'), up to the
+        rounding of their products and sums and of the tail sums T, a
+        relative error under top 2^-52, far inside the factor 2^6 between
+        2^-60 and 2^-54.  Each addition is then under 2^-54 |out_i(n')|,
+        less than half an ulp, so round-to-nearest leaves out_i(n') as it
+        is, and the division by n' after the sweep gives the same bits.  No
+        underflow spoils this: window columns keep c >= _TINY and the
+        weights are integers, so an entry that meets the test with
+        T_i(F0) > 0 is at least 2^60 _TINY.  Only whole trailing blocks are
+        dropped, and the window is never cut narrower than _TINY cuts it:
+        the matmul of a block of another shape rounds the kept columns
+        differently."""
         import numpy as np
         seeds, top = self._ensure_even_rows()
         half = self.K // 2
@@ -552,9 +556,9 @@ class BaseSeriesCache:
         col = np.arange(half + 1, dtype=np.float64)
         out = np.zeros((len(wts), half + 1))
         lo, end = 1, min(top + 1, wts.shape[1])
-        # tail[i, F0] = 2^60 T_i(F0), scaled by a power of two, so exactly
-        tail = np.abs(wts[:, :end] * col[:end])[:, ::-1].cumsum(axis=1)[:, ::-1]
-        tail *= _SWEEP_MARGIN
+        # tail[i, F0] = 2^60 T_i(F0): scaling by a power of two is exact
+        tail = np.abs(wts[:, :end] * col[:end])[:, ::-1].cumsum(axis=1)
+        tail = tail[:, ::-1] * _SWEEP_MARGIN
         for F0 in range(1, end, _ROW_BLOCK):
             if np.all(c[lo:] * tail[:, F0, None] <= np.abs(out[:, lo:])):
                 break

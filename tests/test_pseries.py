@@ -605,13 +605,19 @@ def _ballot_row_over_4n(K, F):
     return out
 
 
+def _divisor_sums(weight, top):
+    """[sum_{f | F} weight(f) for F = 0..top], 0 at F = 0."""
+    acc = [0] * (top + 1)
+    for f in range(1, top + 1):
+        for F in range(f, top + 1, f):
+            acc[F] += weight(f)
+    return acc
+
+
 def _lambert_column_over_4n(K, weight, n):
     """[z^{2n}] sum_f weight(f) B^{2f}/(1 - B^{2f}) / 4^n, correctly rounded:
     sum_F (sum_{f | F} weight(f)) F C(2n, n - F) / (n 4^n) on exact integers."""
-    sums = [0] * (n + 1)
-    for f in range(1, n + 1):
-        for F in range(f, n + 1, f):
-            sums[F] += weight(f)
+    sums = _divisor_sums(weight, n)
     acc, b = 0, comb(2 * n, n)
     for F in range(1, n + 1):
         b = b * (n - F + 1) // (n + F)
@@ -749,14 +755,6 @@ def _full_ballot_sweep(cache, wts):
         lo += int(np.argmax(c[lo:] >= 1e-300))
     out[:, 1:] /= col[1:]
     return out
-
-
-def _divisor_sums(weight, top):
-    acc = [0] * (top + 1)
-    for f in range(1, top + 1):
-        for F in range(f, top + 1, f):
-            acc[F] += weight(f)
-    return acc
 
 
 _PAIR_WEIGHTS = [lambda f, i=i, j=j: comb(f - 1, i - 1) * comb(f, j)
