@@ -799,6 +799,14 @@ _STDOUT_SHA256 = {
     "range-dist --n 3013": "d668e909b3650c3f",
     "range-dist --n 3887": "d29ed84ee554595d",
     "range-dist --n 3914": "ba246f41cf583d2a",
+    # one-marker walks of every state size r = k - 1 = 1..5, long and short:
+    # D = 2n/k - 2 steps from 168 down to -1
+    "dist --n 256 --k 3 --lmax 10": "c37bb6b2589d1d3b",
+    "dist --n 256 --k 2 --lmax 10": "24b9e092eadfec1f",
+    "dist --n 200 --k 4 --lmax 10": "4e3eaecd1755c2c9",
+    "dist --n 100 --k 5 --lmax 40": "ed84d66a129c8f4e",
+    "dist --n 60 --k 6 --lmax 20": "3ed3e2257d0156d8",
+    "dist --n 3 --k 3 --lmax 5": "0f91b5b7080a09d3",
 }
 
 
