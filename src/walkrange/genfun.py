@@ -17,11 +17,13 @@ marginal `distribution`, and `mixed_moment`) give the walk the target order
 `joint_genfun` keeps whole series.  The walk runs on the state y[s], s <
 kmax - 1: it starts from every u_{k2} u_{k3} `start_row(k2, k3)` at once, is
 stepped for u_k by W(k) (`reduced_terms`, assembled by `transfer_operator`)
-and leaves through the exit row `left_row(k)`.  W(k) is the transfer
-operator Q(k) on the index set (rho, t) reduced to s = rho + t, the one
-transfer form built here; Q(k) has rank k - 1 and factors through it.
-Everything here was validated coefficient-by-coefficient against exhaustive
-walk enumeration.
+and leaves through the exit row `left_row(k)`.  With one tracked
+multiplicity the walk is the powers of one operator, and `_giant_walk`
+reads its exits by baby-step/giant-step, from about sqrt(2n/k) states
+instead of 2n/k steps.  W(k) is the transfer operator Q(k) on the index
+set (rho, t) reduced to s = rho + t, the one transfer form built here; Q(k)
+has rank k - 1 and factors through it.  Everything here was validated
+coefficient-by-coefficient against exhaustive walk enumeration.
 
 Building blocks (cache = BaseSeriesCache):
 
@@ -57,13 +59,14 @@ exact k = 2 check shares no table with the walk.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, perm, prod
 
 from .errors import DomainError, MarkerOverflow, NonUnit
-from .pseries import EXACT, BaseSeriesCache, TruncatedSeries
+from .pseries import EXACT, BaseSeriesCache, TruncatedSeries, _valuation
 
 
 def reduced_terms(k, kmax=None):
@@ -426,7 +429,8 @@ class Engine:
         2n >= 2, exact backend: the [z^{2n}] coefficients of
         `joint_genfun(tracked, bounds)`, with tracked sorted, read at the
         target order 2n without building their series.  Zero moments may be
-        left out."""
+        left out.  With one tracked multiplicity the moments j >= 3 come off
+        the baby-step/giant-step walk (`_accumulate_resolvent`)."""
         ms = self._marked(MarkedSeries(tracked, bounds, self.K, order=2 * n))
         out = {e: _as_int(2 * n * c) for e, c in ms.terms.items()}
         out[(0,) * len(tracked)] = comb(2 * n, n)
@@ -461,6 +465,18 @@ class Engine:
         move is kept only while one more marker (its exit) still lands on
         one.  At a target order N of ms an exit adds the scalar [z^N] of
         <left| y, one dot product, and only the moves are series products.
+
+        One marker at a target order with no target exponent (the count
+        queries `joint_counts(eng, n, (k,))` and `distribution`) has one
+        word, W(k)^t: its exits are the moments c_{t+3} = [z^N] L W^t y0, t
+        < D = J - 2, J = min(bound, N // k).  Those are read by
+        `_giant_walk` at the stride `_walk_stride` picks, about r^2 (m +
+        D/m) + r^3 log2 m products for r = k - 1 where the forward walk
+        makes r^2 D.  At stride m = 1 the forward walk below runs, product
+        for product.  Several markers mix the words of several W(k), which
+        are no powers of one operator, and a target exponent reads one exit,
+        so they run forward, as does `joint_genfun`, whose exits are whole
+        series.
         """
         tracked = ms.markers
         kmax = max(tracked)
@@ -478,9 +494,22 @@ class Engine:
         if not y:  # no start can reach an admissible exponent: nothing to add
             return
         # the step for u_k: the exit row L_k, then W(k)
-        steps = [[((None, s), v) for s, v in self.left_row(k, kmax).items()]
-                 + list(self.transfer_operator(k, kmax).items())
-                 for k in tracked]
+        rows = [(self.left_row(k, kmax), self.transfer_operator(k, kmax))
+                for k in tracked]
+        if len(tracked) == 1 and ms.order is not None and ms.target is None:
+            # one marker: the exits are the moments c_j = [z^N] L W^(j-3) y0,
+            # j = 3 .. J, with L a row, W = W(k) and y0 a column of matrices
+            # {(index, index): series} at order N
+            left = {(0, s): v.project(ms.order) for s, v in rows[0][0].items()}
+            move = {key: v.project(ms.order) for key, v in rows[0][1].items()}
+            start = {(p, 0): ys[(2,)] for p, ys in y.items()}
+            exits = min(ms.bounds[0], ms.K // kmax) - 2
+            stride = _walk_stride(left, move, start, ms.order, exits)
+            if stride > 1:
+                _giant_walk(ms, left, move, start, exits, stride)
+                return
+        steps = [[((None, s), v) for s, v in left.items()] + list(move.items())
+                 for left, move in rows]
         for _depth in range(sum(ms.bounds) + 2):
             if not y:
                 break
@@ -519,9 +548,12 @@ class Engine:
         """Exact counts {l: #walks of length 2n with N_{2k} = l} plus tail.
 
         The k-marginal of `joint_counts(self, n, (k,))`, on rows l = 0 ..
-        min(l_max, max(2n // k, N_{2k} of the empty walk)).  For k <= 2 and
-        n >= 1 each count is asserted equal to [z^{2n}] of its closed-form
-        count series (`_closed_form_counts`), a second route.
+        min(l_max, max(2n // k, N_{2k} of the empty walk)): one binomial
+        inversion of all 2n // k + 1 moments, which the one-marker walk
+        reads by baby-step/giant-step (`_accumulate_resolvent`), so every
+        l_max costs the same.  For k <= 2 and n >= 1 each count is asserted
+        equal to [z^{2n}] of its closed-form count series
+        (`_closed_form_counts`), a second route.
         """
         joint = joint_counts(self, n, (k,))
         top = min(l_max, max(2 * n // k, _empty_walk_count(k)))
@@ -662,6 +694,137 @@ def _plus_one(e, i):
 def _empty_walk_count(k):
     """N_{2k} of the empty walk: its one point, the origin, has multiplicity 2."""
     return 1 if k == 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# the one-marker walk by baby-step/giant-step
+# ---------------------------------------------------------------------------
+
+# the modelled cost of one exact product whose Kronecker window spans w > 0
+# slots of y = z^2: a fixed part plus w^1.7, fitted to the walk products of
+# `dist --n 256 --k 3` (about 0.3 us per unit on a 2-core x86-64 machine)
+_PRODUCT_OVERHEAD = 200
+_PRODUCT_EXPONENT = 1.7
+
+
+def _times(x, y, mul, add):
+    """The product of the sparse matrices x and y, {(p, q): entry}: the
+    entries x[p, s] y[s, q] are formed by mul, which gives None for a zero
+    term, and summed into out[p, q] by add."""
+    rows = defaultdict(list)
+    for (s, q), v in y.items():
+        rows[s].append((q, v))
+    out = {}
+    for (p, s), u in x.items():
+        for q, v in rows[s]:
+            term = mul(u, v)
+            if term is not None:
+                key = (p, q)
+                out[key] = add(out[key], term) if key in out else term
+    return out
+
+
+def _series_times(x, y):
+    """x y for matrices of series, zero entries left out."""
+    def mul(u, v):
+        term = u * v
+        return None if term.is_zero() else term
+    return _times(x, y, mul, operator.add)
+
+
+def _matrix_power(x, m, times):
+    """x^m, m >= 1, by repeated squaring with the product times."""
+    out = None
+    while True:
+        if m & 1:
+            out = x if out is None else times(out, x)
+        m >>= 1
+        if not m:
+            return out
+        x = times(x, x)
+
+
+def _walk_stride(left, move, start, order, exits):
+    """The stride m of `_giant_walk` for the exits [z^N] L W^t y0, t <
+    exits, N = order: the m whose modelled product cost is least, 1 (the
+    forward walk) on a tie.
+
+    The model follows each walk on the valuations of its entries: the
+    product of entries of valuations u and v has valuation u + v, at most,
+    and its window spans (N - u - v) / 2 + 1 slots of y = z^2, none past
+    N.  A product costs `_PRODUCT_OVERHEAD` plus window^`_PRODUCT_EXPONENT`.
+    The forward walk makes exits - 1 moves W y.  A stride 1 < m < exits
+    makes the first m - 1 of them (the baby states), builds W^m by
+    `_matrix_power`, which squares W at least once, and steps the row L
+    W^(am) ceil(exits / m) - 1 times.  Both read the same exits, so those
+    are left out.  The first m - 1 moves and the squaring bound every
+    larger stride's cost from below, so the search stops once they cost as
+    much as the best stride."""
+    if exits < 3:  # no stride 1 < m < exits
+        return 1
+
+    def times(x, y):
+        def mul(u, v):
+            nonlocal cost
+            cost += _PRODUCT_OVERHEAD
+            if u + v <= order:
+                cost += ((order - u - v) // 2 + 1) ** _PRODUCT_EXPONENT
+                return u + v
+            return None
+        return _times(x, y, mul, min)
+
+    def valuations(x):
+        return {key: _valuation(v.nums) for key, v in x.items()}
+
+    left, move, start = valuations(left), valuations(move), valuations(start)
+    cost, moves = 0, [0]  # moves[b]: the cost of the first b moves
+    y = start
+    for _ in range(exits - 1):
+        y = times(move, y)
+        moves.append(cost)
+    best, stride = cost, 1
+    cost = 0
+    times(move, move)
+    square = cost
+    for m in range(2, exits):
+        if moves[m - 1] + square >= best:
+            break
+        cost, row = moves[m - 1], left
+        giant = _matrix_power(move, m, times)
+        for _ in range(m, exits, m):
+            row = times(row, giant)
+        if cost < best:
+            best, stride = cost, m
+    return stride
+
+
+def _giant_walk(ms, left, move, start, exits, stride):
+    """Add the one-marker walk's exits c_{t+3} = [z^N] L W^t y0, t < exits,
+    to ms at its target order N, by baby-step/giant-step (Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 1973): with m = stride and t = am + b,
+    b < m, c_{t+3} = [z^N] (L G^a) (W^b y0), G = W^m.  It keeps the baby
+    states W^b y0, b < m, builds G by `_matrix_power` and steps the giant
+    row L G^a; each exit is then one dot product per state index.  That is
+    m - 1 moves, about log2 m matrix products and ceil(exits / m) - 1 row
+    steps, where the forward walk makes exits - 1 moves.  left is the row
+    L, move W and start the column y0, as matrices of series."""
+    babies = [start]
+    for _ in range(min(stride, exits) - 1):
+        babies.append(_series_times(move, babies[-1]))
+    giant = (_matrix_power(move, stride, _series_times) if stride < exits
+             else None)
+    row = left
+    for a in range(0, exits, stride):
+        if a:
+            row = _series_times(row, giant)
+        last = a + stride >= exits
+        for b in range(min(stride, exits - a)):
+            y = babies[b]
+            if last:  # no later row reads this state
+                babies[b] = None
+            for (_, s), v in row.items():
+                if (s, 0) in y:
+                    ms.add_product((a + b + 3,), v, y[(s, 0)])
 
 
 # ---------------------------------------------------------------------------

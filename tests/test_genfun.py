@@ -3,7 +3,7 @@
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, isqrt, perm
 
 import numpy as np
 import pytest
@@ -480,14 +480,20 @@ def test_distribution_exits_make_no_series_products(monkeypatch):
     # 128 of the 429 products the walk made with series exits were exits;
     # on the binomial Lambert basis the blocks make one Lambert pass per
     # Lambda_r and one product per A Lambda_r, r = 1..5: the walk made 301
-    # products and 10 passes with a pass and products per block
+    # products and 10 passes with a pass and products per block.  The
+    # forward walk made 258 products here and 674 at (256, 3, 10); by
+    # baby-step/giant-step (strides 4 and 8) it makes 94 and 138
     eng = Engine(200, backend=EXACT)
     products = _count_products(monkeypatch)
     passes = _count_lambert_passes(monkeypatch)
     counts, tail = eng.distribution(100, 3, 66)
-    assert products[0] <= 258
+    assert products[0] <= 94
     assert passes[0] <= 5
     assert sum(counts.values()) + tail == comb(200, 100) and tail == 0
+    products[0] = 0
+    counts, tail = Engine(512, backend=EXACT).distribution(256, 3, 10)
+    assert products[0] <= 138
+    assert sum(counts.values()) + tail == comb(512, 256)
 
 
 @pytest.mark.parametrize("tracked,n", [((1,), 6), ((2,), 7), ((3,), 9),
@@ -868,6 +874,102 @@ def test_walk_without_a_start_builds_no_steps(monkeypatch):
     monkeypatch.setattr(Engine, "left_row", no_steps)
     assert Engine(10).distribution(5, 40, 3) == ({0: 252}, 0)
     assert Engine(10).mixed_moment({30: 3}, 5) == 0
+
+
+# -- the one-marker walk by baby-step/giant-step ----------------------------------
+
+def _walk_strides(monkeypatch, force=None):
+    """Record (stride, exits) of every one-marker walk; with force, the walk
+    runs at the stride force(exits) instead of the cost model's."""
+    seen = []
+    walk_stride = genfun._walk_stride
+
+    def recording(left, move, start, order, exits):
+        m = (walk_stride(left, move, start, order, exits) if force is None
+             else force(exits))
+        seen.append((m, exits))
+        return m
+
+    monkeypatch.setattr(genfun, "_walk_stride", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [40, 60, 100])
+def test_giant_walk_counts_equal_the_exact_dp(monkeypatch, n):
+    # the crossing-profile DP shares no code with the engine; where the cost
+    # model keeps the forward walk, the stride isqrt(D) is forced
+    eng = Engine(2 * n, backend=EXACT)
+    for k in range(2, 7):
+        dp = local_time_distribution(n, k, 2 * n // k)
+        strides = _walk_strides(monkeypatch)
+        counts, _ = eng.distribution(n, k, 2 * n)
+        [(m, exits)] = strides
+        assert exits == 2 * n // k - 2
+        if m == 1:
+            _walk_strides(monkeypatch, isqrt)
+            counts, _ = eng.distribution(n, k, 2 * n)
+        assert {l: c for l, c in counts.items() if c} == dp, (n, k, m)
+
+
+def test_giant_walk_counts_equal_the_oracle(monkeypatch):
+    # enumeration, at the cost model's stride and at stride 2 (the least
+    # giant step, one squaring of W)
+    for force in (None, lambda exits: 2):
+        strides = _walk_strides(monkeypatch, force)
+        for n in range(1, 10):
+            eng = Engine(2 * n, backend=EXACT)
+            for k in range(1, 5):
+                want = {l: c for (l,), c in oracle_counts(n, 1, (k,)).items()}
+                counts, tail = eng.distribution(n, k, 2 * n)
+                assert {l: c for l, c in counts.items() if c} == want, (n, k)
+                assert tail == 0
+        assert {m for m, _ in strides} == ({1, 2} if force is None else {2})
+
+
+@pytest.mark.parametrize("n,k", [(40, 3), (30, 5)])
+def test_giant_walk_equals_the_forward_walk_at_every_stride(monkeypatch, n,
+                                                            k):
+    eng = Engine(2 * n, backend=EXACT)
+    bounds = (2 * n // k,)
+    _walk_strides(monkeypatch, lambda exits: 1)
+    forward = eng.joint_moments(n, (k,), bounds)
+    assert forward[(3,)] > 0
+    exits = bounds[0] - 2
+    for m in range(1, exits + 1):
+        strides = _walk_strides(monkeypatch, lambda exits: m)
+        assert eng.joint_moments(n, (k,), bounds) == forward, m
+        assert strides == [(m, exits)]
+
+
+def test_giant_walk_edges(monkeypatch):
+    # n = 0, n = 1, k > 2n and D = 2n // k - 2 <= 0 have no walk to run; at
+    # D = 1 the one exit is read off the start
+    strides = _walk_strides(monkeypatch)
+    for n, k in ((0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (5, 11), (3, 3),
+                 (5, 4), (6, 6), (9, 7)):
+        eng = Engine(2 * n, backend=EXACT)
+        want = {l: c for (l,), c in oracle_counts(n, 1, (k,)).items()}
+        assert joint_counts(eng, n, (k,)) == {(l,): c for l, c in want.items()}
+    assert strides == []
+    for n, k in ((3, 2), (5, 3), (6, 4), (8, 5)):
+        eng = Engine(2 * n, backend=EXACT)
+        want = {l: c for (l,), c in oracle_counts(n, 1, (k,)).items()}
+        assert joint_counts(eng, n, (k,)) == {(l,): c for l, c in want.items()}
+    assert strides == [(1, 1)] * 4
+
+
+def test_walks_of_several_words_stay_forward(monkeypatch):
+    # multi-marker counts, target-order moments and the series walk mix the
+    # W(k) of several markers or keep whole series: no stride is chosen
+    def no_stride(*args):
+        raise AssertionError("a stride chosen off the one-marker count walk")
+
+    monkeypatch.setattr(genfun, "_walk_stride", no_stride)
+    eng = Engine(18, backend=EXACT)
+    assert joint_counts(eng, 9, (2, 3)) == dict(oracle_counts(9, 1, (2, 3)))
+    assert eng.mixed_moment({3: 4}, 9) == oracle_mixed_moment(9, 1, {3: 4})
+    gf = eng.joint_genfun((3,))
+    assert gf.coefficient((3,))[18] == oracle_mixed_moment(9, 1, {3: 3})
 
 
 def test_joint_counts_with_bounds_below_the_weight_cap():

@@ -497,12 +497,9 @@ def test_slot_width_follows_walk_growth():
     assert _slot_bytes(a, b) <= 0.6 * once
 
 
-def test_walk_series_need_no_slope_but_0_and_2(monkeypatch):
-    # on the exact walk series of a count and a moment query, every window
-    # of 16 slots or more gets the width the least bound over the slopes
-    # 0..4 gives: the slopes _slot_bytes leaves out would narrow no slot
+def _recorded_windows(monkeypatch):
+    """Record (a, b, nb) of every Kronecker product; returns the list."""
     from walkrange import pseries
-    from walkrange.genfun import Engine
     windows = []
     slot_bytes = pseries._slot_bytes
 
@@ -512,13 +509,52 @@ def test_walk_series_need_no_slope_but_0_and_2(monkeypatch):
         return nb
 
     monkeypatch.setattr(pseries, "_slot_bytes", recording)
-    Engine(200).distribution(100, 3, 66)
+    return windows
+
+
+def _least_bytes(a, b):
+    """The slot bytes of the least bound over the slopes 0..4."""
+    return (_least_exponent(a, b, range(5)) + len(a).bit_length() + 8) // 8
+
+
+def test_walk_series_need_no_slope_but_0_and_2(monkeypatch):
+    # on the exact series of the forward walk (a moment query and a
+    # multi-marker count query), every window of 16 slots or more gets the
+    # width the least bound over the slopes 0..4 gives: the slopes
+    # _slot_bytes leaves out would narrow no slot
+    from walkrange.genfun import Engine, joint_counts
+    windows = _recorded_windows(monkeypatch)
     Engine(200).mixed_moment({3: 4}, 100)
+    joint_counts(Engine(80), 40, (2, 3))
     wide = [(a, b, nb) for a, b, nb in windows if len(a) >= 16]
-    assert len(wide) > 100
+    assert len(wide) > 1000
     for a, b, nb in wide:
-        x = _least_exponent(a, b, range(5))
-        assert nb == (x + len(a).bit_length() + 8) // 8, len(a)
+        assert nb == _least_bytes(a, b), len(a)
+
+
+def test_giant_walk_series_need_no_slope_but_0_and_2(monkeypatch):
+    # the baby-step/giant-step walk multiplies powers of W(k) too, whose
+    # windows start at low valuations; over the wide windows of two count
+    # queries, at the cost model's strides (4 and 8, 220 wide windows) and
+    # at the strides isqrt(D) (8 and 12, 216), slopes 0 and 2 give widths
+    # within 0.01% of the least over slopes 0..4 in packed bytes.  Measured:
+    # 0 of 1,596,788 bytes at the model's strides, and 115 of 1,790,969 at
+    # isqrt(D), where 5 windows are one byte wider than slope 3 would make
+    from math import isqrt
+    from walkrange import genfun
+    from walkrange.genfun import Engine
+    windows = _recorded_windows(monkeypatch)
+    walk_stride = genfun._walk_stride
+    for stride in (walk_stride, lambda *args: isqrt(args[-1])):
+        monkeypatch.setattr(genfun, "_walk_stride", stride)
+        windows.clear()
+        Engine(200).distribution(100, 3, 66)
+        Engine(512).distribution(256, 3, 10)
+        wide = [(a, b, nb) for a, b, nb in windows if len(a) >= 16]
+        assert len(wide) > 200
+        packed = sum(len(a) * nb for a, b, nb in wide)
+        least = sum(len(a) * _least_bytes(a, b) for a, b, _ in wide)
+        assert least <= packed <= least + least // 10_000
 
 
 @pytest.mark.parametrize("K", [20, 41, 70])
