@@ -494,20 +494,23 @@ class Engine:
         if not y:  # no start can reach an admissible exponent: nothing to add
             return
         # the step for u_k: the exit row L_k, then W(k)
-        rows = [(self.left_row(k, kmax), self.transfer_operator(k, kmax))
-                for k in tracked]
         if len(tracked) == 1 and ms.order is not None and ms.target is None:
             # one marker: the exits are the moments c_j = [z^N] L W^(j-3) y0,
-            # j = 3 .. J, with L a row, W = W(k) and y0 a column of matrices
-            # {(index, index): series} at order N
-            left = {(0, s): v.project(ms.order) for s, v in rows[0][0].items()}
-            move = {key: v.project(ms.order) for key, v in rows[0][1].items()}
-            start = {(p, 0): ys[(2,)] for p, ys in y.items()}
+            # j = 3 .. J; one exit makes no move, so W(k) is not built
             exits = min(ms.bounds[0], ms.K // kmax) - 2
-            stride = _walk_stride(left, move, start, ms.order, exits)
+            rows = [(self.left_row(kmax),
+                     self.transfer_operator(kmax) if exits > 1 else {})]
+            # L a row, W a matrix and y0 a column of series at order N
+            mats = ({(0, s): v.project(ms.order) for s, v in rows[0][0].items()},
+                    {key: v.project(ms.order) for key, v in rows[0][1].items()},
+                    {(p, 0): ys[(2,)] for p, ys in y.items()})
+            stride = _walk_stride(*mats, ms.order, exits)
             if stride > 1:
-                _giant_walk(ms, left, move, start, exits, stride)
+                _giant_walk(ms, *mats, exits, stride)
                 return
+        else:
+            rows = [(self.left_row(k, kmax), self.transfer_operator(k, kmax))
+                    for k in tracked]
         steps = [[((None, s), v) for s, v in left.items()] + list(move.items())
                  for left, move in rows]
         for _depth in range(sum(ms.bounds) + 2):
