@@ -498,16 +498,17 @@ class Engine:
             # one marker: the exits are the moments c_j = [z^N] L W^(j-3) y0,
             # j = 3 .. J; one exit makes no move, so W(k) is not built
             exits = min(ms.bounds[0], ms.K // kmax) - 2
-            rows = [(self.left_row(kmax),
-                     self.transfer_operator(kmax) if exits > 1 else {})]
+            left = self.left_row(kmax)
+            move = self.transfer_operator(kmax) if exits > 1 else {}
             # L a row, W a matrix and y0 a column of series at order N
-            mats = ({(0, s): v.project(ms.order) for s, v in rows[0][0].items()},
-                    {key: v.project(ms.order) for key, v in rows[0][1].items()},
+            mats = ({(0, s): v.project(ms.order) for s, v in left.items()},
+                    {key: v.project(ms.order) for key, v in move.items()},
                     {(p, 0): ys[(2,)] for p, ys in y.items()})
             stride = _walk_stride(*mats, ms.order, exits)
             if stride > 1:
                 _giant_walk(ms, *mats, exits, stride)
                 return
+            rows = [(left, move)]
         else:
             rows = [(self.left_row(k, kmax), self.transfer_operator(k, kmax))
                     for k in tracked]
