@@ -808,6 +808,11 @@ _STDOUT_SHA256 = {
     "dist --n 100 --k 5 --lmax 40": "ed84d66a129c8f4e",
     "dist --n 60 --k 6 --lmax 20": "3ed3e2257d0156d8",
     "dist --n 3 --k 3 --lmax 5": "0f91b5b7080a09d3",
+    # one-marker moments at a target exponent, deep and shallow, r = 1, 2, 5
+    "moments --spec 3:30 --n 200": "44cd71ae50d88d67",
+    "moments --spec 2:30 --n 100": "6b824604e82428bc",
+    "moments --spec 6:10 --n 100": "8e370a7d264ccdda",
+    "moments --spec 2:5 --n 9": "a0a13e9e5fbbc562",
 }
 
 
