@@ -18,9 +18,12 @@ marginal `distribution`, and `mixed_moment`) give the walk the target order
 kmax - 1: it starts from every u_{k2} u_{k3} `start_row(k2, k3)` at once, is
 stepped for u_k by W(k) (`reduced_terms`, assembled by `transfer_operator`)
 and leaves through the exit row `left_row(k)`.  With one tracked
-multiplicity the walk is the powers of one operator, and `_giant_walk`
-reads its exits by baby-step/giant-step, from about sqrt(2n/k) states
-instead of 2n/k steps.  W(k) is the transfer operator Q(k) on the index
+multiplicity the walk is the powers of one operator: `_giant_walk` reads
+its exits by baby-step/giant-step, for count queries, a target exponent
+and the series walk alike, from about sqrt(2n/k) states instead of 2n/k
+steps where that costs less; its stride 2n/k - 2 is the forward walk.
+Several markers mix several operators and walk forward.  W(k) is the
+transfer operator Q(k) on the index
 set (rho, t) reduced to s = rho + t, the one transfer form built here; Q(k)
 has rank k - 1 and factors through it.  Everything here was validated
 coefficient-by-coefficient against exhaustive walk enumeration.
@@ -219,13 +222,13 @@ class MarkedSeries:
     only: `add_product` then reads [z^N] of a product as one dot product
     and forms no series, and the weight cap is N, since walks of length N
     have sum_k k N_{2k} = N.  With a target monomial, every other monomial
-    is dropped.
+    is dropped.  The markers are distinct multiplicities (`_distinct`).
     """
 
     __slots__ = ("markers", "bounds", "K", "order", "target", "terms")
 
     def __init__(self, markers, bounds, K, order=None, target=None):
-        self.markers = tuple(markers)
+        self.markers = _distinct(markers)
         self.bounds = tuple(bounds)
         self.K = K if order is None else min(K, order)
         self.order = order
@@ -411,11 +414,11 @@ class Engine:
 
         Coefficient of prod u_k^{j_k} at z^{2n} is the joint binomial moment
         sum_w prod_k C(N_{2k}(w), j_k) over closed walks of length 2n.
-        Untracked multiplicities stay unmarked.  The unmarked term is
+        Untracked multiplicities stay unmarked; tracked ones are distinct,
+        and exponents and bounds follow their order.  The unmarked term is
         log(2 / (1 + A)) before z d/dz and the closed-walk count series h0
         after it, since z d/dz log(2 / (1 + A)) = (1 - A) / A.
         """
-        tracked = tuple(sorted(tracked))
         if bounds is None:
             bounds = tuple(self.K // k for k in tracked)
         ms = self._marked(MarkedSeries(tracked, bounds, self.K))
@@ -427,10 +430,10 @@ class Engine:
     def joint_moments(self, n, tracked, bounds):
         """{e: sum_w prod_k C(N_{2k}(w), e_k)} over closed walks of length
         2n >= 2, exact backend: the [z^{2n}] coefficients of
-        `joint_genfun(tracked, bounds)`, with tracked sorted, read at the
-        target order 2n without building their series.  Zero moments may be
-        left out.  With one tracked multiplicity the moments j >= 3 come off
-        the baby-step/giant-step walk (`_accumulate_resolvent`)."""
+        `joint_genfun(tracked, bounds)`, read at the target order 2n without
+        building their series.  Zero moments may be left out.  With one
+        tracked multiplicity the moments j >= 3 come off the
+        baby-step/giant-step walk (`_accumulate_resolvent`)."""
         ms = self._marked(MarkedSeries(tracked, bounds, self.K, order=2 * n))
         out = {e: _as_int(2 * n * c) for e, c in ms.terms.items()}
         out[(0,) * len(tracked)] = comb(2 * n, n)
@@ -466,17 +469,18 @@ class Engine:
         one.  At a target order N of ms an exit adds the scalar [z^N] of
         <left| y, one dot product, and only the moves are series products.
 
-        One marker at a target order with no target exponent (the count
-        queries `joint_counts(eng, n, (k,))` and `distribution`) has one
-        word, W(k)^t: its exits are the moments c_{t+3} = [z^N] L W^t y0, t
-        < D = J - 2, J = min(bound, N // k).  Those are read by
-        `_giant_walk` at the stride `_walk_stride` picks, about r^2 (m +
-        D/m) + r^3 log2 m products for r = k - 1 where the forward walk
-        makes r^2 D.  At stride m = 1 the forward walk below runs, product
-        for product.  Several markers mix the words of several W(k), which
-        are no powers of one operator, and a target exponent reads one exit,
-        so they run forward, as does `joint_genfun`, whose exits are whole
-        series.
+        The walk is chosen by the number of markers alone.  One marker has
+        one word, W(k)^t: its exits are c_{t+3} = L W^t y0, t < D = J - 2, J
+        = min(bound, K // k) for the order K of ms.  `_giant_walk` reads them
+        at the stride `_walk_stride` picks, about r^2 (m + D/m) + r^3 log2 m
+        products for r = k - 1 where the forward walk makes r^2 D; at stride
+        D it is the forward walk, product for product.  That holds for the
+        count queries (`joint_counts(eng, n, (k,))`, `distribution`), for a
+        target exponent (`mixed_moment({k: m})`, whose other exits are not
+        admissible and so make no product) and for `joint_genfun`, whose
+        exits are whole series.  Several markers mix the words of several
+        W(k), which are no powers of one operator, and run the word loop
+        below.
         """
         tracked = ms.markers
         kmax = max(tracked)
@@ -487,33 +491,27 @@ class Engine:
                 e0 = _plus_one(_plus_one(zero_e, i2), i3)
                 if ms._extendable(e0):
                     for p, s in self.start_row(k2, k3).items():
-                        if ms.order is not None:  # no move needs more orders
-                            s = s.project(ms.order)
+                        s = s.project(ms.K)  # no move needs more orders
                         dst = y.setdefault(p, {})
                         dst[e0] = dst[e0] + s if e0 in dst else s
         if not y:  # no start can reach an admissible exponent: nothing to add
             return
-        # the step for u_k: the exit row L_k, then W(k)
-        if len(tracked) == 1 and ms.order is not None and ms.target is None:
-            # one marker: the exits are the moments c_j = [z^N] L W^(j-3) y0,
-            # j = 3 .. J; one exit makes no move, so W(k) is not built
+        if len(tracked) == 1:
+            # the exits c_j = L W^(j-3) y0, j = 3 .. J, by `_giant_walk`; one
+            # exit makes no move, so W(k) is not built
             exits = min(ms.bounds[0], ms.K // kmax) - 2
-            left = self.left_row(kmax)
             move = self.transfer_operator(kmax) if exits > 1 else {}
-            # L a row, W a matrix and y0 a column of series at order N
-            mats = ({(0, s): v.project(ms.order) for s, v in left.items()},
-                    {key: v.project(ms.order) for key, v in move.items()},
+            # L a row, W a matrix and y0 a column of series at order ms.K
+            mats = ({(0, s): v.project(ms.K)
+                     for s, v in self.left_row(kmax).items()},
+                    {key: v.project(ms.K) for key, v in move.items()},
                     {(p, 0): ys[(2,)] for p, ys in y.items()})
-            stride = _walk_stride(*mats, ms.order, exits)
-            if stride > 1:
-                _giant_walk(ms, *mats, exits, stride)
-                return
-            rows = [(left, move)]
-        else:
-            rows = [(self.left_row(k, kmax), self.transfer_operator(k, kmax))
-                    for k in tracked]
-        steps = [[((None, s), v) for s, v in left.items()] + list(move.items())
-                 for left, move in rows]
+            _giant_walk(ms, *mats, exits, _walk_stride(*mats, ms.K, exits))
+            return
+        # the step for u_k: the exit row L_k, then W(k)
+        steps = [[((None, s), v) for s, v in self.left_row(k, kmax).items()]
+                 + list(self.transfer_operator(k, kmax).items())
+                 for k in tracked]
         for _depth in range(sum(ms.bounds) + 2):
             if not y:
                 break
@@ -542,7 +540,7 @@ class Engine:
         These are the u_k^j coefficients of joint_genfun((k,), (jmax,)), so
         z d/dz is already applied.  For j >= 3 the series is
         L_k W(k)^{j-3} y0 under z d/dz, with L_k = `left_row(k)` and y0 =
-        `start_row(k, k)`.
+        `start_row(k, k)`, read by the baby-step/giant-step walk.
         """
         gf = self.joint_genfun((k,), (jmax,))
         zero = TruncatedSeries.zero(self.K, self.backend)
@@ -690,6 +688,16 @@ class Engine:
         return _as_int(2 * n * ms.terms.get(depths, 0))
 
 
+def _distinct(markers):
+    """markers as a tuple; a repeated multiplicity raises ValueError.  The
+    expansion takes the tracked multiplicities to be distinct: with k = 3
+    tracked twice at n = 6 it counted -368 walks at (0, 1)."""
+    markers = tuple(markers)
+    if len(set(markers)) < len(markers):
+        raise ValueError(f"a multiplicity is tracked twice in {markers}")
+    return markers
+
+
 def _plus_one(e, i):
     """Exponent vector e with one more marker in slot i."""
     return e[:i] + (e[i] + 1,) + e[i + 1:]
@@ -750,23 +758,21 @@ def _matrix_power(x, m, times):
 
 def _walk_stride(left, move, start, order, exits):
     """The stride m of `_giant_walk` for the exits [z^N] L W^t y0, t <
-    exits, N = order: the m whose modelled product cost is least, 1 (the
-    forward walk) on a tie.
+    exits, N = order: the m whose modelled product cost is least, exits
+    (the forward walk) on a tie.
 
     The model follows each walk on the valuations of its entries: the
     product of entries of valuations u and v has valuation u + v, at most,
     and its window spans (N - u - v) / 2 + 1 slots of y = z^2, none past
     N.  A product costs `_PRODUCT_OVERHEAD` plus window^`_PRODUCT_EXPONENT`.
-    The forward walk makes exits - 1 moves W y.  A stride 1 < m < exits
+    The forward walk, stride exits, makes exits - 1 moves W y; below three
+    exits no other stride is tried.  A stride 1 < m < exits
     makes the first m - 1 of them (the baby states), builds W^m by
     `_matrix_power`, which squares W at least once, and steps the row L
     W^(am) ceil(exits / m) - 1 times.  Both read the same exits, so those
     are left out.  The first m - 1 moves and the squaring bound every
     larger stride's cost from below, so the search stops once they cost as
     much as the best stride."""
-    if exits < 3:  # no stride 1 < m < exits
-        return 1
-
     def times(x, y):
         def mul(u, v):
             nonlocal cost
@@ -786,7 +792,7 @@ def _walk_stride(left, move, start, order, exits):
     for _ in range(exits - 1):
         y = times(move, y)
         moves.append(cost)
-    best, stride = cost, 1
+    best, stride = cost, exits
     cost = 0
     times(move, move)
     square = cost
@@ -804,25 +810,30 @@ def _walk_stride(left, move, start, order, exits):
 
 def _giant_walk(ms, left, move, start, exits, stride):
     """Add the one-marker walk's exits c_{t+3} = [z^N] L W^t y0, t < exits,
-    to ms at its target order N, by baby-step/giant-step (Paterson &
-    Stockmeyer, SIAM J. Comput. 2, 1973): with m = stride and t = am + b,
-    b < m, c_{t+3} = [z^N] (L G^a) (W^b y0), G = W^m.  It keeps the baby
-    states W^b y0, b < m, builds G by `_matrix_power` and steps the giant
-    row L G^a; each exit is then one dot product per state index.  That is
-    m - 1 moves, about log2 m matrix products and ceil(exits / m) - 1 row
-    steps, where the forward walk makes exits - 1 moves.  left is the row
-    L, move W and start the column y0, as matrices of series."""
-    babies = [start]
-    for _ in range(min(stride, exits) - 1):
-        babies.append(_series_times(move, babies[-1]))
+    to ms, by baby-step/giant-step (Paterson & Stockmeyer, SIAM J.
+    Comput. 2, 1973): with m = stride and t = am + b, b < m, c_{t+3} = (L
+    G^a) (W^b y0), G = W^m.  It builds G by `_matrix_power`, makes the baby
+    states W^b y0, b < m, and steps the giant row L G^a; each exit is then
+    one product per state index, at a target order N of ms its [z^N], a
+    dot product, and a whole series without one.  That is m - 1 moves,
+    about log2 m matrix products and ceil(exits / m) - 1 row steps, where
+    the forward walk makes exits - 1 moves.
+
+    The first row, L, reads each baby state as it is made, and a state no
+    later row reads is not kept.  So a stride m >= exits is the forward
+    walk: one row, exits - 1 moves and no G, with one state alive at a
+    time.  left is the row L, move W and start the column y0, as matrices
+    of series."""
     giant = (_matrix_power(move, stride, _series_times) if stride < exits
              else None)
-    row = left
+    babies, row = [], left
     for a in range(0, exits, stride):
         if a:
             row = _series_times(row, giant)
         last = a + stride >= exits
         for b in range(min(stride, exits - a)):
+            if not a:  # the first row reads each baby state as it is made
+                babies.append(_series_times(move, y) if b else start)
             y = babies[b]
             if last:  # no later row reads this state
                 babies[b] = None
@@ -852,10 +863,11 @@ def _binomial_inversion(moments):
 
 
 def joint_counts(engine: Engine, n, tracked):
-    """Exact joint occupancy counts {(N_{2k})_k: #walks} at length 2n."""
+    """Exact joint occupancy counts {(N_{2k})_k: #walks} at length 2n, keyed
+    in the order of tracked, which may not repeat a multiplicity."""
     if 2 * n > engine.K:
         raise ValueError("truncation order too small for this length")
-    tracked = tuple(sorted(tracked))
+    tracked = _distinct(tracked)
     if n == 0:
         return {tuple(_empty_walk_count(k) for k in tracked): 1}
     if not tracked:

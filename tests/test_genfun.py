@@ -897,7 +897,7 @@ def _walk_strides(monkeypatch, force=None):
 @pytest.mark.parametrize("n", [40, 60, 100])
 def test_giant_walk_counts_equal_the_exact_dp(monkeypatch, n):
     # the crossing-profile DP shares no code with the engine; where the cost
-    # model keeps the forward walk, the stride isqrt(D) is forced
+    # model keeps the forward walk (stride D), the stride isqrt(D) is forced
     eng = Engine(2 * n, backend=EXACT)
     for k in range(2, 7):
         dp = local_time_distribution(n, k, 2 * n // k)
@@ -905,7 +905,7 @@ def test_giant_walk_counts_equal_the_exact_dp(monkeypatch, n):
         counts, _ = eng.distribution(n, k, 2 * n)
         [(m, exits)] = strides
         assert exits == 2 * n // k - 2
-        if m == 1:
+        if m == exits:
             _walk_strides(monkeypatch, isqrt)
             counts, _ = eng.distribution(n, k, 2 * n)
         assert {l: c for l, c in counts.items() if c} == dp, (n, k, m)
@@ -913,7 +913,7 @@ def test_giant_walk_counts_equal_the_exact_dp(monkeypatch, n):
 
 def test_giant_walk_counts_equal_the_oracle(monkeypatch):
     # enumeration, at the cost model's stride and at stride 2 (the least
-    # giant step, one squaring of W)
+    # giant step, one squaring of W); the model picks 2 or the forward walk
     for force in (None, lambda exits: 2):
         strides = _walk_strides(monkeypatch, force)
         for n in range(1, 10):
@@ -923,15 +923,17 @@ def test_giant_walk_counts_equal_the_oracle(monkeypatch):
                 counts, tail = eng.distribution(n, k, 2 * n)
                 assert {l: c for l, c in counts.items() if c} == want, (n, k)
                 assert tail == 0
-        assert {m for m, _ in strides} == ({1, 2} if force is None else {2})
+        assert {m if m < exits else "D" for m, exits in strides} == {2, "D"}
+        assert force is None or {m for m, _ in strides} == {2}
 
 
 @pytest.mark.parametrize("n,k", [(40, 3), (30, 5)])
 def test_giant_walk_equals_the_forward_walk_at_every_stride(monkeypatch, n,
                                                             k):
+    # the forward walk is the stride D: one giant row reads every state
     eng = Engine(2 * n, backend=EXACT)
     bounds = (2 * n // k,)
-    _walk_strides(monkeypatch, lambda exits: 1)
+    _walk_strides(monkeypatch, lambda exits: exits)
     forward = eng.joint_moments(n, (k,), bounds)
     assert forward[(3,)] > 0
     exits = bounds[0] - 2
@@ -963,18 +965,87 @@ def test_giant_walk_edges(monkeypatch):
     assert strides == [(1, 1)] * 4
 
 
-def test_walks_of_several_words_stay_forward(monkeypatch):
-    # multi-marker counts, target-order moments and the series walk mix the
-    # W(k) of several markers or keep whole series: no stride is chosen
-    def no_stride(*args):
-        raise AssertionError("a stride chosen off the one-marker count walk")
-
-    monkeypatch.setattr(genfun, "_walk_stride", no_stride)
+def test_only_one_marker_walks_take_a_stride(monkeypatch):
+    # several markers mix the W(k) of several words and walk forward, with
+    # no stride; one marker walks the powers of one W(k), so counts, a
+    # target exponent and the series walk all choose one
+    strides = _walk_strides(monkeypatch)
     eng = Engine(18, backend=EXACT)
     assert joint_counts(eng, 9, (2, 3)) == dict(oracle_counts(9, 1, (2, 3)))
+    assert eng.mixed_moment({2: 1, 3: 3}, 9) == \
+        oracle_mixed_moment(9, 1, {2: 1, 3: 3})
+    gf = eng.joint_genfun((1, 3))
+    assert gf.coefficient((1, 3))[18] == oracle_mixed_moment(9, 1, {1: 1, 3: 3})
+    assert strides == []
     assert eng.mixed_moment({3: 4}, 9) == oracle_mixed_moment(9, 1, {3: 4})
     gf = eng.joint_genfun((3,))
     assert gf.coefficient((3,))[18] == oracle_mixed_moment(9, 1, {3: 3})
+    assert joint_counts(eng, 9, (3,)) == dict(oracle_counts(9, 1, (3,)))
+    assert [exits for _, exits in strides] == [2, 4, 4]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_target_moments_equal_the_oracle_at_every_stride(monkeypatch, k):
+    # a target exponent m reads one exit, c_m, whatever the stride
+    eng = Engine(18, backend=EXACT)
+    for n in range(1, 10):
+        for m in range(3, 2 * n // k + 1):
+            want = oracle_mixed_moment(n, 1, {k: m})
+            for stride in range(1, m - 1):
+                strides = _walk_strides(monkeypatch, lambda exits: stride)
+                assert eng.mixed_moment({k: m}, n) == want, (n, m, stride)
+                assert strides == [(stride, m - 2)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_target_moments_equal_the_exact_dp_at_every_stride(monkeypatch, k):
+    # sum_l C(l, m) N_l over the crossing-profile DP's counts at n = 40
+    n = 40
+    dp = local_time_distribution(n, k, 2 * n // k)
+    eng = Engine(2 * n, backend=EXACT)
+    for m in (3, 4, 9, max(l for l, c in dp.items() if c)):
+        want = sum(comb(l, m) * c for l, c in dp.items())
+        assert want > 0
+        for stride in range(1, m - 1):
+            _walk_strides(monkeypatch, lambda exits: stride)
+            assert eng.mixed_moment({k: m}, n) == want, (m, stride)
+
+
+def test_moment_series_equal_at_every_stride(monkeypatch):
+    # the series walk keeps whole series at its exits, at any stride
+    eng = Engine(40, backend=EXACT)
+    _walk_strides(monkeypatch, lambda exits: exits)
+    forward = eng.binomial_moment_series(3, 12)
+    assert len(forward) == 13 and not forward[12].is_zero()
+    for stride in range(1, 11):
+        strides = _walk_strides(monkeypatch, lambda exits: stride)
+        assert eng.binomial_moment_series(3, 12) == forward, stride
+        assert strides == [(stride, 10)]
+
+
+def test_joint_counts_keep_the_order_of_tracked():
+    # keys follow tracked as given, as the enumeration's do; the series
+    # walk reads its bounds in that order too
+    for tracked in ((3, 1), (3, 1, 2), (4, 2, 1)):
+        for n in (5, 6):
+            assert joint_counts(Engine(2 * n, backend=EXACT), n, tracked) == \
+                dict(oracle_counts(n, 1, tracked)), (tracked, n)
+    gf = Engine(12, backend=EXACT).joint_genfun((3, 1), (1, 4))
+    assert gf.coefficient((1, 2))[12] == oracle_mixed_moment(6, 1, {3: 1, 1: 2})
+
+
+def test_a_repeated_multiplicity_is_refused():
+    # enumeration counts only the diagonal for a k tracked twice, where the
+    # expansion gave off-diagonal, even negative, counts
+    assert dict(oracle_counts(6, 1, (3, 3))) == {
+        (0, 0): 440, (1, 1): 120, (2, 2): 316, (3, 3): 48}
+    eng = Engine(12, backend=EXACT)
+    for call in (lambda: joint_counts(eng, 6, (3, 3)),
+                 lambda: joint_counts(eng, 0, (1, 2, 1)),
+                 lambda: eng.joint_moments(6, (3, 3), (4, 4)),
+                 lambda: eng.joint_genfun((2, 2))):
+        with pytest.raises(ValueError, match="tracked twice"):
+            call()
 
 
 def test_joint_counts_with_bounds_below_the_weight_cap():
