@@ -690,8 +690,8 @@ class Engine:
 
 def _distinct(markers):
     """markers as a tuple; a repeated multiplicity raises ValueError.  The
-    expansion takes the tracked multiplicities to be distinct: with k = 3
-    tracked twice at n = 6 it counted -368 walks at (0, 1)."""
+    expansion holds for distinct tracked multiplicities only: with one k
+    tracked twice its counts are wrong, even negative."""
     markers = tuple(markers)
     if len(set(markers)) < len(markers):
         raise ValueError(f"a multiplicity is tracked twice in {markers}")
