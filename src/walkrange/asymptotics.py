@@ -13,10 +13,12 @@ derives those expansion coefficients exactly (rationals paired with a zeta
 value), and builds on them: the doublepoint tail law (with the limit mean
 and variance it fixes the l <= 2 limits in closed form), the singlepoint 1/n
 polynomials, limit covariances of the point counts, the Riemann-xi limits of
-range moments, and the geometric tail rates of Pr(N_{2k} = l) for every k,
-read off the transfer operator at the singular point (`tail_rates_limit`).
-Every zeta value is read off one fixed-point sweep of the alternating eta
-series (`_eta_sweep`).
+range moments, and the geometric tail rates of Pr(N_{2k} = l) for k up to
+TAIL_RATES_KMAX, the eigenvalues of the transfer operator at the singular
+point (`tail_rates_limit`), which is built as one integer matrix over one
+denominator and rounded to float by one division per entry.  Every zeta
+value is read off one fixed-point sweep of the alternating eta series
+(`_eta_sweep`).
 `probability_table` is the one float route to Pr_n(N_{2k} = l) at one
 length n (the float count series for k <= 2, the crossing-profile DP for
 k >= 3).  Richardson extrapolation in 1/n and linear-recurrence rate
@@ -253,35 +255,64 @@ def doublepoint_head():
 
 
 # the largest k whose float eigenvalues of W(k) stay within 1e-10 relative of
-# 60-digit ones: 1.3e-12 at k = 10, 2.9e-11 at k = 11, 3.2e-10 at k = 12
+# 60-digit ones: 1.3e-12 at k = 10, 2.9e-11 at k = 11, 3.2e-10 at k = 12;
+# `tail_rates_limit` refuses a larger k
 TAIL_RATES_KMAX = 10
 # the significant digits that 1e-10 relative certifies
 TAIL_RATES_DIGITS = 10
 
 
+def _limit_transfer_integers(k):
+    """(N, D): W(k) = N / D, N a (k-1) x (k-1) list of ints over the one
+    int D (see `limit_transfer_matrix`).
+
+    With lw the lcm of the denominators of the `reduced_terms` weights, the
+    coefficient of zeta(j) in an entry is c / (lw 2^j), c an int summed
+    over the powers of (1 - A), and zeta(j) = E[j] 2^(j-1) / ((2^(j-1) - 1)
+    2^(bits+guard)) off `_eta_sweep`, as in `zeta_fraction`.  Over
+    D = 2 lw M 2^(bits+guard), M the lcm of the 2^(j-1) - 1, the 2^j
+    cancels and the entry is the int sum_j c Z[j], Z[j] = E[j] M /
+    (2^(j-1) - 1).  The sweep's precision is 30 digits plus the decimal
+    exponent of the largest coefficient, max c / (lw 2^j) rounded to float
+    once."""
+    terms = reduced_terms(k)
+    lw = math.lcm(*(w.denominator for cell in terms.values()
+                    for w in cell.values()))
+    cells = {}  # (a, b) -> {j: c}
+    for (s, s2), weights in terms.items():
+        cell = cells[k - 2 - s, k - 2 - s2] = {}
+        for (_power, (_i, j)), w in weights.items():
+            cell[j] = cell.get(j, 0) + w.numerator * (lw // w.denominator)
+    J = max(j for cell in cells.values() for j in cell)
+    top = max(abs(c) << (J - j) for cell in cells.values()
+              for j, c in cell.items())
+    digits = 30 + int(math.log10(max(top / (lw << J), 1)))
+    bits = math.ceil(digits * math.log2(10)) + 2
+    guard, E = _eta_sweep(1 << (J - 1).bit_length(), bits)
+    M = math.lcm(*((1 << (j - 1)) - 1 for j in range(2, J + 1)))
+    Z = [0, 0] + [E[j] * (M // ((1 << (j - 1)) - 1)) for j in range(2, J + 1)]
+    N = [[0] * (k - 1) for _ in range(k - 1)]
+    for (a, b), cell in cells.items():
+        N[a][b] = sum(c * Z[j] for j, c in cell.items())
+    return N, (lw * M) << (bits + guard + 1)
+
+
 def limit_transfer_matrix(k):
     """W(k) of `genfun.reduced_terms` at the singular point, with Fraction
-    entries (see `tail_rates_limit`).
+    entries N_ab / D of `_limit_transfer_integers` (see `tail_rates_limit`).
 
     Row (rho, t) of Q(k) is (-1)^rho / rho! row (0, rho + t), so Q(k) = U G
     factors through the state s = rho + t, and G U = W(k) has the same
     nonzero eigenvalues.  Row a and column b here are s = k-2-a and
     s' = k-2-b of `reduced_terms`.  Each chain_block(i, j) is replaced by its
-    limit zeta(j) / 2^j and each (1-A)^m by 1; the rational coefficient of
-    every zeta value is collected exactly before one product with
-    `zeta_fraction`, which reads it off the fixed-point eta sweep.
+    limit zeta(j) / 2^j and each (1-A)^m by 1; every entry is one integer
+    numerator over the one denominator D, summed by integer multiply-adds
+    on the zeta values of the fixed-point eta sweep: the same rational as
+    the sum of its zeta coefficients times `zeta_fraction` at the same
+    digits.
     """
-    cells = {}  # (a, b) -> {j: exact coefficient of zeta(j)}
-    for (s, s2), weights in reduced_terms(k).items():
-        cell = cells.setdefault((k - 2 - s, k - 2 - s2), {})
-        for (_power, (_i, j)), w in weights.items():
-            cell[j] = cell.get(j, 0) + w / 2 ** j
-    maxmag = max(abs(c) for cell in cells.values() for c in cell.values())
-    digits = 30 + int(math.log10(max(maxmag, 1)))
-    W = [[Fraction(0)] * (k - 1) for _ in range(k - 1)]
-    for (a, b), cell in cells.items():
-        W[a][b] = sum(c * zeta_fraction(j, digits) for j, c in cell.items())
-    return W
+    N, D = _limit_transfer_integers(k)
+    return [[Fraction(x, D) for x in row] for row in N]
 
 
 def tail_rates_limit(k):
@@ -292,10 +323,12 @@ def tail_rates_limit(k):
     law has its poles at v = 1 + 1/mu for the nonzero eigenvalues mu of
     Q(k) there, and each tail rate is mu / (1 + mu) (transfer theorem:
     Flajolet & Sedgewick, Analytic Combinatorics, 2009, ch. VI).  Those mu
-    are the eigenvalues of the (k-1) x (k-1) matrix W(k) of
-    `limit_transfer_matrix`; float eigenvalues of its rounded entries are
-    within 1e-10 relative for k <= TAIL_RATES_KMAX, and lose digits fast
-    beyond (cond W reaches 1e37 at k = 20).
+    are the eigenvalues of the (k-1) x (k-1) matrix W(k) = N / D of
+    `limit_transfer_matrix`, one integer matrix N over one integer D; each
+    entry is rounded to float by the one division N_ab / D, which is
+    correctly rounded.  The float eigenvalues are within 1e-10 relative for
+    k <= TAIL_RATES_KMAX and lose digits fast beyond it (cond W reaches
+    1e37 at k = 20), so a larger k raises IllConditioned.
 
     The block limits.  At the singular point z = 1/2, A = sqrt(1 - 4z^2)
     tends to 0, so every (1 - A)^m tends to 1.  Write
@@ -323,8 +356,12 @@ def tail_rates_limit(k):
     """
     if k < 2:
         raise DomainError("N_2 has no tail: tail rates start at k = 2")
+    if k > TAIL_RATES_KMAX:
+        raise IllConditioned(f"float eigenvalues of W({k}) are not certified "
+                             f"past k = TAIL_RATES_KMAX = {TAIL_RATES_KMAX}")
     import numpy as np
-    W = np.array(limit_transfer_matrix(k), dtype=np.float64)
+    N, D = _limit_transfer_integers(k)
+    W = np.array([[x / D for x in row] for row in N])
     mu = np.linalg.eigvals(W)
     if np.any(mu.imag != 0):
         raise IllConditioned(f"complex eigenvalues of W({k}): float "

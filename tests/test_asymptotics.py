@@ -17,7 +17,7 @@ from walkrange.asymptotics import (TAIL_RATES_KMAX, _eta_sweep, bernoulli,
                                    second_moment_limit, second_moment_limits,
                                    singlepoint_expansion, tail_rate_fit,
                                    tail_rates_limit, zeta, zeta_fraction)
-from walkrange.genfun import Engine
+from walkrange.genfun import Engine, reduced_terms
 from walkrange.walks import local_time_probabilities
 
 
@@ -452,6 +452,55 @@ def test_tail_rates_limit_against_mpmath():
             assert len(got) == len(want) == k - 1
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-10 * abs(w), (k, g, w)
+
+
+def fraction_limit_transfer(k):
+    """W(k) summed in Fractions: the coefficient of each zeta(j) in an
+    entry, times `zeta_fraction(j, digits)`, with digits 30 plus the decimal
+    exponent of the largest coefficient."""
+    cells = {}
+    for (s, s2), weights in reduced_terms(k).items():
+        cell = cells.setdefault((k - 2 - s, k - 2 - s2), {})
+        for (_power, (_i, j)), w in weights.items():
+            cell[j] = cell.get(j, 0) + w / 2 ** j
+    maxmag = max(abs(c) for cell in cells.values() for c in cell.values())
+    digits = 30 + int(math.log10(max(maxmag, 1)))
+    W = [[Fraction(0)] * (k - 1) for _ in range(k - 1)]
+    for (a, b), cell in cells.items():
+        W[a][b] = sum(c * zeta_fraction(j, digits) for j, c in cell.items())
+    return W
+
+
+def test_limit_transfer_matrix_equals_the_fraction_sum():
+    # the integer numerators over one denominator are the same rationals
+    for k in range(2, 21):
+        assert limit_transfer_matrix(k) == fraction_limit_transfer(k), k
+
+
+def test_tail_rates_limit_rounds_the_fraction_sum(monkeypatch):
+    # one int / int division per entry is the correctly rounded float of
+    # the Fraction sum: eigvals sees the same float64 bits
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def spy(W):
+        seen.append(W)
+        return eigvals(W)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    for k in range(2, TAIL_RATES_KMAX + 1):
+        tail_rates_limit(k)
+        want = np.array(fraction_limit_transfer(k), dtype=np.float64)
+        assert seen[-1].dtype == np.float64, k
+        assert seen[-1].tobytes() == want.tobytes(), k
+    assert len(seen) == TAIL_RATES_KMAX - 1
+
+
+@pytest.mark.parametrize("k", [TAIL_RATES_KMAX + 1, 24])
+def test_tail_rates_limit_refuses_past_the_certified_k(k):
+    with pytest.raises(IllConditioned, match=f"k = TAIL_RATES_KMAX = "
+                                             f"{TAIL_RATES_KMAX}"):
+        tail_rates_limit(k)
 
 
 def test_extrapolate_probability_singlepoints():

@@ -844,7 +844,7 @@ _FLOAT_STDOUT_SHA256 = {
     "first-moment --d 3 --k 2 --n 1000": "bc8c472529a98117",
     "dist --n 2000 --k 5 --lmax 10 --backend float": "114335635fd068b7",
     # every consumer of zeta to the last printed digit: xi(r) across the
-    # range --xi prints, table 1's tail law and head, table 2's Fraction W(k)
+    # range --xi prints, table 1's tail law and head, table 2's integer W(k)
     "asymp --xi 2 --digits 17": "28bc9a6cf2927f70",
     "asymp --xi 3 --digits 17": "8e628623b5bbab50",
     "asymp --xi 100 --digits 17": "2b5de51f0006ca08",
