@@ -169,15 +169,24 @@ def _cmd_range_dist(args):
     return 0
 
 
+def _repeated(text, k):
+    """The error for a multiplicity k given twice in text: the markers of
+    one query are distinct."""
+    return argparse.ArgumentTypeError(
+        f"{text!r} repeats k = {k}: give each multiplicity once")
+
+
 def _parse_spec(text):
-    """'k:m,k:m,...' with k >= 1, m >= 0 -> {k: summed m}."""
+    """'k:m,k:m,...' with distinct k >= 1, m >= 0 -> {k: m}."""
     spec = {}
     try:
         for part in text.split(","):
             k, m = (int(x) for x in part.split(":"))
             if k < 1 or m < 0:
                 raise ValueError
-            spec[k] = spec.get(k, 0) + m
+            if k in spec:
+                raise _repeated(text, k)
+            spec[k] = m
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"malformed spec {text!r}: want k:m pairs like '1:2,3:2' "
@@ -206,7 +215,7 @@ def _int_from(lo):
 
 
 def _parse_track(text):
-    """'k,k,...' with k >= 1 -> tuple of k; '' -> ()."""
+    """'k,k,...' with distinct k >= 1 -> tuple of k; '' -> ()."""
     try:
         tracked = tuple(int(t) for t in text.split(",")) if text else ()
         if any(k < 1 for k in tracked):
@@ -215,6 +224,9 @@ def _parse_track(text):
         raise argparse.ArgumentTypeError(
             f"malformed track {text!r}: want k values like '1,3' "
             "with k >= 1") from None
+    for i, k in enumerate(tracked):
+        if k in tracked[:i]:
+            raise _repeated(text, k)
     return tracked
 
 

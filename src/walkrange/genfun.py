@@ -54,8 +54,10 @@ every entry of term_pair, left_row, start_row and W(k) is
     sum_r a_r(z^2) Lambda_r + b_r(z^2) A Lambda_r.
 
 The entries are built this way only (`_basis_table`, integer tables built
-once per process): one Lambert pass per Lambda_r, one product per A
-Lambda_r, and shift-and-add.  The walk is exact-only; float engines serve
+once per process): shift-and-add on Lambda_r and A Lambda_r, which one
+process-wide store keeps at the largest order asked so far
+(`pseries._ExactStore`), so an engine of a larger order computes only
+their new coefficients.  The walk is exact-only; float engines serve
 the k <= 2 closed forms, which take their pair terms from pair_block, so the
 exact k = 2 check shares no table with the walk.
 """
@@ -68,6 +70,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, perm, prod
 
+from . import pseries
 from .errors import DomainError, MarkerOverflow, NonUnit
 from .pseries import EXACT, BaseSeriesCache, TruncatedSeries, _valuation
 
@@ -271,7 +274,14 @@ class MarkedSeries:
 
 
 class Engine:
-    """Joint-distribution calculator at one truncation order and backend."""
+    """Joint-distribution calculator at one truncation order and backend.
+
+    Its blocks and powers live and die with the engine.  The exact ballot
+    numbers and the basis Lambda_r, A Lambda_r that its exact blocks are
+    read off live for the whole process in `pseries._ExactStore` (about
+    2.2 MB at K = 512): an engine reads their prefix, and an engine of a
+    larger order extends them, publishing each extension by one
+    assignment."""
 
     def __init__(self, K, backend=None):
         self.cache = BaseSeriesCache(K, backend)
@@ -280,7 +290,6 @@ class Engine:
         self._pair = {}
         self._chain = {}
         self._pows = {}
-        self._basis = {}
         self._term_pair = {}
 
     # -- building blocks -----------------------------------------------------
@@ -323,14 +332,10 @@ class Engine:
         return self._chain[(i, j)]
 
     def _basis_series(self, r, times_a):
-        """Lambda_r = sum_f C(f, r) tail_f, or A Lambda_r with times_a: one
-        Lambert pass per r and one product per A Lambda_r, each made once."""
-        key = (r, times_a)
-        if key not in self._basis:
-            self._basis[key] = (self.cache.A * self._basis_series(r, False)
-                                if times_a else
-                                self.cache.lambert_sum(lambda f: comb(f, r)))
-        return self._basis[key]
+        """The even coefficients [z^{2n'}], n' <= K//2, of Lambda_r = sum_f
+        C(f, r) tail_f, or of A Lambda_r with times_a: a prefix of the
+        process-wide exact store (`pseries._ExactStore`)."""
+        return pseries._EXACT_STORE.basis(r, times_a, self.K // 2)
 
     def _on_basis(self, den, coeffs):
         """(1/den) sum_r (a_r(z^2) Lambda_r + b_r(z^2) A Lambda_r) over the
@@ -340,7 +345,7 @@ class Engine:
             for times_a, poly in ((False, a), (True, b)):
                 if not poly:
                     continue
-                vec = self._basis_series(r, times_a).nums[::2]
+                vec = self._basis_series(r, times_a)
                 for d, c in enumerate(poly):
                     if c:
                         acc[d:] = [x + c * v for x, v in zip(acc[d:], vec)]

@@ -38,12 +38,17 @@ and the integer-weighted sums over the geometric tails B^{2f}/(1 - B^{2f}),
 with B = 2z / (1 + A) (z times the Catalan generating function).  B enters
 only through its even powers, whose ballot-number closed form [z^{2n}]
 B^{2F} = (F/n) C(2n, n - F) needs no series division, so the cache's exact
-series are integer vectors.  Float sums take every weight at once in one
-sweep down the ballot columns, a block of rows F at a time, and keep no row.
-The sweep stops before a block once all the rows left could add at most
-2^-60 of every entry, under half an ulp, so round-to-nearest leaves every
-sum as it is; it drops only whole trailing blocks, since a block of another
-shape would round the columns it keeps differently.
+series are integer vectors.  The exact ballot numbers and the binomial
+Lambert basis Lambda_r = sum_f C(f, r) B^{2f}/(1 - B^{2f}) and A Lambda_r,
+from which `genfun` builds every exact block, do not depend on the
+truncation order: they live in one process-wide store (`_ExactStore`),
+kept at the largest order asked so far, and an order-K cache reads their
+prefix.  Float sums take every weight at once in one sweep down the ballot
+columns, a block of rows F at a time, and keep no row.  The sweep stops
+before a block once all the rows left could add at most 2^-60 of every
+entry, under half an ulp, so round-to-nearest leaves every sum as it is; it
+drops only whole trailing blocks, since a block of another shape would
+round the columns it keeps differently.
 The backend fixes the scale s of a cache, which stores s^m times the true
 coefficients: s = 1 on the exact backend, s = 1/2 on the float backend,
 where it cancels the 4^n growth of the walk counts and keeps every
@@ -426,18 +431,119 @@ class TruncatedSeries:
 # base series cache
 # ---------------------------------------------------------------------------
 
-def _catalan(m):
-    return comb(2 * m, m) // (m + 1)
+def _sqrt_even(half):
+    """[z^{2m}] A, m <= half, A = sqrt(1 - 4z^2): 1, then -2 Catalan(m - 1)."""
+    return [-2 * (comb(2 * m - 2, m - 1) // m) if m else 1 for m in range(half + 1)]
+
+
+def _ballot_column(n):
+    """[b_F(n) for F <= n], the ballot numbers b_F(n) = [z^{2n}] B^{2F} = F
+    C(2n, n-F) / n, which vanish for F > n.  b_n(n) = 1, and C(2n, n-F+1) =
+    C(2n, n-F) (n+F) / (n-F+1) gives b_{F-1}(n) = b_F(n) (F-1) (n+F) / (F
+    (n-F+1)), an exact division."""
+    col = [1] * (n + 1)
+    b = 1
+    for F in range(n, 0, -1):
+        b = b * ((F - 1) * (n + F)) // (F * (n - F + 1))
+        col[F - 1] = b
+    return col
+
+
+def _divisor_sums(weight, d, top):
+    """d, the divisor sums d(F) = sum_{f | F} weight(f) for F < len(d), d(0)
+    = 0 at least, continued to F <= top in a new list.  Every weight(f), f
+    <= top, must be an integer (any other value raises TypeError)."""
+    lo = len(d)
+    d = d + [0] * (top + 1 - lo)
+    for f in range(1, top + 1):
+        wf = operator.index(weight(f))
+        if wf:
+            # the multiples of f from lo on, f itself when f >= lo >= 1
+            for F in range(-(-lo // f) * f, top + 1, f):
+                d[F] += wf
+    return d
+
+
+def _weigh_columns(d, cols):
+    """[sum_F d[F] col[F] for col in cols]: the exact Lambert sum with
+    divisor sums d at the ballot columns cols, one dot product each."""
+    return [sum(map(operator.mul, d, col)) for col in cols]
+
+
+class _ExactStore:
+    """The exact ballot numbers and binomial Lambert basis of the process.
+
+    It keeps the ballot columns [b_F(n') for F <= n'] = [z^{2n'}] B^{2F},
+    n' <= top; the even coefficients [z^{2n'}] of Lambda_r = sum_f C(f, r)
+    B^{2f}/(1 - B^{2f}) and of A Lambda_r, each at the largest order asked
+    so far; and the divisor sums d_r(F) = sum_{f | F} C(f, r), with
+    Lambda_r[n'] = sum_F d_r(F) b_F(n').  No entry depends on the
+    truncation order, so an order-K reader takes the prefix n' <= K//2,
+    which equals a fresh build, and a larger order computes only the
+    columns past the old top.  An extension builds new lists and publishes
+    each with one assignment, so no reader sees a half-built prefix; two
+    threads that extend at once compute the same entries, and either
+    result may stay.
+    """
+
+    def __init__(self):
+        self._cols = []         # n' -> ballot column n'
+        self._dsums = {}        # r -> d_r(F), F <= its top
+        self._basis = {}        # (r, times_a) -> even coefficients, n' <= its top
+
+    def columns(self, half):
+        """The ballot columns n' <= top for a top of at least half."""
+        cols = self._cols
+        if len(cols) <= half:
+            cols = self._cols = cols + [_ballot_column(n)
+                                        for n in range(len(cols), half + 1)]
+        return cols
+
+    def basis(self, r, times_a, half):
+        """[z^{2n'}] Lambda_r, or A Lambda_r with times_a, for n' <= half.
+        A new column n' of Lambda_r is one dot product of d_r with ballot
+        column n' (`_weigh_columns`).  A fresh A Lambda_r is one product of
+        the even coefficients of A (`_sqrt_even`) with those of Lambda_r,
+        and each coefficient an extension adds is one dot product."""
+        vec = self._basis.get((r, times_a), [])
+        if len(vec) <= half:
+            lo = len(vec)
+            if times_a:
+                lam = self.basis(r, False, half)
+                a = _sqrt_even(half)
+                vec = (_kronecker(a, lam, half) if not lo else
+                       vec + [sum(map(operator.mul, a[: n + 1], lam[n::-1]))
+                              for n in range(lo, half + 1)])
+            else:
+                d = self._dsums.get(r, [0])
+                if len(d) <= half:
+                    d = self._dsums[r] = _divisor_sums(lambda f: comb(f, r), d, half)
+                vec = vec + _weigh_columns(d, self.columns(half)[lo: half + 1])
+            self._basis[(r, times_a)] = vec
+        return vec[: half + 1]
+
+
+_EXACT_STORE = _ExactStore()
 
 
 class BaseSeriesCache:
     """Holds A, h0 and the Lambert sums over the geometric tails at one
-    order: the even B-powers as exact ballot rows, or a float sweep over
+    order: the even B-powers as exact ballot numbers, or a float sweep over
     them.
 
     All stored series share one (K, backend) and the backend's `scale`
     (1 exact, 1/2 float).  Immutable once built; the lazy caches are
     fill-once and safe to share across threads doing read-mostly work.
+
+    Exact caches keep no ballot numbers of their own: they read the prefix
+    n' <= K//2 of the process-wide store (`_ExactStore`), which lives as
+    long as the process and holds the ballot columns up to the largest
+    order asked so far, with Lambda_r and A Lambda_r for each r asked.  At
+    K = 512 the columns take about 2.2 MB (33,153 integers of up to 502
+    bits) and each Lambda_r or A Lambda_r about 17 kB.  The store publishes
+    each extension with one assignment of a new list, so a reader sees the
+    old prefix or the new one, never a half-built one.  Float caches keep
+    their own sweep, which depends on K.
     """
 
     def __init__(self, K, backend=None):
@@ -445,14 +551,12 @@ class BaseSeriesCache:
         self.K = K
         self.backend = backend
         self.scale = 1 if backend == EXACT else _FLOAT_SCALE
-        self._even_rows_exact = {}      # exact backend: F -> integer row
         self._sweep = None              # float backend: (seeds, top) of the sweep
         self._central = {}              # float backend: n -> C(2n, n) s^{2n}
         half = K // 2
 
         if backend == EXACT:
-            self.A = self._even([-2 * _catalan(m - 1) if m else 1
-                                 for m in range(half + 1)])
+            self.A = self._even(_sqrt_even(half))
             self.inv_A = self._even([comb(2 * m, m) for m in range(half + 1)])
         else:
             import numpy as np
@@ -573,25 +677,17 @@ class BaseSeriesCache:
         return out
 
     def _even_row(self, F):
-        """row[n'] = [z^{2n'}] (scaled B)^{2F}: ballot integers (exact) or a
-        float row of the ballot sweep (zero past its last row).
-
-        The exact row is b_n' = F C(2n', n'-F) / n' from b_F = 1 by
-        C(2n+2, n+1-F) = C(2n, n-F) (2n+1) (2n+2) / ((n+1-F) (n+1+F)), that
-        is b_{n+1} = b_n 2n (2n+1) / ((n+1-F) (n+1+F)), an exact division."""
+        """row[n'] = [z^{2n'}] (scaled B)^{2F}, n' <= K//2: ballot integers
+        read off the process-wide exact store (`_ExactStore.columns`), or a
+        float row of the ballot sweep (zero past its last row)."""
         if self.backend == FLOAT:
             import numpy as np
             wts = np.zeros((1, F + 1))
             wts[0, F] = 1.0
             return self._ballot_sweep(wts)[0]
-        if F not in self._even_rows_exact:
-            row = [0] * (self.K // 2 + 1)
-            b = 1
-            for n in range(F, len(row)):
-                row[n] = b
-                b = b * 2 * n * (2 * n + 1) // ((n + 1 - F) * (n + 1 + F))
-            self._even_rows_exact[F] = row
-        return self._even_rows_exact[F]
+        half = self.K // 2
+        return [col[F] if F < len(col) else 0
+                for col in _EXACT_STORE.columns(half)[: half + 1]]
 
     def b_even_power(self, F):
         """(scaled B)^{2F} as a series."""
@@ -616,28 +712,15 @@ class BaseSeriesCache:
         """
         if not weights:
             return []
-        top = self.K // 2 if self.backend == EXACT else self._ensure_even_rows()[1]
-        sums = []
-        for weight in weights:
-            acc_w = [0] * (top + 1)
-            for f in range(1, top + 1):
-                wf = operator.index(weight(f))
-                if wf:
-                    for F in range(f, top + 1, f):
-                        acc_w[F] += wf
-            sums.append(acc_w)
+        half = self.K // 2
+        top = half if self.backend == EXACT else self._ensure_even_rows()[1]
+        sums = [_divisor_sums(weight, [0], top) for weight in weights]
         if self.backend == FLOAT:
             import numpy as np
             return [self._even(row) for row in
                     self._ballot_sweep(np.array(sums, dtype=np.float64))]
-        out = []
-        for acc_w in sums:
-            acc = [0] * (top + 1)
-            for F, w in enumerate(acc_w):
-                if w:
-                    acc[F:] = [x + w * r for x, r in zip(acc[F:], self._even_row(F)[F:])]
-            out.append(self._even(acc))
-        return out
+        cols = _EXACT_STORE.columns(half)[: half + 1]
+        return [self._even(_weigh_columns(d, cols)) for d in sums]
 
     # -- coefficient extraction ----------------------------------------------
 

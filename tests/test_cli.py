@@ -358,6 +358,8 @@ def test_argument_errors_exit_two(capsys):
     ["asymp", "--xi", "433"],
     ["asymp", "--xi", "700"],
     ["dist", "--n", "4.5", "--k", "1", "--lmax", "2"],
+    ["moments", "--spec", "2:2,2:1", "--n", "5"],
+    ["oracle", "--n", "3", "--track", "1,1"],
 ], ids=["dist-k0", "first-moment-k0", "first-moment-d0", "dist-lmax-neg",
         "moments-spec-malformed", "moments-spec-k0", "range-dist-n-neg",
         "moments-n-neg", "first-moment-n-neg", "first-moment-n0",
@@ -367,7 +369,7 @@ def test_argument_errors_exit_two(capsys):
         "asymp-lmax-neg", "asymp-n0", "asymp-xi1", "asymp-table-and-xi",
         "range-dist-mmax-neg", "verify-n-max-neg", "digits0",
         "first-moment-d2-n1", "asymp-xi-infinite", "asymp-xi-gamma-overflow",
-        "dist-n-not-int"])
+        "dist-n-not-int", "moments-spec-repeated-k", "oracle-track-repeated-k"])
 def test_invalid_values_exit_two_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)

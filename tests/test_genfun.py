@@ -1,5 +1,7 @@
 """The d=1 joint-distribution engine against the enumeration oracle."""
 
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -8,7 +10,7 @@ from math import comb, factorial, isqrt, perm
 import numpy as np
 import pytest
 
-from walkrange import genfun
+from walkrange import genfun, pseries
 from walkrange.cli import _EXACT_DECIMAL
 from walkrange.errors import DomainError, NonUnit
 from walkrange.genfun import (Engine, joint_counts, range_distribution,
@@ -144,6 +146,81 @@ def test_exact_blocks_on_the_basis_equal_the_product_route(K, kbig):
             got = (eng.term_pair(k, kmax), eng.left_row(k, kmax),
                    eng.start_row(k, kmax), eng.transfer_operator(k, kmax))
             assert got == want, (K, k, kmax)
+
+
+def _closed_form_basis(K, r):
+    """[z^{2n}] Lambda_r and A Lambda_r, n <= K//2, summed in closed form:
+    Lambda_r[n] = sum_F d_r(F) (F/n) C(2n, n-F), d_r(F) = sum_{f | F} C(f,
+    r), and A = sqrt(1 - 4z^2) = 1 - sum_m 2 Catalan(m-1) z^{2m}."""
+    half = K // 2
+    d = [sum(comb(f, r) for f in range(1, F + 1) if F % f == 0)
+         for F in range(half + 1)]
+    lam = [sum(d[F] * F * comb(2 * n, n - F) for F in range(1, n + 1)) // n
+           if n else 0 for n in range(half + 1)]
+    a = [1] + [-2 * comb(2 * m - 2, m - 1) // m for m in range(1, half + 1)]
+    return lam, [sum(a[m] * lam[n - m] for m in range(n + 1))
+                 for n in range(half + 1)]
+
+
+def test_exact_basis_store_does_not_depend_on_construction_order(monkeypatch):
+    # one process-wide store serves every exact engine: a shorter engine
+    # reads a prefix of it, a longer one extends it past the old top; a
+    # fresh store, so the first engine builds it from nothing
+    monkeypatch.setattr(pseries, "_EXACT_STORE", pseries._ExactStore())
+    want = {}
+    for K in (40, 200, 120, 200, 40):
+        eng = Engine(K, backend=EXACT)
+        half = K // 2
+        for r in range(7):
+            if (K, r) not in want:
+                want[(K, r)] = _closed_form_basis(K, r)
+            lam, a_lam = want[(K, r)]
+            assert eng._basis_series(r, False) == lam, (K, r)
+            assert eng._basis_series(r, True) == a_lam, (K, r)
+        for F in range(half + 2):
+            row = eng.cache._even_row(F)
+            assert len(row) == half + 1, (K, F)
+            assert row == [(F * comb(2 * n, n - F) // n if n else 1)
+                           if n >= F else 0 for n in range(half + 1)], (K, F)
+
+
+def test_exact_basis_store_serves_racing_threads(monkeypatch):
+    # four threads on two cores build engines in different orders, each
+    # extension racing the others' reads and extensions: every read is a
+    # whole, correct prefix, since an extension is published by one
+    # assignment of a new list
+    monkeypatch.setattr(pseries, "_EXACT_STORE", pseries._ExactStore())
+    # an extension from nothing to K = 400 takes milliseconds, longer than
+    # the interpreter runs one thread between switches
+    want = [_closed_form_basis(400, r) for r in range(4)]
+    orders = ((400, 200, 40), (400, 40, 200), (200, 400, 40), (40, 200, 400))
+    start = threading.Barrier(len(orders), timeout=60)
+    errors = []
+
+    def work(order):
+        try:
+            start.wait()
+            for K in order:
+                eng = Engine(K, backend=EXACT)
+                for r in range(4):
+                    got = eng._basis_series(r, False), eng._basis_series(r, True)
+                    if got != tuple(v[: K // 2 + 1] for v in want[r]):
+                        errors.append((K, r))
+        except Exception as exc:  # reported through errors, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_basis_tables_are_the_winding_weights():
